@@ -11,6 +11,8 @@ Modules:
   cli          the `epinet` command-line front end
 """
 
+__version__ = "0.1.0"
+
 from .model_core import (
     Graph,
     GraphError,
@@ -87,5 +89,3 @@ from .monte_carlo import (
 )
 from .verify import SUITES, SuiteResult, VerifyError, fd_jacobian, run_suite, \
     run_suites
-
-__version__ = "0.1.0"

@@ -38,7 +38,8 @@ from .exact_chain import (
     mixing_time_exact,
     stationary,
 )
-from .mean_field import MeanFieldPoint, find_fixed_point, mf_iterate
+from . import __version__
+from .mean_field import _upper_corner, find_fixed_point, mf_iterate
 from .monte_carlo import MonteCarloError, ensemble_to_csv, mc_ensemble
 from .verify import SUITES, VerifyError, run_suites
 
@@ -246,12 +247,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def _meanfield_start(model: ModelSpec, n: int) -> MeanFieldPoint:
-    if model.k == 2:
-        return MeanFieldPoint(np.ones(n))
-    return MeanFieldPoint(np.ones(n), np.zeros(n))
-
-
 def cmd_meanfield(cfg: RunConfig) -> int:
     g = _load_graph(cfg)
     model = _build_model(cfg)
@@ -284,7 +279,7 @@ def cmd_meanfield(cfg: RunConfig) -> int:
     }
     _atomic_write(cfg.out, _dump_json(payload))
     if cfg.traj_out is not None:
-        traj = mf_iterate(model, g, _meanfield_start(model, g.n),
+        traj = mf_iterate(model, g, _upper_corner(model, g.n),
                           cfg.traj_steps)
         lines = ["t,s,i,r"]
         for t, pt in enumerate(traj):
@@ -452,7 +447,7 @@ def _model_options(fn):
 
 
 @click.group()
-@click.version_option(version="0.1.0", prog_name="epinet")
+@click.version_option(version=__version__, prog_name="epinet")
 def main() -> None:
     """Exact chains, mean-field maps, and verification for network epidemics."""
 

@@ -31,6 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model_core import (
+    _VARIANTS,
     Graph,
     ModelSpec,
     ModelError,
@@ -193,32 +194,6 @@ class TransitionMatrix:
     def size(self) -> int:
         return self.entries.shape[0]
 
-    def to_csv(self, path: str) -> None:
-        """Debug export: header line 'k,n', one values line, then the rows."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("k,n\n")
-            fh.write(f"{self.k},{self.n}\n")
-            for row in self.entries:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-    @classmethod
-    def from_csv(cls, path: str) -> "TransitionMatrix":
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "k,n":
-                raise ExactChainError(f"expected 'k,n' header, got {header!r}")
-            k_s, n_s = fh.readline().strip().split(",")
-            k, n = int(k_s), int(n_s)
-            rows = [
-                [float(v) for v in line.strip().split(",")]
-                for line in fh
-                if line.strip()
-            ]
-        entries = np.asarray(rows)
-        if entries.shape != (k ** n, k ** n):
-            raise ExactChainError("matrix shape does not match header")
-        return cls(entries, k, n)
-
 
 # ---------------------------------------------------------------------------
 # Per-node conditional probabilities
@@ -232,7 +207,7 @@ def _escape_probs(model: ModelSpec, graph: Graph, infected: np.ndarray,
     (1 - beta * w_ij); for sis-general the product runs over every j
     (including i) with factor (1 - m_ij).
     """
-    if model.variant == "sis-general":
+    if model.contact is not None:
         M = model.contact
         cols = np.flatnonzero(M[i])
         if len(cols) == 0:
@@ -249,52 +224,15 @@ def _escape_probs(model: ModelSpec, graph: Graph, infected: np.ndarray,
 
 
 def _node_digit_probs(model: ModelSpec, graph: Graph, D: np.ndarray,
-                      i: int) -> np.ndarray:
-    """(K, k) array: P(next digit of node i = y | current state), all states."""
-    K = D.shape[0]
-    k = model.k
-    infected = D == 1
-    esc = _escape_probs(model, graph, infected, i)
-    P = np.zeros((K, k))
-    if k == 2:
-        cur_inf = infected[:, i]
-        if model.variant == "sis-nia":
-            # Recovery requires also escaping reinfection within the step.
-            p1 = np.where(cur_inf, 1.0 - model.delta * esc, 1.0 - esc)
-        elif model.variant == "sis-ia":
-            # Recovery is independent of neighbors.
-            p1 = np.where(cur_inf, 1.0 - model.delta, 1.0 - esc)
-        elif model.variant == "sis-general":
-            # The product already includes the self term (1 - m_ii).
-            p1 = 1.0 - esc
-        else:  # pragma: no cover - guarded by ModelSpec
-            raise ModelError(f"unknown k=2 variant {model.variant}")
-        P[:, 1] = p1
-        P[:, 0] = 1.0 - p1
-        return P
-    s_m = D[:, i] == 0
-    i_m = D[:, i] == 1
-    r_m = D[:, i] == 2
-    if model.variant == "sirs":
-        P[s_m, 0] = esc[s_m]
-        P[s_m, 1] = 1.0 - esc[s_m]
-    elif model.variant == "siv-id":
-        # Vaccination applies only if no infection arrives.
-        P[s_m, 0] = esc[s_m] * (1.0 - model.theta)
-        P[s_m, 1] = 1.0 - esc[s_m]
-        P[s_m, 2] = esc[s_m] * model.theta
-    elif model.variant == "siv-vd":
-        # Vaccination preempts any arriving infection.
-        P[s_m, 0] = esc[s_m] * (1.0 - model.theta)
-        P[s_m, 1] = (1.0 - esc[s_m]) * (1.0 - model.theta)
-        P[s_m, 2] = model.theta
-    else:  # pragma: no cover - guarded by ModelSpec
-        raise ModelError(f"unknown k=3 variant {model.variant}")
-    P[i_m, 1] = 1.0 - model.delta
-    P[i_m, 2] = model.delta
-    P[r_m, 0] = model.gamma
-    P[r_m, 2] = 1.0 - model.gamma
-    return P
+                      i: int, tables: np.ndarray) -> np.ndarray:
+    """(K, k) array: P(next digit of node i = y | current state), all states.
+
+    tables holds the variant's (C, A, B) coefficient tables; each state's
+    row is C[c] + A[c] esc + B[c] (1 - esc) for node i's current digit c.
+    """
+    esc = _escape_probs(model, graph, D == 1, i)[:, None]
+    C, A, B = (t[D[:, i]] for t in tables)
+    return C + A * esc + B * (1.0 - esc)
 
 
 def node_transition_prob(model: ModelSpec, graph: Graph, X: ChainState | int,
@@ -368,15 +306,16 @@ def _check_cap(model: ModelSpec, n: int) -> None:
 def build_transition_matrix(model: ModelSpec, graph: Graph) -> TransitionMatrix:
     """Full transition matrix S with S[X, Y] = prod_i P(Y_i | X)."""
     n = graph.n
-    if model.variant == "sis-general" and model.contact.shape[0] != n:
+    if model.contact is not None and model.contact.shape[0] != n:
         raise ModelError("contact matrix dimension does not match graph")
     _check_cap(model, n)
     k = model.k
     D = states_table(n, k)
     K = k ** n
+    tables = _VARIANTS[model.variant].tables(model)
     S = np.ones((K, K))
     for i in range(n):
-        P = _node_digit_probs(model, graph, D, i)
+        P = _node_digit_probs(model, graph, D, i, tables)
         S *= P[:, D[:, i]]
     return TransitionMatrix(S, k, n, model, graph)
 
@@ -423,28 +362,16 @@ def marginals(mu: DistVector, model: ModelSpec) -> MarginalVector:
 def stationary(model: ModelSpec, graph: Graph) -> DistVector:
     """Stationary distribution, verified against the built matrix.
 
-    SIS family and SIRS: point mass on the all-susceptible state. SIV: the
-    per-node product form with single-node weights
-    (gamma/(gamma+theta), 0, theta/(gamma+theta)) for (S, I, R);
-    requires gamma + theta > 0. Raises StationaryVerificationError if
-    pi S differs from pi by more than 1e-10 (which would signal a
-    transition-matrix bug).
+    The per-node product of the variant's single-node disease-free law:
+    a point mass on the all-susceptible state for the SIS family and SIRS,
+    and weights (gamma/(gamma+theta), 0, theta/(gamma+theta)) for (S, I, R)
+    under SIV, which requires gamma + theta > 0. Raises
+    StationaryVerificationError if pi S differs from pi by more than 1e-10
+    (which would signal a transition-matrix bug).
     """
     S = build_transition_matrix(model, graph)
-    K = S.size
-    if model.k == 2 or model.variant == "sirs":
-        pi = np.zeros(K)
-        pi[0] = 1.0
-    else:
-        if model.gamma + model.theta == 0.0:
-            raise ModelError(
-                "siv stationary distribution requires gamma + theta > 0"
-            )
-        ps = model.gamma / (model.gamma + model.theta)
-        pr = model.theta / (model.gamma + model.theta)
-        D = states_table(graph.n, 3)
-        weights = np.array([ps, 0.0, pr])
-        pi = np.prod(weights[D], axis=1)
+    weights = np.array(_VARIANTS[model.variant].free_law(model))
+    pi = np.prod(weights[states_table(graph.n, model.k)], axis=1)
     defect = float(np.abs(pi @ S.entries - pi).max())
     if defect > 1e-10:
         raise StationaryVerificationError(
@@ -482,29 +409,25 @@ class MixingReport:
 def mixing_time_bound(model: ModelSpec, graph: Graph, epsilon: float) -> float:
     """Analytic mixing-time upper bound log(c*n/eps) / (-log norm).
 
-    The numerator constant c is 1 for 2-compartment variants and 2 for
-    3-compartment variants (both marginal blocks must contract). The norm is
-    the variant's one-step marginal contraction factor:
-      sis-nia / sis-ia: (1-delta) + beta*lambda_max(A)   (exact 2-norm of the
-        symmetric matrix (1-delta)I + beta*A, since |1-delta+beta*lambda_min|
-        <= 1-delta+beta*lambda_max for adjacency spectra)
+    The numerator constant c is k - 1: 1 for 2-compartment variants and 2
+    for 3-compartment variants (both marginal blocks must contract). The
+    norm is the variant's one-step marginal contraction factor:
       sis-general: largest singular value of the contact matrix
       sirs: largest singular value of the block matrix
         [[(1-gamma)I, delta*I], [0, (1-delta)I + beta*A]]
-      siv-id: (1-delta) + beta*lambda_max(A)
-      siv-vd: (1-delta) + (1-theta)*beta*lambda_max(A)
+      otherwise: (1-delta) + f*beta*lambda_max(A), with the infection
+        factor f (1-theta for siv-vd, else 1); for sis-nia / sis-ia this is
+        the exact 2-norm of the symmetric matrix (1-delta)I + beta*A, since
+        |1-delta+beta*lambda_min| <= 1-delta+beta*lambda_max for adjacency
+        spectra
     Returns +inf when the norm is >= 1.
     """
     if not (0.0 < epsilon < 1.0):
         raise ExactChainError("epsilon must be in (0,1)")
     n = graph.n
-    if model.variant == "sis-general":
+    num = (model.k - 1) * n
+    if model.contact is not None:
         norm = float(np.linalg.norm(model.contact, 2))
-        num = n
-    elif model.variant in ("sis-nia", "sis-ia"):
-        lam = spectral_radius(graph, 1e-12).lambda_max
-        norm = (1.0 - model.delta) + model.beta * lam
-        num = n
     elif model.variant == "sirs":
         A = graph.adjacency()
         block = np.block([
@@ -512,13 +435,10 @@ def mixing_time_bound(model: ModelSpec, graph: Graph, epsilon: float) -> float:
             [np.zeros((n, n)), (1.0 - model.delta) * np.eye(n) + model.beta * A],
         ])
         norm = float(np.linalg.norm(block, 2))
-        num = 2 * n
     else:
         lam = spectral_radius(graph, 1e-12).lambda_max
-        eff = model.beta if model.variant == "siv-id" \
-            else model.beta * (1.0 - model.theta)
+        eff = model.beta * _VARIANTS[model.variant].infection(model)
         norm = (1.0 - model.delta) + eff * lam
-        num = 2 * n
     if norm >= 1.0:
         return math.inf
     if norm == 0.0:
@@ -555,9 +475,8 @@ def mixing_time_exact(S: TransitionMatrix, pi: DistVector, epsilon: float,
     if K == 1:
         return MixingReport(0, epsilon, bound, ChainState(0, S.n, S.k)
                             if S.n > 0 else None)
-    check_top = S.model is not None and S.model.variant in (
-        "sis-nia", "sis-general"
-    )
+    check_top = S.model is not None \
+        and _VARIANTS[S.model.variant].order_preserving
     point = float(pi.entries.max()) >= 1.0 - 1e-12
     if point:
         s0 = int(pi.entries.argmax())
@@ -634,14 +553,13 @@ class OrderReport:
 def _mirror_matrix(S: TransitionMatrix) -> np.ndarray | None:
     """Transition matrix of the transposed-contact chain, or None."""
     model, graph = S.model, S.graph
-    if model is None or graph is None:
+    if model is None or graph is None \
+            or not _VARIANTS[model.variant].order_preserving:
         return None
-    if model.variant == "sis-nia":
-        M = contact_from_rates(graph, model.beta, model.delta)
-    elif model.variant == "sis-general":
+    if model.contact is not None:
         M = np.asarray(model.contact)
     else:
-        return None
+        M = contact_from_rates(graph, model.beta, model.delta)
     mirrored = ModelSpec("sis-general", contact=M.T.copy())
     return build_transition_matrix(mirrored, graph).entries
 
@@ -774,11 +692,10 @@ def closed_form_marginal_bound(model: ModelSpec, graph: Graph, i: int,
     sis-general.
     """
     pi_vec = np.asarray(p.p_i, dtype=float)
-    if model.variant == "sis-general":
+    if model.contact is not None:
         return float(model.contact[i] @ pi_vec)
     nbrs, wts = graph.neighbor_arrays[i]
-    inf_factor = model.beta * (1.0 - model.theta) \
-        if model.variant == "siv-vd" else model.beta
+    inf_factor = model.beta * _VARIANTS[model.variant].infection(model)
     acc = (1.0 - model.delta) * pi_vec[i]
     if len(nbrs):
         acc += float((inf_factor * wts) @ pi_vec[nbrs])

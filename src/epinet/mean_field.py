@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model_core import (
+    _VARIANTS,
     Graph,
     ModelSpec,
     ModelError,
@@ -220,40 +221,37 @@ def mf_step(model: ModelSpec, graph: Graph, x: MeanFieldPoint) -> MeanFieldPoint
 
 
 def siv_base_point(model: ModelSpec, n: int) -> MeanFieldPoint:
-    """Disease-free point of the SIV variants: p_r = theta/(gamma+theta)."""
-    if model.gamma + model.theta == 0.0:
-        raise ModelError("siv base point requires gamma + theta > 0")
-    pr = model.theta / (model.gamma + model.theta)
-    return MeanFieldPoint(np.zeros(n), np.full(n, pr))
+    """Disease-free point: no infection and, for 3-compartment variants,
+    p_r from the single-node disease-free law (theta/(gamma+theta) for SIV,
+    0 for sirs)."""
+    if model.k == 2:
+        return MeanFieldPoint(np.zeros(n))
+    law = _VARIANTS[model.variant].free_law(model)
+    return MeanFieldPoint(np.zeros(n), np.full(n, law[2]))
 
 
 def mf_linear_model(model: ModelSpec, graph: Graph) -> LinearModel:
-    """The variant's linearization matrix at its disease-free base point."""
+    """The variant's linearization matrix at its disease-free base point.
+
+    The infected block carries beta*A scaled by p_S*f, the susceptible
+    weight of the disease-free law times the infection factor. sirs is the
+    theta = 0 case of the 3-compartment form.
+    """
     n = graph.n
     A = graph.adjacency()
-    if model.variant == "sis-general":
-        return LinearModel(np.array(model.contact, dtype=float),
-                           MeanFieldPoint(np.zeros(n)))
-    if model.k == 2:
-        return LinearModel(
-            (1.0 - model.delta) * np.eye(n) + model.beta * A,
-            MeanFieldPoint(np.zeros(n)),
-        )
-    if model.variant == "sirs":
-        top = np.hstack([(1.0 - model.gamma) * np.eye(n),
-                         model.delta * np.eye(n)])
-        bot = np.hstack([np.zeros((n, n)),
-                         (1.0 - model.delta) * np.eye(n) + model.beta * A])
-        return LinearModel(np.vstack([top, bot]),
-                           MeanFieldPoint(np.zeros(n), np.zeros(n)))
     base = siv_base_point(model, n)
-    ps = model.gamma / (model.gamma + model.theta)
-    tr = (model.delta - model.theta) * np.eye(n) \
-        - model.theta * ps * model.beta * A
-    eff = ps if model.variant == "siv-id" else (1.0 - model.theta) * ps
-    top = np.hstack([(1.0 - model.gamma - model.theta) * np.eye(n), tr])
-    bot = np.hstack([np.zeros((n, n)),
-                     (1.0 - model.delta) * np.eye(n) + eff * model.beta * A])
+    if model.contact is not None:
+        return LinearModel(np.array(model.contact, dtype=float), base)
+    rule = _VARIANTS[model.variant]
+    ps = rule.free_law(model)[0]
+    eff = ps * rule.infection(model)
+    infected = (1.0 - model.delta) * np.eye(n) + eff * model.beta * A
+    if model.k == 2:
+        return LinearModel(infected, base)
+    theta = model.theta or 0.0
+    tr = (model.delta - theta) * np.eye(n) - theta * ps * model.beta * A
+    top = np.hstack([(1.0 - model.gamma - theta) * np.eye(n), tr])
+    bot = np.hstack([np.zeros((n, n)), infected])
     return LinearModel(np.vstack([top, bot]), base)
 
 
@@ -423,7 +421,7 @@ def find_fixed_point(model: ModelSpec, graph: Graph, tol: float = 1e-10,
     if tol <= 0:
         raise MeanFieldError("tol must be > 0")
     n = graph.n
-    monotone = model.variant in ("sis-nia", "sis-general")
+    monotone = _VARIANTS[model.variant].order_preserving
     if damping is None:
         damping = 1.0 if monotone else 0.5
     assert_decreasing = monotone and x0 is None and damping == 1.0
@@ -523,18 +521,15 @@ def perron_certificate(model: ModelSpec, graph: Graph) -> np.ndarray | None:
     ratio = threshold_ratio(model, graph)
     if ratio <= 1.0:
         return None
-    if model.variant == "sis-general":
+    if model.contact is not None:
         M = np.asarray(model.contact, dtype=float)
         _, _, v = _power_iteration(lambda y: M @ y, M.shape[0], 1e-13)
         growth = M @ v - v
     else:
         rep = spectral_radius(graph, 1e-13)
         v = rep.eigvec
-        c = 1.0
-        if model.variant.startswith("siv"):
-            c = model.gamma / (model.gamma + model.theta)
-            if model.variant == "siv-vd":
-                c *= 1.0 - model.theta
+        rule = _VARIANTS[model.variant]
+        c = rule.free_law(model)[0] * rule.infection(model)
         A = graph.adjacency() if graph.n <= 400 else graph.adjacency_sparse
         growth = c * model.beta * (A @ v) - model.delta * v
     if growth.min() <= 1e-12:
@@ -554,12 +549,11 @@ def linear_bound_check(model: ModelSpec, graph: Graph,
     sis-general and the extra (1-theta) for siv-vd.
     """
     p = x.p_i
-    if model.variant == "sis-general":
+    if model.contact is not None:
         lin = np.asarray(model.contact, dtype=float) @ p
     else:
         A = graph.adjacency()
-        eff = model.beta * (1.0 - model.theta) \
-            if model.variant == "siv-vd" else model.beta
+        eff = model.beta * _VARIANTS[model.variant].infection(model)
         lin = (1.0 - model.delta) * p + eff * (A @ p)
     nonlin = mf_step(model, graph, x).p_i
     return float((lin - nonlin).min())

@@ -9,6 +9,11 @@ Implements:
     adjacency matrix by power iteration.
   - ModelSpec: validated parameter set for the six epidemic variants
     (sis-nia, sis-ia, sis-general, sirs, siv-id, siv-vd).
+  - _VARIANTS: the variant table. It is the one place where a variant's
+    rules live: compartment count, parameters, the per-node one-step law,
+    the disease-free law, the infection factor and two structural flags.
+    The exact chain, the Monte Carlo sampler and every per-variant scalar
+    read it instead of naming variants.
   - threshold_ratio: the variant's local-stability ratio (< 1 predicts
     extinction of the mean-field dynamics).
   - degree_stats, contact_from_rates.
@@ -19,11 +24,10 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-
-VARIANTS = ("sis-nia", "sis-ia", "sis-general", "sirs", "siv-id", "siv-vd")
 
 # Iteration cap for power iteration.
 POWER_ITERATION_CAP = 10 ** 6
@@ -348,49 +352,54 @@ def _power_iteration(matvec, n: int, tol: float, cap: int = POWER_ITERATION_CAP)
     return lam, it, v
 
 
+def _connected_radius(graph: Graph, tol: float):
+    """(lambda_max, iterations, residual, Perron vector) of a connected graph."""
+    if graph.m == 0:
+        v = np.zeros(graph.n)
+        v[0] = 1.0
+        return 0.0, 0, 0.0, v
+    A = graph.adjacency_sparse if graph.n > 400 else graph.adjacency()
+    matvec = lambda x: A @ x
+    lam, it, v = _power_iteration(matvec, graph.n, tol)
+    res = float(np.abs(matvec(v) - lam * v).max())
+    return lam, it, res, v
+
+
 def spectral_radius(graph: Graph, tol: float = 1e-10) -> SpectralReport:
     """Dominant adjacency eigenvalue and Perron vector by power iteration.
 
-    Weights are applied. On a disconnected graph a warning is issued and the
-    computation runs on the largest connected component; the returned
-    eigenvector has zeros outside that component. Non-convergence after the
-    iteration cap issues a warning and reports the achieved residual.
+    Weights are applied. On a disconnected graph a warning is issued, the
+    eigenvalue is the largest over the components (the first, i.e. largest,
+    component wins ties), and the returned eigenvector has zeros outside
+    the component that attains it. Non-convergence after the iteration cap
+    issues a warning and reports the achieved residual.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
     comps = graph.components()
-    target = graph
-    embed: list[int] | None = None
-    if len(comps) > 1:
+    if len(comps) == 1:
+        lam, it, res, v = _connected_radius(graph, tol)
+    else:
         warnings.warn(
             f"graph is disconnected ({len(comps)} components); "
-            "using largest component",
+            "using the component with the largest eigenvalue",
             stacklevel=2,
         )
-        embed = comps[0]
-        target = graph.subgraph(embed)
-    if target.m == 0:
-        eig = np.zeros(graph.n)
-        if graph.n:
-            eig[(embed or [0])[0]] = 1.0
-        return SpectralReport(0.0, 0, 0.0, eig)
-    if target.n > 400:
-        A = target.adjacency_sparse
-        matvec = lambda x: A @ x
-    else:
-        A = target.adjacency()
-        matvec = lambda x: A @ x
-    lam, it, v = _power_iteration(matvec, target.n, tol)
-    res = float(np.abs(matvec(v) - lam * v).max())
+        best = None
+        for comp in comps:
+            # An isolated node (eigenvalue 0) never beats an earlier component.
+            if best is None or len(comp) > 1:
+                found = _connected_radius(graph.subgraph(comp), tol)
+                if best is None or found[0] > best[1][0]:
+                    best = (comp, found)
+        comp, (lam, it, res, sub) = best
+        v = np.zeros(graph.n)
+        v[np.asarray(comp)] = sub
     if res > tol * max(1.0, abs(lam)) and it >= POWER_ITERATION_CAP:
         warnings.warn(
             f"power iteration did not converge (residual {res:.3e})",
             stacklevel=2,
         )
-    if embed is not None:
-        full = np.zeros(graph.n)
-        full[np.asarray(embed)] = v
-        v = full
     return SpectralReport(lam, it, res, v)
 
 
@@ -405,27 +414,102 @@ def _matrix_spectral_radius(M: np.ndarray, tol: float = 1e-12) -> float:
 # ModelSpec
 # ---------------------------------------------------------------------------
 
-_REQUIRED: dict[str, tuple[str, ...]] = {
-    "sis-nia": ("beta", "delta"),
-    "sis-ia": ("beta", "delta"),
-    "sis-general": ("contact",),
-    "sirs": ("beta", "delta", "gamma"),
-    "siv-id": ("beta", "delta", "gamma", "theta"),
-    "siv-vd": ("beta", "delta", "gamma", "theta"),
+@dataclass(frozen=True)
+class _Variant:
+    """The rules of one variant. Compartments are 0 = S, 1 = I, 2 = R (V).
+
+    tables(spec) gives three k x k coefficient tables (C, A, B) of the
+    per-node one-step law
+        P(next = y | current = c) = C[c, y] + A[c, y] esc + B[c, y] (1 - esc),
+    where esc is the probability that the node receives no infection this
+    step. free_law(spec) is the single-node law of the disease-free chain,
+    and infection(spec) scales the infection pressure on a susceptible.
+    order_preserving: the chain maps stochastically ordered laws to ordered
+    laws, so the all-infected start is a worst case and the mean-field map
+    decreases from the all-infected corner. ends_at_extinction: with zero
+    infected no infection can restart and no susceptible enters R, so a
+    trajectory ends there.
+    """
+
+    k: int
+    required: tuple[str, ...]
+    tables: Callable[["ModelSpec"], np.ndarray]
+    free_law: Callable[["ModelSpec"], tuple[float, ...]]
+    infection: Callable[["ModelSpec"], float] = lambda s: 1.0
+    order_preserving: bool = False
+    ends_at_extinction: bool = False
+
+
+def _tables(C, A, B) -> np.ndarray:
+    return np.array([C, A, B], dtype=float)
+
+
+def _sir_tables(s: "ModelSpec", C_s, A_s, B_s) -> np.ndarray:
+    """Three-compartment tables from the susceptible rows: an infected node
+    recovers w.p. delta and a recovered one returns to S w.p. gamma."""
+    zero = [0, 0, 0]
+    return _tables([C_s, [0, 1 - s.delta, s.delta], [s.gamma, 0, 1 - s.gamma]],
+                   [A_s, zero, zero], [B_s, zero, zero])
+
+
+def _sis_law(s: "ModelSpec") -> tuple[float, ...]:
+    return (1.0, 0.0)
+
+
+def _siv_law(s: "ModelSpec") -> tuple[float, ...]:
+    total = s.gamma + s.theta
+    if total == 0.0:
+        raise ModelError("siv disease-free law requires gamma + theta > 0")
+    return (s.gamma / total, 0.0, s.theta / total)
+
+
+_VARIANTS: dict[str, _Variant] = {
+    # Recovery requires also escaping reinfection within the step.
+    "sis-nia": _Variant(
+        2, ("beta", "delta"),
+        lambda s: _tables([[0, 0], [0, 1]], [[1, 0], [s.delta, -s.delta]],
+                          [[0, 1], [0, 0]]),
+        _sis_law, order_preserving=True, ends_at_extinction=True),
+    # Recovery is independent of neighbors.
+    "sis-ia": _Variant(
+        2, ("beta", "delta"),
+        lambda s: _tables([[0, 0], [s.delta, 1 - s.delta]], [[1, 0], [0, 0]],
+                          [[0, 1], [0, 0]]),
+        _sis_law, ends_at_extinction=True),
+    # The contact product already includes the self term (1 - m_ii).
+    "sis-general": _Variant(
+        2, ("contact",),
+        lambda s: _tables([[0, 0], [0, 0]], [[1, 0], [1, 0]],
+                          [[0, 1], [0, 1]]),
+        _sis_law, order_preserving=True, ends_at_extinction=True),
+    "sirs": _Variant(
+        3, ("beta", "delta", "gamma"),
+        lambda s: _sir_tables(s, [0, 0, 0], [1, 0, 0], [0, 1, 0]),
+        lambda s: (1.0, 0.0, 0.0), ends_at_extinction=True),
+    # Vaccination applies only if no infection arrives.
+    "siv-id": _Variant(
+        3, ("beta", "delta", "gamma", "theta"),
+        lambda s: _sir_tables(s, [0, 0, 0], [1 - s.theta, 0, s.theta],
+                              [0, 1, 0]),
+        _siv_law),
+    # Vaccination preempts any arriving infection.
+    "siv-vd": _Variant(
+        3, ("beta", "delta", "gamma", "theta"),
+        lambda s: _sir_tables(s, [0, 0, s.theta], [1 - s.theta, 0, 0],
+                              [0, 1 - s.theta, 0]),
+        _siv_law, infection=lambda s: 1.0 - s.theta),
 }
+VARIANTS = tuple(_VARIANTS)
 
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
     """Epidemic model parameters for one of the six variants.
 
-    Required fields per variant (all others must be absent):
-      - sis-nia / sis-ia: beta, delta
-      - sis-general: contact (square matrix, entries in [0,1];
-        diagonal entry m_ii is the self-infection rate, i.e. one minus the
-        recovery probability of node i)
-      - sirs: beta, delta, gamma
-      - siv-id / siv-vd: beta, delta, gamma, theta
+    The variant table _VARIANTS names the required fields of each variant;
+    all others must be absent. For sis-general, contact is a square matrix
+    with entries in [0,1] whose diagonal entry m_ii is the self-infection
+    rate, i.e. one minus the recovery probability of node i.
 
     For SIV variants gamma = theta = 1 is rejected: the single-node chain
     would alternate S->R->S deterministically and never converge.
@@ -443,7 +527,7 @@ class ModelSpec:
             raise ModelError(
                 f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
             )
-        required = _REQUIRED[self.variant]
+        required = _VARIANTS[self.variant].required
         for name in ("beta", "delta", "gamma", "theta", "contact"):
             val = getattr(self, name)
             if name in required:
@@ -463,7 +547,7 @@ class ModelSpec:
                 raise ModelError("contact matrix entries must be in [0,1]")
             M.setflags(write=False)
             object.__setattr__(self, "contact", M)
-        if self.variant.startswith("siv") and self.gamma == 1.0 and self.theta == 1.0:
+        if "theta" in required and self.gamma == 1.0 and self.theta == 1.0:
             raise ModelError(
                 "siv with gamma=1 and theta=1 is a period-2 chain; rejected"
             )
@@ -471,7 +555,7 @@ class ModelSpec:
     @property
     def k(self) -> int:
         """Number of per-node compartments (2 for SIS family, 3 otherwise)."""
-        return 2 if self.variant.startswith("sis") else 3
+        return _VARIANTS[self.variant].k
 
     def describe(self) -> dict:
         d: dict = {"variant": self.variant}
@@ -505,13 +589,13 @@ def contact_from_rates(graph: Graph, beta: float, delta: float) -> np.ndarray:
 def threshold_ratio(model: ModelSpec, graph: Graph, tol: float = 1e-10) -> float:
     """Local-stability ratio of the disease-free point; < 1 predicts extinction.
 
-    sis-nia / sis-ia / sirs: beta * lambda_max(A) / delta.
-    siv-id: (gamma/(gamma+theta)) * beta * lambda_max(A) / delta.
-    siv-vd: (1-theta) * (gamma/(gamma+theta)) * beta * lambda_max(A) / delta.
+    Rate-based variants: beta * lambda_max(A) * p_S * f / delta, where p_S
+    is the susceptible weight of the disease-free law (gamma/(gamma+theta)
+    for SIV, else 1) and f the infection factor (1-theta for siv-vd, else 1).
     sis-general: lambda_max(contact).
     Returns +inf when delta = 0 with positive infection pressure.
     """
-    if model.variant == "sis-general":
+    if model.contact is not None:
         M = model.contact
         if M.shape[0] != graph.n:
             raise ModelError(
@@ -519,13 +603,8 @@ def threshold_ratio(model: ModelSpec, graph: Graph, tol: float = 1e-10) -> float
             )
         return _matrix_spectral_radius(M, tol)
     lam = spectral_radius(graph, tol).lambda_max
-    pressure = model.beta * lam
-    if model.variant.startswith("siv"):
-        if model.gamma + model.theta == 0.0:
-            raise ModelError("siv threshold undefined for gamma = theta = 0")
-        pressure *= model.gamma / (model.gamma + model.theta)
-        if model.variant == "siv-vd":
-            pressure *= 1.0 - model.theta
+    rule = _VARIANTS[model.variant]
+    pressure = model.beta * lam * rule.free_law(model)[0] * rule.infection(model)
     if model.delta == 0.0:
         return math.inf if pressure > 0 else 0.0
     return pressure / model.delta

@@ -20,12 +20,11 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from .model_core import Graph, ModelSpec
+from .model_core import _VARIANTS, Graph, ModelSpec
 
 _LOG_FLOOR = -745.0  # exp() underflows to 0 below this; avoids -inf * 0 = nan
 
@@ -120,50 +119,29 @@ class EnsembleReport:
 
 
 # ---------------------------------------------------------------------------
-# Cached per-(model, graph) structures
+# Stepping
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _edge_log_matrix(graph: Graph, beta: float) -> sp.csr_matrix:
-    """Sparse matrix of log(1 - beta w_ij), floored to avoid -inf."""
-    A = graph.adjacency_sparse.copy().astype(float)
-    A.data = np.maximum(np.log1p(-beta * A.data), _LOG_FLOOR)
-    return A
-
-
-def _contact_log_matrix(model: ModelSpec) -> sp.csr_matrix:
-    M = sp.csr_matrix(np.asarray(model.contact, dtype=float))
-    M.data = np.maximum(np.log1p(-M.data), _LOG_FLOOR)
-    return M
-
-
-@lru_cache(maxsize=32)
-def _contact_log_cached(model: ModelSpec) -> sp.csr_matrix:
-    # ModelSpec hashes by identity, which is what we want: the contact
-    # matrix is stored read-only so the cache entry cannot go stale.
-    return _contact_log_matrix(model)
-
-
-def _escape_vector(model: ModelSpec, graph: Graph, z: np.ndarray) -> np.ndarray:
-    """Per-node probability of receiving no infection from current state.
+def _escape_function(model: ModelSpec, graph: Graph):
+    """z -> per-node probability of receiving no infection from the state.
 
     z is the float indicator of infected nodes. For sis-general the product
     runs over the full contact row (including the diagonal), which folds
-    recovery into the same escape form.
+    recovery into the same escape form. Built once per run: the log-factor
+    matrix depends only on the model and the graph.
     """
-    if model.variant == "sis-general":
-        return np.exp(_contact_log_cached(model) @ z)
-    if not z.any():
-        return np.ones(graph.n)
-    if not graph.is_weighted:
-        m = graph.adjacency_sparse @ z
-        return (1.0 - model.beta) ** m
-    return np.exp(_edge_log_matrix(graph, model.beta) @ z)
+    n = graph.n
+    if model.contact is not None:
+        logs, scale = sp.csr_matrix(np.asarray(model.contact, dtype=float)), 1.0
+    elif graph.is_weighted:
+        logs, scale = graph.adjacency_sparse.copy(), model.beta
+    else:
+        A, base = graph.adjacency_sparse, 1.0 - model.beta
+        return lambda z: base ** (A @ z) if z.any() else np.ones(n)
+    # log(1 - scale * w), floored so that exp() gives 0 instead of -inf * 0.
+    logs.data = np.maximum(np.log1p(-scale * logs.data), _LOG_FLOOR)
+    return lambda z: np.exp(logs @ z) if z.any() else np.ones(n)
 
-
-# ---------------------------------------------------------------------------
-# Stepping
-# ---------------------------------------------------------------------------
 
 def _step_uniforms(seed: int, replicate: int, t: int, n: int) -> np.ndarray:
     gen = np.random.Generator(
@@ -172,39 +150,36 @@ def _step_uniforms(seed: int, replicate: int, t: int, n: int) -> np.ndarray:
     return gen.random(n)
 
 
-def _advance(model: ModelSpec, graph: Graph, states: np.ndarray, t: int,
-             seed: int, replicate: int) -> np.ndarray:
-    """One synchronous update; returns the next digit vector."""
+def _sampler(model: ModelSpec, graph: Graph):
+    """One synchronous update as (states, t, seed, replicate) -> next digits.
+
+    Inverse-CDF sampling: a node in compartment c with draw u moves to the
+    number of y < k-1 with u >= row[c][0] + ... + row[c][y], where
+    row[c][y] = C[c,y] + A[c,y] esc + B[c,y] (1 - esc) from the variant
+    table. Each coefficient column is gathered on the digits with a 1-D
+    take; all-zero columns are skipped.
+    """
+    escape = _escape_function(model, graph)
+    columns = [[(coef[:, y], j) for j, coef in
+                enumerate(_VARIANTS[model.variant].tables(model))
+                if coef[:, y].any()]
+               for y in range(model.k - 1)]
     n = graph.n
-    u = _step_uniforms(seed, replicate, t, n)
-    z = (states == 1)
-    if model.variant == "sis-general":
-        esc = _escape_vector(model, graph, z.astype(float))
-        return (u >= esc).astype(np.int8)
-    esc = _escape_vector(model, graph, z.astype(float))
-    if model.variant == "sis-nia":
-        c0 = np.where(z, model.delta * esc, esc)
-        return (u >= c0).astype(np.int8)
-    if model.variant == "sis-ia":
-        c0 = np.where(z, model.delta, esc)
-        return (u >= c0).astype(np.int8)
-    # Three-compartment rows. Susceptible rows depend on the variant; the
-    # infected row (stay w.p. 1-delta else recover) and recovered row
-    # (return to susceptible w.p. gamma) are shared.
-    if model.variant == "sirs":
-        nxt_s = (u >= esc).astype(np.int8)
-    elif model.variant == "siv-id":
-        c0 = esc * (1.0 - model.theta)
-        c1 = c0 + (1.0 - esc)
-        nxt_s = ((u >= c0).astype(np.int8) + (u >= c1)).astype(np.int8)
-    else:  # siv-vd
-        c0 = esc * (1.0 - model.theta)
-        c1 = c0 + (1.0 - esc) * (1.0 - model.theta)
-        nxt_s = ((u >= c0).astype(np.int8) + (u >= c1)).astype(np.int8)
-    nxt_i = np.where(u < 1.0 - model.delta, 1, 2).astype(np.int8)
-    nxt_r = np.where(u < model.gamma, 0, 2).astype(np.int8)
-    return np.where(states == 0, nxt_s,
-                    np.where(z, nxt_i, nxt_r)).astype(np.int8)
+
+    def advance(states: np.ndarray, t: int, seed: int,
+                replicate: int) -> np.ndarray:
+        u = _step_uniforms(seed, replicate, t, n)
+        esc = escape((states == 1).astype(float))
+        factors = (1.0, esc, 1.0 - esc)
+        cum = 0.0
+        nxt = np.zeros(n, dtype=np.int8)
+        for terms in columns:
+            cum = cum + sum(coef.take(states) * factors[j]
+                            for coef, j in terms)
+            nxt += u >= cum
+        return nxt
+
+    return advance
 
 
 def mc_step(model: ModelSpec, graph: Graph, state: SimState) -> SimState:
@@ -213,8 +188,8 @@ def mc_step(model: ModelSpec, graph: Graph, state: SimState) -> SimState:
         raise MonteCarloError("state length does not match graph")
     if model.k == 2 and state.states.max(initial=0) > 1:
         raise MonteCarloError(f"digit 2 invalid for variant {model.variant}")
-    nxt = _advance(model, graph, state.states, state.t, state.rng_seed,
-                   state.replicate)
+    nxt = _sampler(model, graph)(state.states, state.t, state.rng_seed,
+                                 state.replicate)
     return SimState(nxt, state.t + 1, state.rng_seed, state.replicate)
 
 
@@ -245,11 +220,13 @@ def _counts(states: np.ndarray) -> tuple[int, int, int]:
     return len(states) - i - r, i, r
 
 
-def _simulate(model: ModelSpec, graph: Graph, init, t_max: int, seed: int,
-              replicate: int, snapshot_times: tuple[int, ...] = ()
+def _simulate(model: ModelSpec, graph: Graph, advance, init, t_max: int,
+              seed: int, replicate: int, snapshot_times: tuple[int, ...] = ()
               ) -> tuple[list[tuple[int, int, int, int]], int | None,
                          dict[int, np.ndarray]]:
     """Core loop: rows to absorption/t_max plus exact state snapshots.
+
+    advance is the run's _sampler(model, graph).
 
     Snapshot times past a SIS/SIRS absorption are still exact: a frozen
     all-susceptible state is copied, and a SIRS state with zero infected
@@ -275,7 +252,7 @@ def _simulate(model: ModelSpec, graph: Graph, init, t_max: int, seed: int,
             snaps[t] = states.copy()
         if absorbed is None and i == 0:
             absorbed = t
-            if model.variant in ("sis-nia", "sis-ia", "sis-general", "sirs"):
+            if _VARIANTS[model.variant].ends_at_extinction:
                 record_until = t
                 if model.k == 2 or r == 0:
                     # Frozen all-susceptible state: copy it into any
@@ -287,7 +264,7 @@ def _simulate(model: ModelSpec, graph: Graph, init, t_max: int, seed: int,
                 sim_until = max([ts for ts in need if ts > t], default=t)
         if t >= sim_until:
             break
-        states = _advance(model, graph, states, t, seed, replicate)
+        states = advance(states, t, seed, replicate)
         t += 1
     return rows, absorbed, snaps
 
@@ -300,7 +277,8 @@ def mc_run(model: ModelSpec, graph: Graph, init="all-infected",
     init is "all-infected", a float infection fraction (sampled i.i.d. from
     the replicate's init substream), or an explicit iterable of node ids.
     """
-    rows, absorbed, _ = _simulate(model, graph, init, t_max, seed, replicate)
+    rows, absorbed, _ = _simulate(model, graph, _sampler(model, graph), init,
+                                  t_max, seed, replicate)
     return TrajectoryRecord(rows, absorbed)
 
 
@@ -308,7 +286,8 @@ def extinction_time(model: ModelSpec, graph: Graph, init="all-infected",
                     seed: int = 0, cap: int = 10000,
                     replicate: int = 0) -> int | None:
     """First step with zero infected, or None when censored at cap."""
-    rows, absorbed, _ = _simulate(model, graph, init, cap, seed, replicate)
+    rows, absorbed, _ = _simulate(model, graph, _sampler(model, graph), init,
+                                  cap, seed, replicate)
     return absorbed
 
 
@@ -332,10 +311,11 @@ def mc_ensemble(model: ModelSpec, graph: Graph, init="all-infected",
     absorbed: list[int | None] = [None] * n_reps
     snap_acc_i = {ts: np.zeros(n) for ts in snap_times}
     snap_acc_r = {ts: np.zeros(n) for ts in snap_times} if model.k == 3 else {}
+    advance = _sampler(model, graph)
 
     def run_one(rep: int) -> None:
-        rows, ab, snaps = _simulate(model, graph, init, t_max, master_seed,
-                                    rep, snap_times)
+        rows, ab, snaps = _simulate(model, graph, advance, init, t_max,
+                                    master_seed, rep, snap_times)
         absorbed[rep] = ab
         for t, s, i, r in rows:
             i_mat[rep, t] = i

@@ -29,6 +29,7 @@ import numpy as np
 from .model_core import Graph, ModelSpec, contact_from_rates, format_edge_list, \
     generate, spectral_radius, threshold_ratio
 from .exact_chain import (
+    MarginalVector,
     build_R_pair,
     build_transition_matrix,
     check_order_preservation,
@@ -262,17 +263,16 @@ def _suite_lp(n_max: int, trials: int, seed: int) -> SuiteResult:
             small = rng.uniform(0.0, 1.0, n if model.k == 2 else 2 * n)
             small *= rng.uniform(0.2, 0.95) / max(small.sum(), 1e-12)
             if model.k == 2:
-                p_small = MarginalArgs(small, None)
-                p_gen = MarginalArgs(rng.uniform(0.0, 1.0, n), None)
+                p_small = MarginalVector(small, None)
+                p_gen = MarginalVector(rng.uniform(0.0, 1.0, n), None)
             else:
-                p_small = MarginalArgs(small[:n], small[n:])
+                p_small = MarginalVector(small[:n], small[n:])
                 pi_g = rng.uniform(0.0, 1.0, n)
                 pr_g = rng.uniform(0.0, 1.0, n) * (1.0 - pi_g)
-                p_gen = MarginalArgs(pi_g, pr_g)
+                p_gen = MarginalVector(pi_g, pr_g)
             for p, expect_eq in ((p_small, True), (p_gen, False)):
-                rep = lp_marginal_max(model, g, i, p.as_marginals())
-                cf = closed_form_marginal_bound(model, g, i,
-                                                p.as_marginals())
+                rep = lp_marginal_max(model, g, i, p)
+                cf = closed_form_marginal_bound(model, g, i, p)
                 checks += 1
                 gap = rep.lp_max - cf
                 max_gap = max(max_gap, gap)
@@ -290,18 +290,6 @@ def _suite_lp(n_max: int, trials: int, seed: int) -> SuiteResult:
         "max_gap_over_bound": max_gap,
         "worst_attainment_defect": worst_eq,
     })
-
-
-@dataclass
-class MarginalArgs:
-    p_i: np.ndarray
-    p_r: np.ndarray | None
-
-    def as_marginals(self):
-        from .exact_chain import MarginalVector
-        return MarginalVector(np.asarray(self.p_i, dtype=float),
-                              None if self.p_r is None
-                              else np.asarray(self.p_r, dtype=float))
 
 
 def _suite_non_absorption(n_max: int, trials: int, seed: int) -> SuiteResult:
@@ -334,10 +322,6 @@ def _interior_point(rng: np.random.Generator, n: int, k: int) -> MeanFieldPoint:
     return MeanFieldPoint(pi, pr)
 
 
-def _all_models(rng: np.random.Generator, n: int) -> list[ModelSpec]:
-    return _lp_models(rng, n)
-
-
 def _suite_linear(n_max: int, trials: int, seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     failures: list[dict] = []
@@ -346,7 +330,7 @@ def _suite_linear(n_max: int, trials: int, seed: int) -> SuiteResult:
     rounds = max(1, trials // 6)
     for _ in range(rounds):
         g = _random_graph(rng, n_max)
-        for model in _all_models(rng, g.n):
+        for model in _lp_models(rng, g.n):
             x = _interior_point(rng, g.n, model.k)
             slack = linear_bound_check(model, g, x)
             checks += 1

@@ -131,6 +131,49 @@ class TestSimulate:
         ])
         assert res.exit_code == 2
 
+    def test_readme_geometric_spec(self, runner, tmp_path):
+        res = runner.invoke(main, [
+            "simulate", "--generate", "geometric:n=50,r=0.3,seed=2",
+            "--variant", "sis-nia", "--beta", "0.1", "--delta", "0.9",
+            "--t", "10", "-o", str(tmp_path / "x.csv"),
+        ])
+        assert res.exit_code == 0, res.output
+
+    def test_readme_init_fraction(self, runner, tmp_path):
+        out = str(tmp_path / "x.csv")
+        res = runner.invoke(main, [
+            "simulate", "--generate", "path:n=40", "--variant", "sis-ia",
+            "--beta", "0.3", "--delta", "0.5", "--t", "15", "--reps", "3",
+            "--seed", "4", "--init", "fraction:0.1", "-o", out,
+        ])
+        assert res.exit_code == 0, res.output
+        expected = epinet.mc_ensemble(
+            epinet.ModelSpec("sis-ia", beta=0.3, delta=0.5),
+            epinet.generate("path", n=40), init=0.1, t_max=15, n_reps=3,
+            master_seed=4)
+        assert open(out).read() == epinet.ensemble_to_csv(expected)
+
+    def test_readme_init_nodes(self, runner, tmp_path):
+        out = str(tmp_path / "x.csv")
+        res = runner.invoke(main, [
+            "simulate", "--generate", "path:n=20", "--variant", "sirs",
+            "--beta", "0.3", "--delta", "0.5", "--gamma", "0.4",
+            "--t", "5", "--init", "nodes:0,3,17", "-o", out,
+        ])
+        assert res.exit_code == 0, res.output
+        assert open(out).read().splitlines()[1] == "0,17.0,3.0,0.0"
+
+    def test_readme_contact_with_graph_source(self, runner, path3_file,
+                                              tmp_path):
+        contact = tmp_path / "contact.csv"
+        contact.write_text("0.2,0.3,0\n0.3,0.2,0.3\n0,0.3,0.2\n")
+        res = runner.invoke(main, [
+            "simulate", "--graph", path3_file, "--variant", "sis-general",
+            "--contact", str(contact), "--t", "10",
+            "-o", str(tmp_path / "x.csv"),
+        ])
+        assert res.exit_code == 0, res.output
+
     def test_missing_graph_file(self, runner, tmp_path):
         res = runner.invoke(main, [
             "simulate", "--graph", str(tmp_path / "nope.txt"),
@@ -364,7 +407,12 @@ class TestEntryPoint:
     def test_version(self, runner):
         res = runner.invoke(main, ["--version"])
         assert res.exit_code == 0
-        assert "0.1.0" in res.output
+        assert f"version {epinet.__version__}" in res.output
+
+    def test_version_matches_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads(PYPROJECT.read_text())["project"]
+        assert epinet.__version__ == project["version"]
 
     def test_help_lists_commands(self, runner):
         res = runner.invoke(main, ["--help"])

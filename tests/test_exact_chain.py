@@ -15,7 +15,6 @@ from epinet import (
     MarginalVector,
     ModelSpec,
     StateSpaceCapError,
-    TransitionMatrix,
     build_R_pair,
     build_transition_matrix,
     check_order_preservation,
@@ -239,16 +238,6 @@ class TestTransitionMatrix:
         m = ModelSpec("sirs", beta=0.1, delta=0.2, gamma=0.3)
         with pytest.raises(StateSpaceCapError):
             build_transition_matrix(m, g)
-
-    def test_csv_roundtrip(self, tmp_path, rng):
-        g = random_connected_graph(rng, 3)
-        m = random_model(rng, "sirs", n=g.n)
-        S = build_transition_matrix(m, g)
-        path = str(tmp_path / "chain.csv")
-        S.to_csv(path)
-        S2 = TransitionMatrix.from_csv(path)
-        assert S2.k == 3 and S2.n == g.n
-        assert np.array_equal(S.entries, S2.entries)  # repr round-trip is exact
 
 
 # ---------------------------------------------------------------------------

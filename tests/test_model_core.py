@@ -15,6 +15,7 @@ from epinet import (
     contact_from_rates,
     degree_stats,
     format_edge_list,
+    find_fixed_point,
     generate,
     parse_edge_list,
     spectral_radius,
@@ -322,3 +323,20 @@ class TestThresholdRatio:
         m = ModelSpec("siv-id", beta=0.3, delta=0.5, gamma=0.0, theta=0.0)
         with pytest.raises(ModelError):
             threshold_ratio(m, g)
+
+    def test_disconnected_uses_component_with_largest_eigenvalue(self):
+        # A 20-node path (lambda ~ 1.98, the largest component) plus a
+        # disjoint K5 (lambda = 4): the K5 sets the threshold.
+        path = [(i, i + 1) for i in range(19)]
+        k5 = [(20 + i, 20 + j) for i in range(5) for j in range(i + 1, 5)]
+        g = Graph(25, tuple(path + k5))
+        m = ModelSpec("sis-nia", beta=0.2, delta=0.7)
+        with pytest.warns(UserWarning, match="disconnected"):
+            ratio = threshold_ratio(m, g)
+            rep = spectral_radius(g)
+            fp = find_fixed_point(m, g, compute_spectrum=False)
+        assert ratio == pytest.approx(0.8 / 0.7)
+        assert rep.lambda_max == pytest.approx(4.0)
+        assert np.all(rep.eigvec[:20] == 0.0)
+        assert rep.eigvec[20:] == pytest.approx(np.ones(5))
+        assert fp.classification == "endemic"
