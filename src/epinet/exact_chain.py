@@ -3,7 +3,7 @@
 Implements:
   - ChainState / DistVector / TransitionMatrix / MarginalVector / MixingReport.
   - node_transition_prob: per-node conditional transition tables.
-  - build_transition_matrix: the full product-form transition matrix.
+  - build_transition_matrix: the full product-form transition matrix, as CSR.
   - propagate, marginals, stationary, tv_distance.
   - mixing_time_exact / mixing_time_bound: exact worst-case mixing time and
     the contraction-norm analytic upper bound.
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 from .model_core import (
     _VARIANTS,
@@ -41,11 +42,17 @@ from .model_core import (
 
 logger = logging.getLogger(__name__)
 
-# State-space caps for the dense engine. These bound the enumeration size;
-# note that dense K x K matrices become RAM-bound well before the caps
-# (around 2^13 / 3^8 states on an 8 GB machine).
+# State-space caps. These bound the enumeration size only: the memory a
+# request needs is estimated and checked against MEMORY_BUDGET_BYTES before
+# any K x K-sized allocation, and exceeding either raises
+# StateSpaceCapError.
 STATE_CAP_K2 = 2 ** 16
 STATE_CAP_K3 = 3 ** 10
+MEMORY_BUDGET_BYTES = 2 * 2 ** 30
+
+# Peak bytes per stored entry while the CSR is assembled: the (row, column,
+# value) arrays before and after the last node's expansion.
+_BUILD_BYTES_PER_NNZ = 48
 
 # Brute-force LP caps (basic-feasible-solution enumeration).
 LP_N_CAP_K2 = 4
@@ -57,7 +64,7 @@ class ExactChainError(ValueError):
 
 
 class StateSpaceCapError(ExactChainError):
-    """State space k^n exceeds the configured cap."""
+    """State space k^n, or the memory it needs, exceeds the configured cap."""
 
 
 class LPInfeasibleError(ExactChainError):
@@ -180,11 +187,32 @@ class MarginalVector:
                 raise ExactChainError("p_i + p_r exceeds 1")
 
 
+class _CSR(sp.csr_array):
+    """csr_array whose `nbytes` and `np.count_nonzero` report what it stores.
+
+    A plain csr_array has no `nbytes`, and `np.count_nonzero` fails on it;
+    callers that sized the dense matrix this way keep working.
+    """
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is np.count_nonzero and len(args) == 1 and not kwargs:
+            return int(self.count_nonzero())
+        return func._implementation(*args, **kwargs)
+
+
 @dataclass
 class TransitionMatrix:
-    """Dense k^n x k^n row-stochastic matrix tagged with its model and graph."""
+    """Sparse k^n x k^n row-stochastic matrix tagged with its model and graph.
 
-    entries: np.ndarray
+    entries is a csr_array with sorted indices that stores exactly the
+    nonzero entries; entries.toarray() is the dense matrix.
+    """
+
+    entries: sp.csr_array
     k: int
     n: int
     model: ModelSpec | None = None
@@ -303,8 +331,25 @@ def _check_cap(model: ModelSpec, n: int) -> None:
         )
 
 
+def _check_memory(nbytes: int, what: str) -> None:
+    if nbytes > MEMORY_BUDGET_BYTES:
+        raise StateSpaceCapError(
+            f"{what} needs about {nbytes / 2 ** 30:.2f} GiB, above the "
+            f"memory budget of {MEMORY_BUDGET_BYTES / 2 ** 30:.2f} GiB"
+        )
+
+
 def build_transition_matrix(model: ModelSpec, graph: Graph) -> TransitionMatrix:
-    """Full transition matrix S with S[X, Y] = prod_i P(Y_i | X)."""
+    """Full transition matrix S with S[X, Y] = prod_i P(Y_i | X), as CSR.
+
+    Assembled node by node from the structural zeros: every row starts as
+    the single entry (column 0, value 1), and node i splits each entry into
+    one per digit y with P(Y_i = y | X) != 0, adding y k^i to its column and
+    multiplying its value by that probability. The factors multiply in node
+    order, so every stored value equals the dense product bit for bit. The
+    exact nnz is counted first, and the assembly's peak memory is checked
+    against MEMORY_BUDGET_BYTES before anything nnz-sized is allocated.
+    """
     n = graph.n
     if model.contact is not None and model.contact.shape[0] != n:
         raise ModelError("contact matrix dimension does not match graph")
@@ -313,10 +358,32 @@ def build_transition_matrix(model: ModelSpec, graph: Graph) -> TransitionMatrix:
     D = states_table(n, k)
     K = k ** n
     tables = _VARIANTS[model.variant].tables(model)
-    S = np.ones((K, K))
-    for i in range(n):
-        P = _node_digit_probs(model, graph, D, i, tables)
-        S *= P[:, D[:, i]]
+    probs = [_node_digit_probs(model, graph, D, i, tables) for i in range(n)]
+    row_nnz = np.ones(K, dtype=np.int64)
+    for P in probs:
+        row_nnz *= np.count_nonzero(P, axis=1)
+    nnz = int(row_nnz.sum())
+    _check_memory(_BUILD_BYTES_PER_NNZ * nnz,
+                  f"the {k}^{n}-state transition matrix ({nnz} nonzeros)")
+    digits = np.arange(k, dtype=np.int32)
+    rows = np.arange(K, dtype=np.int32)
+    cols = np.zeros(K, dtype=np.int32)
+    vals = np.ones(K)
+    for i, P in enumerate(probs):
+        allowed = (P != 0)[rows]
+        y = np.broadcast_to(digits, allowed.shape)[allowed]
+        split = np.count_nonzero(allowed, axis=1)
+        del allowed
+        rows = np.repeat(rows, split)
+        cols = np.repeat(cols, split)
+        cols += y * k ** i
+        vals = np.repeat(vals, split)
+        vals *= P[rows, y]
+    indptr = np.concatenate(([0], np.cumsum(row_nnz)))
+    if nnz < 2 ** 31:
+        indptr = indptr.astype(np.int32)  # so that cols is used uncopied
+    S = _CSR((vals, cols, indptr), shape=(K, K))
+    S.sort_indices()
     return TransitionMatrix(S, k, n, model, graph)
 
 
@@ -446,6 +513,17 @@ def mixing_time_bound(model: ModelSpec, graph: Graph, epsilon: float) -> float:
     return math.log(num / epsilon) / (-math.log(norm))
 
 
+def _worst_state(values: np.ndarray, extremum: float,
+                 S: TransitionMatrix) -> ChainState:
+    """The smallest state code whose value is within 1e-12 of the extremum.
+
+    States that tie in exact arithmetic (symmetric states) differ only by
+    rounding, which must not pick the reported one.
+    """
+    code = int(np.flatnonzero(np.abs(values - extremum) <= 1e-12)[0])
+    return ChainState(code, S.n, S.k)
+
+
 def mixing_time_exact(S: TransitionMatrix, pi: DistVector, epsilon: float,
                       cap: int = 100000) -> MixingReport:
     """Smallest t with sup over initial states of TV(mu S^t, pi) <= epsilon.
@@ -454,8 +532,11 @@ def mixing_time_exact(S: TransitionMatrix, pi: DistVector, epsilon: float,
     because total variation is convex in mu (the sup of a convex function
     over the simplex sits at a vertex), so only the k^n point-mass initials
     are scanned. When pi is a point mass, TV(e_X S^t, pi) = 1 - (S^t)_{X,s0}
-    and a single absorption-probability column is iterated; otherwise the
-    full matrix power is tracked.
+    and a single absorption-probability column is iterated through the
+    sparse S; otherwise the full matrix power is tracked densely, which
+    raises StateSpaceCapError when three dense K x K arrays would exceed
+    MEMORY_BUDGET_BYTES. The reported worst initial is the smallest state
+    code within 1e-12 of the worst value.
 
     For the order-preserving SIS variants (sis-nia, sis-general) the
     all-infected state is checked to be a worst-case initial at every step;
@@ -484,27 +565,30 @@ def mixing_time_exact(S: TransitionMatrix, pi: DistVector, epsilon: float,
         c[s0] = 1.0
         for t in range(1, cap + 1):
             c = S.entries @ c
-            worst = int(c.argmin())
-            if check_top and c[K - 1] > c.min() + 1e-12:
+            low = c.min()
+            if check_top and c[K - 1] > low + 1e-12:
                 raise ExactChainError(
                     "all-infected start is not the worst initial at "
                     f"t={t} (violates order preservation)"
                 )
-            if 1.0 - c[worst] <= epsilon:
+            if 1.0 - low <= epsilon:
                 return MixingReport(t, epsilon, bound,
-                                    ChainState(worst, S.n, S.k))
-        worst = int(c.argmin())
-        return MixingReport(None, epsilon, bound,
-                            ChainState(worst, S.n, S.k), censored=True)
+                                    _worst_state(c, low, S))
+        return MixingReport(None, epsilon, bound, _worst_state(c, c.min(), S),
+                            censored=True)
+    # Dense BLAS powers beat dense @ CSR here; S, Dmat and one temporary.
+    _check_memory(3 * K * K * 8, f"the dense {K}x{K} mixing scan")
+    M = S.entries.toarray()
     Dmat = np.eye(K)
     for t in range(1, cap + 1):
-        Dmat = Dmat @ S.entries
-        tv = 0.5 * np.abs(Dmat - pi.entries[None, :]).sum(axis=1)
-        worst = int(tv.argmax())
-        if tv[worst] <= epsilon:
-            return MixingReport(t, epsilon, bound, ChainState(worst, S.n, S.k))
-    worst = int(tv.argmax())
-    return MixingReport(None, epsilon, bound, ChainState(worst, S.n, S.k),
+        Dmat = Dmat @ M
+        dev = Dmat - pi.entries[None, :]
+        tv = 0.5 * np.abs(dev, out=dev).sum(axis=1)
+        del dev
+        top = tv.max()
+        if top <= epsilon:
+            return MixingReport(t, epsilon, bound, _worst_state(tv, top, S))
+    return MixingReport(None, epsilon, bound, _worst_state(tv, tv.max(), S),
                         censored=True)
 
 
@@ -561,7 +645,7 @@ def _mirror_matrix(S: TransitionMatrix) -> np.ndarray | None:
     else:
         M = contact_from_rates(graph, model.beta, model.delta)
     mirrored = ModelSpec("sis-general", contact=M.T.copy())
-    return build_transition_matrix(mirrored, graph).entries
+    return build_transition_matrix(mirrored, graph).entries.toarray()
 
 
 def check_order_preservation(S: TransitionMatrix, n_pairs: int = 100,
@@ -582,7 +666,10 @@ def check_order_preservation(S: TransitionMatrix, n_pairs: int = 100,
     n = S.n
     K = S.size
     R, R_inv = build_R_pair(n)
-    C = R_inv @ S.entries @ R
+    # Dense like R: the products then round as they always have, so the
+    # reported minima keep their last bits.
+    dense = S.entries.toarray()
+    C = R_inv @ dense @ R
     flat = int(C.argmin())
     worst_pair = (flat // K, flat % K)
     min_entry = float(C.min())
@@ -613,7 +700,7 @@ def check_order_preservation(S: TransitionMatrix, n_pairs: int = 100,
             v[Y] -= eps
             # v = mu - mu'; every coordinate of v S^t R must stay >= 0.
             for _t in range(1, t_max + 1):
-                v = v @ S.entries
+                v = v @ dense
                 pair_min = min(pair_min, float((v @ R).min()))
     return OrderReport(min_entry, worst_pair, identity_defect, pair_min)
 

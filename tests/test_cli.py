@@ -285,6 +285,17 @@ class TestExact:
         assert res.exit_code == 2
         assert "cap" in res.output and "65536" in res.output
 
+    def test_memory_budget_exit_2(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(epinet.exact_chain, "MEMORY_BUDGET_BYTES", 1024)
+        res = runner.invoke(main, [
+            "exact", "--generate", "path:n=3", "--variant", "sirs",
+            "--beta", "0.1", "--delta", "0.9", "--gamma", "0.5",
+            "-o", str(tmp_path / "x.json"),
+        ])
+        assert res.exit_code == 2
+        assert "memory budget" in res.output
+        assert not (tmp_path / "x.json").exists()
+
     def test_epsilon_range(self, runner, path3_file, tmp_path):
         res = runner.invoke(main, [
             "exact", "--graph", path3_file, "--variant", "sis-nia",

@@ -3,11 +3,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+import epinet.exact_chain as exact_chain
 from epinet import (
     ChainState,
     DistVector,
@@ -239,6 +242,48 @@ class TestTransitionMatrix:
         with pytest.raises(StateSpaceCapError):
             build_transition_matrix(m, g)
 
+    def test_sparse_structure_sirs_path8(self):
+        g = generate("path", n=8)
+        m = ModelSpec("sirs", beta=0.05, delta=0.6, gamma=0.9)
+        S = build_transition_matrix(m, g).entries
+        assert isinstance(S, sp.csr_array)
+        assert S.nnz == 904849
+        assert S.has_sorted_indices
+        assert np.count_nonzero(S.data) == S.nnz  # no explicit zeros
+        assert np.abs(S.sum(axis=1) - 1.0).max() < 1e-12
+        # Sized as the dense array was: stored entries and bytes held.
+        assert np.count_nonzero(S) == S.nnz
+        assert S.nbytes == S.data.nbytes + S.indices.nbytes + S.indptr.nbytes
+
+    def test_build_peak_memory_sirs_path8(self):
+        # A dense 3^8 x 3^8 matrix alone is 344 MB.
+        g = generate("path", n=8)
+        m = ModelSpec("sirs", beta=0.05, delta=0.6, gamma=0.9)
+        tracemalloc.start()
+        try:
+            build_transition_matrix(m, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
+    def test_memory_budget(self, monkeypatch, path3):
+        m = ModelSpec("sirs", beta=0.3, delta=0.5, gamma=0.2)
+        need = exact_chain._BUILD_BYTES_PER_NNZ \
+            * build_transition_matrix(m, path3).entries.nnz
+        monkeypatch.setattr(exact_chain, "MEMORY_BUDGET_BYTES", need - 1)
+        with pytest.raises(StateSpaceCapError, match="memory budget"):
+            build_transition_matrix(m, path3)
+        monkeypatch.setattr(exact_chain, "MEMORY_BUDGET_BYTES", need)
+        build_transition_matrix(m, path3)
+
+    def test_state_cap_checked_before_memory(self, monkeypatch):
+        monkeypatch.setattr(exact_chain, "MEMORY_BUDGET_BYTES", 0)
+        g = generate("path", n=17)
+        m = ModelSpec("sirs", beta=0.1, delta=0.2, gamma=0.3)
+        with pytest.raises(StateSpaceCapError, match="exceeds cap"):
+            build_transition_matrix(m, g)
+
 
 # ---------------------------------------------------------------------------
 # Propagation and marginals
@@ -403,6 +448,42 @@ class TestMixing:
         for code in range(9):
             mu = propagate(DistVector.point_mass(code, 9), S, rep.t_mix)
             assert tv_distance(mu, pi) <= 0.25 + 1e-12
+
+    @pytest.mark.parametrize("variant, rates", [
+        ("sirs", dict(beta=0.56, delta=0.24, gamma=0.62)),  # point-mass pi
+        ("siv-vd", dict(beta=0.54, delta=0.79, gamma=0.48, theta=0.25)),
+    ])
+    def test_worst_initial_tie_rule(self, variant, rates):
+        # On the triangle the states with one node in a given compartment
+        # tie exactly; the smallest code among the tied states is reported.
+        g = generate("complete", n=3)
+        m = ModelSpec(variant, **rates)
+        S = build_transition_matrix(m, g)
+        pi = stationary(m, g)
+        rep = mixing_time_exact(S, pi, 0.25)
+        M = S.entries.toarray()
+        power = np.eye(len(M))
+        tvs = []
+        for _ in range(rep.t_mix):
+            power = power @ M
+            tvs.append(0.5 * np.abs(power - pi.entries).sum(axis=1))
+        assert tvs[-1].max() <= 0.25 < tvs[-2].max()
+        tied = np.flatnonzero(tvs[-1] >= tvs[-1].max() - 1e-12)
+        assert len(tied) == 3
+        assert rep.worst_initial.code == tied[0]
+
+    def test_nonpoint_mixing_memory_budget(self, monkeypatch, path3):
+        siv = ModelSpec("siv-id", beta=0.1, delta=0.9, gamma=0.5, theta=0.5)
+        sirs = ModelSpec("sirs", beta=0.1, delta=0.9, gamma=0.5)
+        S_siv = build_transition_matrix(siv, path3)
+        S_sirs = build_transition_matrix(sirs, path3)
+        monkeypatch.setattr(exact_chain, "MEMORY_BUDGET_BYTES",
+                            3 * 27 * 27 * 8 - 1)
+        with pytest.raises(StateSpaceCapError, match="memory budget"):
+            mixing_time_exact(S_siv, stationary(siv, path3), 0.25)
+        # The point-mass scan holds no dense K x K array.
+        rep = mixing_time_exact(S_sirs, DistVector.point_mass(0, 27), 0.25)
+        assert rep.t_mix is not None
 
 
 # ---------------------------------------------------------------------------
