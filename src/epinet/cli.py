@@ -14,12 +14,12 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import click
 import numpy as np
 
 from .model_core import (
+    _VARIANTS,
     Graph,
     GraphError,
     ModelError,
@@ -33,7 +33,7 @@ from .model_core import (
 )
 from .exact_chain import (
     ExactChainError,
-    StateSpaceCapError,
+    _check_dense_scan,
     build_transition_matrix,
     mixing_time_exact,
     stationary,
@@ -42,41 +42,6 @@ from . import __version__
 from .mean_field import _upper_corner, find_fixed_point, mf_iterate
 from .monte_carlo import MonteCarloError, ensemble_to_csv, mc_ensemble
 from .verify import SUITES, VerifyError, run_suites
-
-
-@dataclass
-class RunConfig:
-    """Parsed command-line request, shared across the cmd_* entry points."""
-
-    subcommand: str
-    graph_path: str | None = None
-    generate_spec: str | None = None
-    kind: str | None = None
-    n: int | None = None
-    p: float | None = None
-    radius: float | None = None
-    variant: str | None = None
-    beta: float | None = None
-    delta: float | None = None
-    gamma: float | None = None
-    theta: float | None = None
-    contact_path: str | None = None
-    t_max: int = 1000
-    seed: int = 0
-    reps: int = 1
-    init: str = "all-infected"
-    epsilon: float = 0.25
-    tol: float = 1e-10
-    cap: int = 100000
-    damping: float | None = None
-    raw_iteration: bool = False
-    out: str | None = None
-    traj_out: str | None = None
-    traj_steps: int = 50
-    suites: tuple[str, ...] = ()
-    n_max: int = 5
-    trials: int = 50
-    beta_grid: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -132,43 +97,42 @@ def _generate_from_spec(spec: str) -> Graph:
         raise click.UsageError(f"invalid --generate spec {spec!r}: {exc}")
 
 
-def _load_graph(cfg: RunConfig) -> Graph:
-    if (cfg.graph_path is None) == (cfg.generate_spec is None):
+def _load_graph(graph_path: str | None, generate_spec: str | None) -> Graph:
+    if (graph_path is None) == (generate_spec is None):
         raise click.UsageError(
             "provide exactly one graph source: --graph PATH or --generate SPEC"
         )
-    if cfg.generate_spec is not None:
-        return _generate_from_spec(cfg.generate_spec)
+    if generate_spec is not None:
+        return _generate_from_spec(generate_spec)
     try:
-        with open(cfg.graph_path, encoding="utf-8") as fh:
+        with open(graph_path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise click.ClickException(f"cannot read {cfg.graph_path}: {exc}")
+        raise click.ClickException(f"cannot read {graph_path}: {exc}")
     try:
         return parse_edge_list(text)
     except GraphError as exc:
-        raise click.UsageError(f"{cfg.graph_path}: {exc}")
+        raise click.UsageError(f"{graph_path}: {exc}")
 
 
-def _build_model(cfg: RunConfig) -> ModelSpec:
-    if cfg.variant is None:
+def _build_model(variant: str | None, beta: float | None = None,
+                 delta: float | None = None, gamma: float | None = None,
+                 theta: float | None = None,
+                 contact_path: str | None = None) -> ModelSpec:
+    if variant is None:
         raise click.UsageError("--variant is required")
-    kwargs: dict = {}
-    for name in ("beta", "delta", "gamma", "theta"):
-        val = getattr(cfg, name)
-        if val is not None:
-            kwargs[name] = val
-    if cfg.contact_path is not None:
+    rates = {"beta": beta, "delta": delta, "gamma": gamma, "theta": theta}
+    kwargs: dict = {k: v for k, v in rates.items() if v is not None}
+    if contact_path is not None:
         try:
-            kwargs["contact"] = np.loadtxt(cfg.contact_path, delimiter=",",
+            kwargs["contact"] = np.loadtxt(contact_path, delimiter=",",
                                            ndmin=2)
         except OSError as exc:
-            raise click.ClickException(
-                f"cannot read {cfg.contact_path}: {exc}")
+            raise click.ClickException(f"cannot read {contact_path}: {exc}")
         except ValueError as exc:
             raise click.UsageError(f"malformed contact matrix CSV: {exc}")
     try:
-        return ModelSpec(cfg.variant, **kwargs)
+        return ModelSpec(variant, **kwargs)
     except ModelError as exc:
         raise click.UsageError(str(exc))
 
@@ -204,39 +168,40 @@ def _ratio_or_usage(model: ModelSpec, graph: Graph) -> float:
 # Command bodies (click-independent except for the error types)
 # ---------------------------------------------------------------------------
 
-def cmd_gen(cfg: RunConfig) -> int:
-    if cfg.n is None:
+def cmd_gen(*, kind, n, p, radius, seed, out) -> int:
+    if n is None:
         raise click.UsageError("--n is required")
-    params: dict = {"n": cfg.n}
-    if cfg.kind == "er":
-        if cfg.p is None:
+    params: dict = {"n": n}
+    if kind == "er":
+        if p is None:
             raise click.UsageError("generator 'er' requires --p")
-        params["p"] = cfg.p
-    elif cfg.kind == "geometric":
-        if cfg.radius is None:
+        params["p"] = p
+    elif kind == "geometric":
+        if radius is None:
             raise click.UsageError("generator 'geometric' requires --radius")
-        params["r"] = cfg.radius
+        params["r"] = radius
     try:
-        g = generate(cfg.kind, seed=cfg.seed, **params)
+        g = generate(kind, seed=seed, **params)
     except GraphError as exc:
         raise click.UsageError(str(exc))
     lam = spectral_radius(g).lambda_max
-    _atomic_write(cfg.out, format_edge_list(g))
+    _atomic_write(out, format_edge_list(g))
     click.echo(f"n={g.n} edges={g.m} lambda_max={lam:.10g}")
     return 0
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    model = _build_model(cfg)
-    init = _parse_init(cfg.init)
+def cmd_simulate(*, graph_path, generate_spec, variant, beta, delta, gamma,
+                 theta, contact_path, t_max, reps, seed, init, out) -> int:
+    g = _load_graph(graph_path, generate_spec)
+    model = _build_model(variant, beta, delta, gamma, theta, contact_path)
+    init = _parse_init(init)
     ratio = _ratio_or_usage(model, g)
     try:
-        rep = mc_ensemble(model, g, init=init, t_max=cfg.t_max,
-                          n_reps=cfg.reps, master_seed=cfg.seed)
+        rep = mc_ensemble(model, g, init=init, t_max=t_max, n_reps=reps,
+                          master_seed=seed)
     except MonteCarloError as exc:
         raise click.UsageError(str(exc))
-    _atomic_write(cfg.out, ensemble_to_csv(rep))
+    _atomic_write(out, ensemble_to_csv(rep))
     ext = [a for a in rep.absorbed_steps if a is not None]
     med = float(np.median(ext)) if ext else math.nan
     click.echo(
@@ -247,13 +212,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_meanfield(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    model = _build_model(cfg)
+def cmd_meanfield(*, graph_path, generate_spec, variant, beta, delta, gamma,
+                  theta, contact_path, tol, cap, damping, raw_iteration,
+                  traj_out, traj_steps, out) -> int:
+    g = _load_graph(graph_path, generate_spec)
+    model = _build_model(variant, beta, delta, gamma, theta, contact_path)
     ratio = _ratio_or_usage(model, g)
-    damping = 1.0 if cfg.raw_iteration else cfg.damping
-    rep = find_fixed_point(model, g, tol=cfg.tol, cap=cfg.cap,
-                           damping=damping)
+    damping = 1.0 if raw_iteration else damping
+    rep = find_fixed_point(model, g, tol=tol, cap=cap, damping=damping)
     spectrum = rep.jacobian_spectrum
     order = np.lexsort((spectrum.imag, spectrum.real, -np.abs(spectrum)))
     spectrum = spectrum[order]
@@ -277,17 +243,17 @@ def cmd_meanfield(cfg: RunConfig) -> int:
         },
         "relation_defect": rep.relation_defect,
     }
-    _atomic_write(cfg.out, _dump_json(payload))
-    if cfg.traj_out is not None:
+    _atomic_write(out, _dump_json(payload))
+    if traj_out is not None:
         traj = mf_iterate(model, g, _upper_corner(model, g.n),
-                          cfg.traj_steps)
+                          traj_steps)
         lines = ["t,s,i,r"]
         for t, pt in enumerate(traj):
             i_tot = float(pt.p_i.sum())
             r_tot = float(pt.p_r.sum()) if pt.p_r is not None else 0.0
             s_tot = g.n - i_tot - r_tot
             lines.append(f"{t},{s_tot!s},{i_tot!s},{r_tot!s}")
-        _atomic_write(cfg.traj_out, "\n".join(lines) + "\n")
+        _atomic_write(traj_out, "\n".join(lines) + "\n")
     click.echo(
         f"classification={rep.classification} residual={rep.residual:.6e} "
         f"ratio={ratio:.10g}"
@@ -295,20 +261,26 @@ def cmd_meanfield(cfg: RunConfig) -> int:
     return 3 if rep.classification == "non-converged" else 0
 
 
-def cmd_exact(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    model = _build_model(cfg)
+def cmd_exact(*, graph_path, generate_spec, variant, beta, delta, gamma,
+              theta, contact_path, epsilon, cap, out) -> int:
+    g = _load_graph(graph_path, generate_spec)
+    model = _build_model(variant, beta, delta, gamma, theta, contact_path)
     try:
-        S = build_transition_matrix(model, g)
-    except (StateSpaceCapError, ExactChainError) as exc:
-        raise click.UsageError(str(exc))
-    try:
-        pi = stationary(model, g)
+        law = _VARIANTS[variant].free_law(model)
     except ModelError as exc:
         raise click.UsageError(str(exc))
+    try:
+        # A stationary law that is no point mass takes the dense mixing
+        # scan: refuse it before S is built.
+        if max(law) ** g.n < 1.0 - 1e-12:
+            _check_dense_scan(model.k, g.n)
+        S = build_transition_matrix(model, g)
+    except ExactChainError as exc:
+        raise click.UsageError(str(exc))
+    pi = stationary(model, g)
     defect = float(np.abs(pi.entries @ S.entries - pi.entries).max())
     try:
-        mrep = mixing_time_exact(S, pi, cfg.epsilon, cap=cfg.cap)
+        mrep = mixing_time_exact(S, pi, epsilon, cap=cap)
     except ExactChainError as exc:
         raise click.UsageError(str(exc))
     worst = None
@@ -319,7 +291,7 @@ def cmd_exact(cfg: RunConfig) -> int:
         "variant": model.variant,
         "n": g.n,
         "k": model.k,
-        "epsilon": cfg.epsilon,
+        "epsilon": epsilon,
         "t_mix": mrep.t_mix,
         "bound": mrep.bound,
         "censored": mrep.censored,
@@ -327,7 +299,7 @@ def cmd_exact(cfg: RunConfig) -> int:
         "stationary_defect": defect,
         "threshold_ratio": ratio,
     }
-    _atomic_write(cfg.out, _dump_json(payload))
+    _atomic_write(out, _dump_json(payload))
     click.echo(
         f"t_mix={mrep.t_mix} bound={mrep.bound:.10g} "
         f"stationary_defect={defect:.3e} ratio={ratio:.10g}"
@@ -335,15 +307,14 @@ def cmd_exact(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    names = list(cfg.suites) or ["all"]
+def cmd_verify(*, suites, n_max, trials, seed, out) -> int:
+    names = list(suites) or ["all"]
     if "none" in names:
         raise click.UsageError(
             f"suite 'none' is not runnable; choose from: {', '.join(SUITES)}"
         )
     try:
-        results = run_suites(names, n_max=cfg.n_max, trials=cfg.trials,
-                             seed=cfg.seed)
+        results = run_suites(names, n_max=n_max, trials=trials, seed=seed)
     except VerifyError as exc:
         raise click.UsageError(str(exc))
     all_passed = all(r.passed for r in results)
@@ -351,8 +322,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         "passed": all_passed,
         "suites": [r.to_dict() for r in results],
     }
-    if cfg.out is not None:
-        _atomic_write(cfg.out, _dump_json(payload))
+    if out is not None:
+        _atomic_write(out, _dump_json(payload))
     for r in results:
         click.echo(f"{r.suite}: {'PASS' if r.passed else 'FAIL'} "
                    f"({r.checks} checks)")
@@ -389,34 +360,34 @@ def _parse_grid(text: str | None) -> list[float]:
     return vals
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    if cfg.variant == "sis-general":
+def cmd_sweep(*, graph_path, generate_spec, variant, beta, delta, gamma,
+              theta, contact_path, beta_grid, t_max, reps, seed, init, tol,
+              cap, out) -> int:
+    g = _load_graph(graph_path, generate_spec)
+    if variant == "sis-general":
         raise click.UsageError(
             "sweep varies beta and requires a rate-based variant"
         )
-    betas = _parse_grid(cfg.beta_grid)
-    init = _parse_init(cfg.init)
+    betas = _parse_grid(beta_grid)
+    init = _parse_init(init)
     lines = ["beta,ratio,outcome,extinct_count,reps,median_extinction,fp_norm"]
     for idx, b in enumerate(betas):
-        row_cfg = RunConfig(subcommand="sweep", variant=cfg.variant, beta=b,
-                            delta=cfg.delta, gamma=cfg.gamma, theta=cfg.theta)
-        model = _build_model(row_cfg)
+        model = _build_model(variant, b, delta, gamma, theta)
         ratio = _ratio_or_usage(model, g)
-        rep = mc_ensemble(model, g, init=init, t_max=cfg.t_max,
-                          n_reps=cfg.reps, master_seed=cfg.seed + idx)
+        rep = mc_ensemble(model, g, init=init, t_max=t_max, n_reps=reps,
+                          master_seed=seed + idx)
         outcome = "extinct" if 2 * rep.extinct_count > rep.n_reps \
             else "persistent"
         ext = [a for a in rep.absorbed_steps if a is not None]
         med = float(np.median(ext)) if ext else math.nan
-        fp = find_fixed_point(model, g, tol=max(cfg.tol, 1e-10), cap=cfg.cap,
+        fp = find_fixed_point(model, g, tol=max(tol, 1e-10), cap=cap,
                               compute_spectrum=False)
         fp_norm = float(np.abs(fp.point.p_i).max())
         lines.append(
             f"{float(b)!s},{float(ratio)!s},{outcome},{rep.extinct_count},"
             f"{rep.n_reps},{med!s},{fp_norm!s}"
         )
-    _atomic_write(cfg.out, "\n".join(lines) + "\n")
+    _atomic_write(out, "\n".join(lines) + "\n")
     click.echo(f"rows={len(betas)}")
     return 0
 
@@ -446,6 +417,11 @@ def _model_options(fn):
     return fn
 
 
+def _exit(code: int) -> None:
+    if code:
+        sys.exit(code)
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="epinet")
 def main() -> None:
@@ -462,12 +438,9 @@ def main() -> None:
 @click.option("--radius", type=float, default=None)
 @click.option("--seed", type=int, default=0)
 @click.option("-o", "--out", type=str, required=True)
-def gen_command(kind, n, p, radius, seed, out):
+def gen_command(**params):
     """Generate a graph and write its edge list."""
-    code = cmd_gen(RunConfig("gen", kind=kind, n=n, p=p, radius=radius,
-                             seed=seed, out=out))
-    if code:
-        sys.exit(code)
+    _exit(cmd_gen(**params))
 
 
 @main.command("simulate")
@@ -478,16 +451,9 @@ def gen_command(kind, n, p, radius, seed, out):
 @click.option("--seed", type=int, default=0)
 @click.option("--init", type=str, default="all-infected")
 @click.option("-o", "--out", type=str, required=True)
-def simulate_command(graph_path, generate_spec, variant, beta, delta, gamma,
-                     theta, contact_path, t_max, reps, seed, init, out):
+def simulate_command(**params):
     """Run a Monte Carlo ensemble and write mean trajectory CSV."""
-    code = cmd_simulate(RunConfig(
-        "simulate", graph_path=graph_path, generate_spec=generate_spec,
-        variant=variant, beta=beta, delta=delta, gamma=gamma, theta=theta,
-        contact_path=contact_path, t_max=t_max, reps=reps, seed=seed,
-        init=init, out=out))
-    if code:
-        sys.exit(code)
+    _exit(cmd_simulate(**params))
 
 
 @main.command("meanfield")
@@ -502,18 +468,9 @@ def simulate_command(graph_path, generate_spec, variant, beta, delta, gamma,
 @click.option("--traj-out", type=str, default=None)
 @click.option("--traj-steps", type=click.IntRange(min=0), default=50)
 @click.option("-o", "--out", type=str, required=True)
-def meanfield_command(graph_path, generate_spec, variant, beta, delta, gamma,
-                      theta, contact_path, tol, cap, damping, raw_iteration,
-                      traj_out, traj_steps, out):
+def meanfield_command(**params):
     """Find the mean-field fixed point and write the report JSON."""
-    code = cmd_meanfield(RunConfig(
-        "meanfield", graph_path=graph_path, generate_spec=generate_spec,
-        variant=variant, beta=beta, delta=delta, gamma=gamma, theta=theta,
-        contact_path=contact_path, tol=tol, cap=cap, damping=damping,
-        raw_iteration=raw_iteration, traj_out=traj_out,
-        traj_steps=traj_steps, out=out))
-    if code:
-        sys.exit(code)
+    _exit(cmd_meanfield(**params))
 
 
 @main.command("exact")
@@ -526,15 +483,9 @@ def meanfield_command(graph_path, generate_spec, variant, beta, delta, gamma,
 @click.option("--cap", type=click.IntRange(min=1), default=100000,
               help="Mixing-time step cap.")
 @click.option("-o", "--out", type=str, required=True)
-def exact_command(graph_path, generate_spec, variant, beta, delta, gamma,
-                  theta, contact_path, epsilon, cap, out):
+def exact_command(**params):
     """Exact-chain mixing report (state space permitting)."""
-    code = cmd_exact(RunConfig(
-        "exact", graph_path=graph_path, generate_spec=generate_spec,
-        variant=variant, beta=beta, delta=delta, gamma=gamma, theta=theta,
-        contact_path=contact_path, epsilon=epsilon, cap=cap, out=out))
-    if code:
-        sys.exit(code)
+    _exit(cmd_exact(**params))
 
 
 @main.command("verify")
@@ -544,12 +495,9 @@ def exact_command(graph_path, generate_spec, variant, beta, delta, gamma,
 @click.option("--trials", type=click.IntRange(min=1), default=50)
 @click.option("--seed", type=int, default=0)
 @click.option("-o", "--out", type=str, default=None)
-def verify_command(suites, n_max, trials, seed, out):
+def verify_command(**params):
     """Run analytic-guarantee verification suites; exit 4 on any failure."""
-    code = cmd_verify(RunConfig("verify", suites=tuple(suites), n_max=n_max,
-                                trials=trials, seed=seed, out=out))
-    if code:
-        sys.exit(code)
+    _exit(cmd_verify(**params))
 
 
 @main.command("sweep")
@@ -564,17 +512,9 @@ def verify_command(suites, n_max, trials, seed, out):
 @click.option("--tol", type=float, default=1e-10)
 @click.option("--cap", type=click.IntRange(min=1), default=100000)
 @click.option("-o", "--out", type=str, required=True)
-def sweep_command(graph_path, generate_spec, variant, beta, delta, gamma,
-                  theta, contact_path, beta_grid, t_max, reps, seed, init,
-                  tol, cap, out):
+def sweep_command(**params):
     """Sweep beta over a grid; one CSV row per grid point."""
-    code = cmd_sweep(RunConfig(
-        "sweep", graph_path=graph_path, generate_spec=generate_spec,
-        variant=variant, beta=beta, delta=delta, gamma=gamma, theta=theta,
-        contact_path=contact_path, beta_grid=beta_grid, t_max=t_max,
-        reps=reps, seed=seed, init=init, tol=tol, cap=cap, out=out))
-    if code:
-        sys.exit(code)
+    _exit(cmd_sweep(**params))
 
 
 if __name__ == "__main__":

@@ -227,6 +227,13 @@ class TransitionMatrix:
 # Per-node conditional probabilities
 # ---------------------------------------------------------------------------
 
+def _neighbor_row(graph: Graph, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node i's neighbors and edge weights: its row of the CSR adjacency."""
+    A = graph.adjacency_sparse
+    row = slice(A.indptr[i], A.indptr[i + 1])
+    return A.indices[row], A.data[row]
+
+
 def _escape_probs(model: ModelSpec, graph: Graph, infected: np.ndarray,
                   i: int) -> np.ndarray:
     """P(node i receives no infection | state), vectorized over states.
@@ -243,7 +250,7 @@ def _escape_probs(model: ModelSpec, graph: Graph, infected: np.ndarray,
         return np.prod(
             1.0 - M[i, cols][None, :] * infected[:, cols], axis=1
         )
-    nbrs, wts = graph.neighbor_arrays[i]
+    nbrs, wts = _neighbor_row(graph, i)
     if len(nbrs) == 0:
         return np.ones(infected.shape[0])
     return np.prod(
@@ -292,7 +299,7 @@ def node_transition_prob(model: ModelSpec, graph: Graph, X: ChainState | int,
                 esc *= 1.0 - model.contact[i, j]
         p1 = 1.0 - esc
         return p1 if y == 1 else 1.0 - p1
-    nbrs, wts = graph.neighbor_arrays[i]
+    nbrs, wts = _neighbor_row(graph, i)
     esc = 1.0
     for j, w in zip(nbrs, wts):
         if digits[j] == 1:
@@ -321,8 +328,7 @@ def node_transition_prob(model: ModelSpec, graph: Graph, X: ChainState | int,
     return row[y]
 
 
-def _check_cap(model: ModelSpec, n: int) -> None:
-    k = model.k
+def _check_cap(k: int, n: int) -> None:
     cap = STATE_CAP_K2 if k == 2 else STATE_CAP_K3
     if k ** n > cap:
         raise StateSpaceCapError(
@@ -339,6 +345,14 @@ def _check_memory(nbytes: int, what: str) -> None:
         )
 
 
+def _check_dense_scan(k: int, n: int) -> None:
+    """Refuse the non-point-mass mixing scan on k^n states before it runs:
+    it holds S, the matrix power and one temporary as dense K x K floats."""
+    _check_cap(k, n)
+    K = k ** n
+    _check_memory(3 * K * K * 8, f"the dense {K}x{K} mixing scan")
+
+
 def build_transition_matrix(model: ModelSpec, graph: Graph) -> TransitionMatrix:
     """Full transition matrix S with S[X, Y] = prod_i P(Y_i | X), as CSR.
 
@@ -353,7 +367,7 @@ def build_transition_matrix(model: ModelSpec, graph: Graph) -> TransitionMatrix:
     n = graph.n
     if model.contact is not None and model.contact.shape[0] != n:
         raise ModelError("contact matrix dimension does not match graph")
-    _check_cap(model, n)
+    _check_cap(model.k, n)
     k = model.k
     D = states_table(n, k)
     K = k ** n
@@ -536,7 +550,7 @@ def mixing_time_exact(S: TransitionMatrix, pi: DistVector, epsilon: float,
     sparse S; otherwise the full matrix power is tracked densely, which
     raises StateSpaceCapError when three dense K x K arrays would exceed
     MEMORY_BUDGET_BYTES. The reported worst initial is the smallest state
-    code within 1e-12 of the worst value.
+    code within 1e-12 of the worst value. cap (the step limit) must be >= 1.
 
     For the order-preserving SIS variants (sis-nia, sis-general) the
     all-infected state is checked to be a worst-case initial at every step;
@@ -547,6 +561,8 @@ def mixing_time_exact(S: TransitionMatrix, pi: DistVector, epsilon: float,
     """
     if not (0.0 < epsilon < 1.0):
         raise ExactChainError("epsilon must be in (0,1)")
+    if cap < 1:
+        raise ExactChainError(f"cap must be >= 1, got {cap}")
     if len(pi) != S.size:
         raise ExactChainError("pi and S sizes differ")
     K = S.size
@@ -576,8 +592,8 @@ def mixing_time_exact(S: TransitionMatrix, pi: DistVector, epsilon: float,
                                     _worst_state(c, low, S))
         return MixingReport(None, epsilon, bound, _worst_state(c, c.min(), S),
                             censored=True)
-    # Dense BLAS powers beat dense @ CSR here; S, Dmat and one temporary.
-    _check_memory(3 * K * K * 8, f"the dense {K}x{K} mixing scan")
+    # Dense BLAS powers beat dense @ CSR here.
+    _check_dense_scan(S.k, S.n)
     M = S.entries.toarray()
     Dmat = np.eye(K)
     for t in range(1, cap + 1):
@@ -781,7 +797,7 @@ def closed_form_marginal_bound(model: ModelSpec, graph: Graph, i: int,
     pi_vec = np.asarray(p.p_i, dtype=float)
     if model.contact is not None:
         return float(model.contact[i] @ pi_vec)
-    nbrs, wts = graph.neighbor_arrays[i]
+    nbrs, wts = _neighbor_row(graph, i)
     inf_factor = model.beta * _VARIANTS[model.variant].infection(model)
     acc = (1.0 - model.delta) * pi_vec[i]
     if len(nbrs):

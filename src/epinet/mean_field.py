@@ -151,31 +151,40 @@ class StabilityReport:
 # Escape products
 # ---------------------------------------------------------------------------
 
-def _neighbor_products(graph: Graph, beta: float, x: np.ndarray) -> np.ndarray:
-    """Pi_i = prod over neighbors j of (1 - beta w_ij x_j), all nodes."""
-    n = graph.n
-    if not graph.is_weighted and n > 256:
-        # log-product fast path; exp(-inf) = 0 handles beta x_j = 1.
-        with np.errstate(divide="ignore"):
-            logs = np.log1p(-beta * x)
-        return np.exp(graph.adjacency_sparse @ logs)
-    out = np.ones(n)
-    for i in range(n):
-        nbrs, wts = graph.neighbor_arrays[i]
-        if len(nbrs):
-            out[i] = np.prod(1.0 - beta * wts * x[nbrs])
+def _row_products(indptr: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Product of each CSR row's factors f (empty product = 1)."""
+    out = np.ones(len(indptr) - 1)
+    full = np.diff(indptr) > 0
+    if full.any():
+        out[full] = np.multiply.reduceat(f, indptr[:-1][full])
     return out
 
 
-def _leave_one_out(f: np.ndarray, prod: float) -> np.ndarray:
-    """L_j = prod of f excluding f_j, robust to near-zero factors."""
-    if not np.any(f <= 1e-12):
-        return prod / f
-    L = np.empty_like(f)
-    for j in range(len(f)):
-        mask = np.ones(len(f), dtype=bool)
-        mask[j] = False
-        L[j] = np.prod(f[mask])
+def _neighbor_products(graph: Graph, beta: float, x: np.ndarray) -> np.ndarray:
+    """Pi_i = prod over neighbors j of (1 - beta w_ij x_j), all nodes."""
+    A = graph.adjacency_sparse
+    if not graph.is_weighted and graph.n > 256:
+        # log-product fast path; exp(-inf) = 0 handles beta x_j = 1.
+        with np.errstate(divide="ignore"):
+            logs = np.log1p(-beta * x)
+        return np.exp(A @ logs)
+    return _row_products(A.indptr, 1.0 - beta * A.data * x[A.indices])
+
+
+def _leave_one_out(f: np.ndarray, indptr: np.ndarray,
+                   prods: np.ndarray) -> np.ndarray:
+    """L = product of the other factors of f's CSR row, for every factor.
+
+    A row with a factor <= 1e-12 multiplies out each exclusion instead of
+    dividing, so that a zero factor gives a finite derivative.
+    """
+    rows = np.repeat(np.arange(len(prods)), np.diff(indptr))
+    tiny = f <= 1e-12
+    L = np.divide(prods[rows], f, out=np.zeros_like(f), where=~tiny)
+    for i in np.unique(rows[tiny]):
+        seg = f[indptr[i]:indptr[i + 1]]
+        L[indptr[i]:indptr[i + 1]] = [np.prod(np.delete(seg, j))
+                                      for j in range(len(seg))]
     return L
 
 
@@ -269,46 +278,29 @@ def mf_jacobian(model: ModelSpec, graph: Graph, x: MeanFieldPoint) -> np.ndarray
     p = x.p_i
     if model.variant == "sis-general":
         M = np.asarray(model.contact, dtype=float)
-        J = np.zeros((n, n))
-        for i in range(n):
-            f = 1.0 - M[i] * p
-            prod = float(np.prod(f))
-            if np.any(f <= 1e-12):
-                L = _leave_one_out(f, prod)
-            else:
-                L = prod / f
-            J[i] = M[i] * L
-        return J
+        F = 1.0 - M * p[None, :]
+        L = _leave_one_out(F.ravel(), np.arange(0, n * n + 1, n),
+                           np.prod(F, axis=1))
+        return M * L.reshape(n, n)
 
-    beta = model.beta
-    Pi = np.ones(n)
-    # Per-node factors and leave-one-out products over neighbor lists.
-    loo: list[tuple[np.ndarray, np.ndarray]] = []
-    for i in range(n):
-        nbrs, wts = graph.neighbor_arrays[i]
-        f = 1.0 - beta * wts * p[nbrs]
-        prod = float(np.prod(f)) if len(f) else 1.0
-        Pi[i] = prod
-        if len(f) and np.any(f <= 1e-12):
-            L = _leave_one_out(f, prod)
-        elif len(f):
-            L = prod / f
-        else:
-            L = np.empty(0)
-        loo.append((nbrs, beta * wts * L))
+    A = graph.adjacency_sparse
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    cols = A.indices
+    bw = model.beta * A.data
+    f = 1.0 - bw * p[cols]
+    Pi = _row_products(A.indptr, f)
+    # d Pi_i / d x_j for every edge (i, j).
+    dPi = bw * _leave_one_out(f, A.indptr, Pi)
+    diag = np.arange(n)
 
     if model.k == 2:
         J = np.zeros((n, n))
         if model.variant == "sis-nia":
-            for i in range(n):
-                nbrs, dPi = loo[i]
-                J[i, nbrs] = dPi * (1.0 - (1.0 - model.delta) * p[i])
-                J[i, i] = (1.0 - model.delta) * Pi[i]
+            J[rows, cols] = dPi * (1.0 - (1.0 - model.delta) * p[rows])
+            J[diag, diag] = (1.0 - model.delta) * Pi
         else:  # sis-ia
-            for i in range(n):
-                nbrs, dPi = loo[i]
-                J[i, nbrs] = dPi * (1.0 - p[i])
-                J[i, i] = (1.0 - model.delta) - (1.0 - Pi[i])
+            J[rows, cols] = dPi * (1.0 - p[rows])
+            J[diag, diag] = (1.0 - model.delta) - (1.0 - Pi)
         return J
 
     r = x.p_r
@@ -318,28 +310,17 @@ def mf_jacobian(model: ModelSpec, graph: Graph, x: MeanFieldPoint) -> np.ndarray
     R, I = slice(0, n), slice(n, 2 * n)
     # Infected rows (same for sirs and siv-id; scaled by 1-theta for siv-vd).
     scale = (1.0 - model.theta) if model.variant == "siv-vd" else 1.0
-    JIr = np.zeros((n, n))
-    JIi = np.zeros((n, n))
-    for i in range(n):
-        nbrs, dPi = loo[i]
-        JIi[i, nbrs] = scale * s[i] * dPi
-        JIi[i, i] += (1.0 - model.delta) - scale * xi[i]
-        JIr[i, i] = -scale * xi[i]
-    J[I, R] = JIr
-    J[I, I] = JIi
+    J[n + rows, n + cols] = scale * s[rows] * dPi
+    J[n + diag, n + diag] += (1.0 - model.delta) - scale * xi
+    J[n + diag, diag] = -scale * xi
     # Recovered rows.
     if model.variant == "sirs":
         J[R, R] = (1.0 - model.gamma) * np.eye(n)
         J[R, I] = model.delta * np.eye(n)
     elif model.variant == "siv-id":
-        JRr = np.diag((1.0 - model.gamma) - model.theta * Pi)
-        JRi = np.zeros((n, n))
-        for i in range(n):
-            nbrs, dPi = loo[i]
-            JRi[i, nbrs] = -model.theta * s[i] * dPi
-            JRi[i, i] += model.delta - model.theta * Pi[i]
-        J[R, R] = JRr
-        J[R, I] = JRi
+        J[diag, diag] = (1.0 - model.gamma) - model.theta * Pi
+        J[rows, n + cols] = -model.theta * s[rows] * dPi
+        J[diag, n + diag] += model.delta - model.theta * Pi
     else:  # siv-vd
         J[R, R] = (1.0 - model.gamma - model.theta) * np.eye(n)
         J[R, I] = (model.delta - model.theta) * np.eye(n)

@@ -49,104 +49,96 @@ class ModelError(ValueError):
 class Graph:
     """Immutable undirected graph on nodes 0..n-1 with optional edge weights.
 
-    Edges are stored as sorted (i, j) pairs with i < j; ``weights`` is a
-    parallel tuple (default all 1.0). No self-loops.
+    Edges may be given as any sequence of (i, j) pairs or an (m, 2) integer
+    array, and weights as any sequence or array (empty: all 1.0). They are
+    stored as a tuple of (i, j) pairs with i < j, sorted and without
+    duplicates, and a parallel tuple ``weights``. No self-loops. The
+    symmetric CSR adjacency ``adjacency_sparse`` (sorted indices) is built
+    once here; every neighbor view is a slice of it.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...] = ()
     weights: tuple[float, ...] = field(default=())
+    adjacency_sparse: sp.csr_matrix = field(init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise GraphError(f"node count must be >= 1, got {self.n}")
-        norm = []
-        for (i, j) in self.edges:
-            i, j = int(i), int(j)
-            if i == j:
-                raise GraphError(f"self-loop ({i},{j}) not allowed")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise GraphError(f"edge ({i},{j}) out of range for n={self.n}")
-            norm.append((min(i, j), max(i, j)))
-        if self.weights == ():
-            object.__setattr__(self, "weights", (1.0,) * len(norm))
-        if len(self.weights) != len(norm):
-            raise GraphError("weights length must match edge count")
-        object.__setattr__(
-            self, "weights", tuple(float(w) for w in self.weights)
-        )
-        for w in self.weights:
-            if not (0.0 <= w <= 1.0):
-                raise GraphError(f"edge weight {w} outside [0,1]")
-        seen: dict[tuple[int, int], float] = {}
-        order = []
-        for e, w in zip(norm, self.weights):
-            if e in seen:
-                if seen[e] != w:
-                    raise GraphError(f"conflicting weights for duplicate edge {e}")
-                continue
-            seen[e] = w
-            order.append(e)
-        object.__setattr__(self, "edges", tuple(order))
-        object.__setattr__(self, "weights", tuple(seen[e] for e in order))
+        n = self.n
+        if n < 1:
+            raise GraphError(f"node count must be >= 1, got {n}")
+        ij = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        if len(ij) != len(self.edges):
+            raise GraphError("edges must be (i, j) pairs")
+        a, b = ij.T
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        bad = (i == j) | (i < 0) | (j >= n)
+        if bad.any():
+            e = np.argmax(bad)
+            if i[e] == j[e]:
+                raise GraphError(f"self-loop ({a[e]},{b[e]}) not allowed")
+            raise GraphError(f"edge ({a[e]},{b[e]}) out of range for n={n}")
+        if len(self.weights) == 0:
+            w = np.ones(len(i))
+        else:
+            w = np.asarray(self.weights, dtype=float).reshape(-1)
+            if len(w) != len(i):
+                raise GraphError("weights length must match edge count")
+            bad = ~((w >= 0.0) & (w <= 1.0))
+            if bad.any():
+                raise GraphError(f"edge weight {float(w[np.argmax(bad)])} "
+                                 "outside [0,1]")
+        # A stable sort keeps repeats in input order, so the first of each
+        # run is the first occurrence.
+        order = np.argsort(i * n + j, kind="stable")
+        i, j, w = i[order], j[order], w[order]
+        first = np.ones(len(i), dtype=bool)
+        first[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1])
+        run = np.maximum.accumulate(np.where(first, np.arange(len(i)), 0))
+        clash = w != w[run]
+        if clash.any():
+            e = np.flatnonzero(clash)[np.argmin(order[clash])]
+            raise GraphError("conflicting weights for duplicate edge "
+                             f"{(int(i[e]), int(j[e]))}")
+        i, j, w = i[first], j[first], w[first]
+        object.__setattr__(self, "edges", tuple(zip(i.tolist(), j.tolist())))
+        object.__setattr__(self, "weights", tuple(w.tolist()))
+        # Row r lists the edges (c, r), c < r, then (r, c), c > r, each in
+        # edge order: a stable sort by row gives sorted column indices.
+        rows = np.concatenate((j, i))
+        order = np.argsort(rows, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        object.__setattr__(self, "adjacency_sparse", sp.csr_matrix(
+            (np.concatenate((w, w))[order], np.concatenate((i, j))[order],
+             indptr), shape=(n, n)))
 
     @property
     def m(self) -> int:
         """Edge count."""
         return len(self.edges)
 
-    @cached_property
-    def neighbor_arrays(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per node i: (array of neighbor indices, array of edge weights)."""
-        idx: list[list[int]] = [[] for _ in range(self.n)]
-        wts: list[list[float]] = [[] for _ in range(self.n)]
-        for (i, j), w in zip(self.edges, self.weights):
-            idx[i].append(j)
-            wts[i].append(w)
-            idx[j].append(i)
-            wts[j].append(w)
-        return tuple(
-            (np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.float64))
-            for a, b in zip(idx, wts)
-        )
-
     def neighbors(self, i: int) -> np.ndarray:
-        return self.neighbor_arrays[i][0]
+        A = self.adjacency_sparse
+        return A.indices[A.indptr[i]:A.indptr[i + 1]]
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        d = np.zeros(self.n, dtype=np.int64)
-        for (i, j) in self.edges:
-            d[i] += 1
-            d[j] += 1
-        return d
+        return np.diff(self.adjacency_sparse.indptr).astype(np.int64)
 
     def adjacency(self) -> np.ndarray:
         """Dense weighted adjacency matrix (symmetric, zero diagonal)."""
-        A = np.zeros((self.n, self.n))
-        for (i, j), w in zip(self.edges, self.weights):
-            A[i, j] = w
-            A[j, i] = w
-        return A
-
-    @cached_property
-    def adjacency_sparse(self) -> sp.csr_matrix:
-        if not self.edges:
-            return sp.csr_matrix((self.n, self.n))
-        rows, cols, vals = [], [], []
-        for (i, j), w in zip(self.edges, self.weights):
-            rows += [i, j]
-            cols += [j, i]
-            vals += [w, w]
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
+        return self.adjacency_sparse.toarray()
 
     @cached_property
     def is_weighted(self) -> bool:
-        return any(w != 1.0 for w in self.weights)
+        return bool(np.any(self.adjacency_sparse.data != 1.0))
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted node lists, largest first."""
-        seen = np.zeros(self.n, dtype=bool)
+        indptr = self.adjacency_sparse.indptr.tolist()
+        indices = self.adjacency_sparse.indices.tolist()
+        seen = [False] * self.n
         comps = []
         for s in range(self.n):
             if seen[s]:
@@ -156,8 +148,7 @@ class Graph:
             comp = [s]
             while stack:
                 v = stack.pop()
-                for u in self.neighbors(v):
-                    u = int(u)
+                for u in indices[indptr[v]:indptr[v + 1]]:
                     if not seen[u]:
                         seen[u] = True
                         comp.append(u)
@@ -171,13 +162,14 @@ class Graph:
 
     def subgraph(self, nodes: list[int]) -> "Graph":
         """Induced subgraph; nodes are relabeled 0..len(nodes)-1 in list order."""
-        pos = {v: k for k, v in enumerate(nodes)}
-        es, ws = [], []
-        for (i, j), w in zip(self.edges, self.weights):
-            if i in pos and j in pos:
-                es.append((pos[i], pos[j]))
-                ws.append(w)
-        return Graph(len(nodes), tuple(es), tuple(ws))
+        pos = np.full(self.n, -1)
+        pos[np.asarray(nodes, dtype=np.int64)] = np.arange(len(nodes))
+        A = self.adjacency_sparse
+        i = pos[np.repeat(np.arange(self.n), np.diff(A.indptr))]
+        j = pos[A.indices]
+        keep = (i >= 0) & (j >= 0) & (i < j)
+        return Graph(len(nodes), np.column_stack((i[keep], j[keep])),
+                     tuple(A.data[keep].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +264,7 @@ def generate(kind: str, seed: int = 0, **params) -> Graph:
             raise GraphError(f"probability p={p} outside [0,1]")
         iu, ju = np.triu_indices(n, k=1)
         mask = rng.random(len(iu)) < p
-        edges = tuple((int(a), int(b)) for a, b in zip(iu[mask], ju[mask]))
-        return Graph(n, edges)
+        return Graph(n, np.column_stack((iu[mask], ju[mask])))
     if kind == "geometric":
         if "r" not in params:
             raise GraphError("geometric generator requires r")
@@ -284,8 +275,7 @@ def generate(kind: str, seed: int = 0, **params) -> Graph:
         iu, ju = np.triu_indices(n, k=1)
         d2 = ((pts[iu] - pts[ju]) ** 2).sum(axis=1)
         mask = d2 < r * r
-        edges = tuple((int(a), int(b)) for a, b in zip(iu[mask], ju[mask]))
-        return Graph(n, edges)
+        return Graph(n, np.column_stack((iu[mask], ju[mask])))
     if kind == "complete":
         return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
     if kind == "star":

@@ -251,6 +251,31 @@ class TestMeanfield:
         assert runner.invoke(main, args + ["-o", b]).exit_code == 0
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    def test_edge_order_does_not_matter(self, runner, tmp_path):
+        # The same weighted graph written sorted, then shuffled with
+        # reversed and repeated edges, gives byte-identical reports.
+        rng = np.random.default_rng(3)
+        g = epinet.generate("er", n=30, p=0.2, seed=2)
+        w = rng.uniform(0.3, 1.0, g.m)
+        lines = [f"{i} {j} {x!r}" for (i, j), x in zip(g.edges, w.tolist())]
+        shuffled = [lines[k] for k in rng.permutation(len(lines))]
+        shuffled = [" ".join(v.split()[1::-1] + v.split()[2:])
+                    if k % 3 == 0 else v for k, v in enumerate(shuffled)]
+        shuffled += shuffled[::4]
+        reports = []
+        for name, body in (("sorted", lines), ("shuffled", shuffled)):
+            path = tmp_path / f"{name}.txt"
+            path.write_text("n=30\n" + "\n".join(body) + "\n")
+            out = tmp_path / f"{name}.json"
+            res = runner.invoke(main, [
+                "meanfield", "--graph", str(path), "--variant", "sirs",
+                "--beta", "0.3", "--delta", "0.5", "--gamma", "0.4",
+                "-o", str(out),
+            ])
+            assert res.exit_code == 0, res.output
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_missing_rates_usage_error(self, runner, path3_file, tmp_path):
         res = runner.invoke(main, [
             "meanfield", "--graph", path3_file, "--variant", "sirs",
@@ -294,6 +319,28 @@ class TestExact:
         ])
         assert res.exit_code == 2
         assert "memory budget" in res.output
+        assert not (tmp_path / "x.json").exists()
+
+    def test_dense_scan_budget_checked_before_build(self, runner, tmp_path,
+                                                    monkeypatch):
+        # siv-id has a non-point stationary law, so its mixing scan is
+        # dense: 3 * 27^2 * 8 bytes on path:n=3. Above the budget the
+        # command must exit 2 without building S.
+        def no_build(*args):
+            raise AssertionError("S was built")
+
+        monkeypatch.setattr(epinet.exact_chain, "MEMORY_BUDGET_BYTES",
+                            3 * 27 * 27 * 8 - 1)
+        monkeypatch.setattr(cli_module, "build_transition_matrix", no_build)
+        monkeypatch.setattr(epinet.exact_chain, "build_transition_matrix",
+                            no_build)
+        res = runner.invoke(main, [
+            "exact", "--generate", "path:n=3", "--variant", "siv-id",
+            "--beta", "0.1", "--delta", "0.6", "--gamma", "0.5",
+            "--theta", "0.5", "-o", str(tmp_path / "x.json"),
+        ])
+        assert res.exit_code == 2, res.output
+        assert "mixing scan" in res.output and "memory budget" in res.output
         assert not (tmp_path / "x.json").exists()
 
     def test_epsilon_range(self, runner, path3_file, tmp_path):

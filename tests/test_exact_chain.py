@@ -472,6 +472,21 @@ class TestMixing:
         assert len(tied) == 3
         assert rep.worst_initial.code == tied[0]
 
+    def test_cap_below_one_point_mass(self):
+        g = generate("path", n=2)
+        m = ModelSpec("sis-nia", beta=0.3, delta=0.5)
+        S, pi = build_transition_matrix(m, g), stationary(m, g)
+        with pytest.raises(ExactChainError, match="cap must be >= 1"):
+            mixing_time_exact(S, pi, 0.25, cap=0)
+
+    def test_cap_below_one_dense(self):
+        g = generate("path", n=2)
+        m = ModelSpec("siv-id", beta=0.3, delta=0.5, gamma=0.4, theta=0.3)
+        S, pi = build_transition_matrix(m, g), stationary(m, g)
+        assert pi.entries.max() < 1.0  # the non-point-mass branch
+        with pytest.raises(ExactChainError, match="cap must be >= 1"):
+            mixing_time_exact(S, pi, 0.25, cap=0)
+
     def test_nonpoint_mixing_memory_budget(self, monkeypatch, path3):
         siv = ModelSpec("siv-id", beta=0.1, delta=0.9, gamma=0.5, theta=0.5)
         sirs = ModelSpec("sirs", beta=0.1, delta=0.9, gamma=0.5)

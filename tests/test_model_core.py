@@ -88,6 +88,63 @@ class TestGraph:
         assert sub.edges == ((0, 1),)
         assert sub.weights == (0.6,)
 
+    def test_edges_sorted_and_deduplicated(self):
+        rng = np.random.default_rng(0)
+        g = generate("er", n=25, p=0.3, seed=1)
+        w = rng.uniform(0.1, 1.0, g.m)
+        pairs = list(zip(g.edges, w.tolist()))
+        pairs += [pairs[k] for k in rng.integers(0, g.m, 10)]
+        pairs = [pairs[k] for k in rng.permutation(len(pairs))]
+        edges = tuple(e if k % 2 else e[::-1] for k, (e, _) in enumerate(pairs))
+        shuffled = Graph(g.n, edges, tuple(x for _, x in pairs))
+        assert shuffled == Graph(g.n, g.edges, tuple(w.tolist()))
+        assert shuffled.edges == tuple(sorted(g.edges))
+        assert np.array_equal(shuffled.adjacency(),
+                              Graph(g.n, g.edges, tuple(w.tolist())).adjacency())
+
+    def test_array_inputs(self):
+        g = Graph(3, np.array([[2, 1], [0, 1]]), np.array([0.5, 0.25]))
+        assert g == Graph(3, ((0, 1), (1, 2)), (0.25, 0.5))
+        assert Graph(3, ((0, 1),), []) == Graph(3, ((0, 1),))
+
+    def test_first_bad_edge_in_input_order(self):
+        with pytest.raises(GraphError, match=r"self-loop \(2,2\)"):
+            Graph(3, ((0, 1), (2, 2), (0, 5)))
+        with pytest.raises(GraphError, match=r"edge \(5,0\) out of range"):
+            Graph(3, ((0, 1), (5, 0), (2, 2)))
+        # Every pair clashes; (2, 3) is the first clash in input order.
+        with pytest.raises(GraphError, match=r"duplicate edge \(2, 3\)"):
+            Graph(4, ((2, 3), (2, 1), (0, 1), (2, 3), (1, 2), (1, 0)),
+                  (0.5, 0.5, 0.5, 0.7, 0.6, 0.4))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_views_match_dense_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        pairs = rng.integers(0, n, (int(rng.integers(0, 2 * n)), 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        # Equal weights for repeated pairs, whatever their orientation.
+        w = (pairs.min(axis=1) * 7 + pairs.max(axis=1) * 3) % 10 / 10 + 0.05
+        g = Graph(n, tuple(map(tuple, pairs.tolist())), tuple(w.tolist()))
+        A = np.zeros((n, n))
+        A[pairs[:, 0], pairs[:, 1]] = w
+        A[pairs[:, 1], pairs[:, 0]] = w
+        assert np.array_equal(g.adjacency(), A)
+        assert g.degrees.tolist() == np.count_nonzero(A, axis=1).tolist()
+        for i in range(n):
+            assert g.neighbors(i).tolist() == np.flatnonzero(A[i]).tolist()
+        # Reachability by repeated squaring; components ordered by size,
+        # ties by their smallest node.
+        R = (A > 0) | np.eye(n, dtype=bool)
+        for _ in range(n.bit_length()):
+            R = (R.astype(int) @ R.astype(int)) > 0
+        comps = sorted({tuple(np.flatnonzero(r).tolist()) for r in R},
+                       key=lambda c: (-len(c), c[0]))
+        assert g.components() == [list(c) for c in comps]
+        nodes = rng.permutation(n)[:max(1, n // 2)].tolist()
+        assert np.array_equal(g.subgraph(nodes).adjacency(),
+                              A[np.ix_(nodes, nodes)])
+
 
 class TestEdgeListIO:
     def test_roundtrip_plain(self):
