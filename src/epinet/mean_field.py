@@ -264,6 +264,17 @@ def mf_linear_model(model: ModelSpec, graph: Graph) -> LinearModel:
     return LinearModel(np.vstack([top, bot]), base)
 
 
+def _sis_coefficients(model: ModelSpec, p: np.ndarray,
+                      Pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal d and row scale c of a 2-compartment rate Jacobian.
+
+    J_ii = d_i and J_ij = c_i * dPi_i/dx_j on every edge (i, j).
+    """
+    if model.variant == "sis-nia":
+        return (1.0 - model.delta) * Pi, 1.0 - (1.0 - model.delta) * p
+    return (1.0 - model.delta) - (1.0 - Pi), 1.0 - p  # sis-ia
+
+
 def mf_jacobian(model: ModelSpec, graph: Graph, x: MeanFieldPoint) -> np.ndarray:
     """Analytic Jacobian of the mean-field map at x.
 
@@ -295,12 +306,9 @@ def mf_jacobian(model: ModelSpec, graph: Graph, x: MeanFieldPoint) -> np.ndarray
 
     if model.k == 2:
         J = np.zeros((n, n))
-        if model.variant == "sis-nia":
-            J[rows, cols] = dPi * (1.0 - (1.0 - model.delta) * p[rows])
-            J[diag, diag] = (1.0 - model.delta) * Pi
-        else:  # sis-ia
-            J[rows, cols] = dPi * (1.0 - p[rows])
-            J[diag, diag] = (1.0 - model.delta) - (1.0 - Pi)
+        d, c = _sis_coefficients(model, p, Pi)
+        J[rows, cols] = dPi * c[rows]
+        J[diag, diag] = d
         return J
 
     r = x.p_r
@@ -315,16 +323,53 @@ def mf_jacobian(model: ModelSpec, graph: Graph, x: MeanFieldPoint) -> np.ndarray
     J[n + diag, diag] = -scale * xi
     # Recovered rows.
     if model.variant == "sirs":
-        J[R, R] = (1.0 - model.gamma) * np.eye(n)
-        J[R, I] = model.delta * np.eye(n)
+        # Diagonal writes: a scaled np.eye(n) would add two n x n
+        # temporaries to the peak memory of a large Jacobian.
+        J[diag, diag] = 1.0 - model.gamma
+        J[diag, n + diag] = model.delta
     elif model.variant == "siv-id":
         J[diag, diag] = (1.0 - model.gamma) - model.theta * Pi
         J[rows, n + cols] = -model.theta * s[rows] * dPi
         J[diag, n + diag] += model.delta - model.theta * Pi
     else:  # siv-vd
+        # These coefficients can be negative, and then the scaled identity
+        # writes -0.0 off the diagonal; diagonal writes would change bytes.
         J[R, R] = (1.0 - model.gamma - model.theta) * np.eye(n)
         J[R, I] = (model.delta - model.theta) * np.eye(n)
     return J
+
+
+def jacobian_eigenvalues(model: ModelSpec, graph: Graph,
+                         x: MeanFieldPoint) -> np.ndarray:
+    """Eigenvalues of mf_jacobian(model, graph, x), in no fixed order.
+
+    On an unweighted graph the sis-nia and sis-ia Jacobians are
+    diag(d) + diag(u) A diag(v) with u = beta Pi c >= 0 (c from
+    _sis_coefficients) and v = 1/(1 - beta p) > 0. They share their
+    spectrum with the symmetric diag(d) + diag(w) A diag(w), w = sqrt(u v):
+    a diagonal similarity where u > 0, and a node with u_i = 0 splits off
+    the eigenvalue d_i from both. eigvalsh solves that matrix, so the
+    result is real. Weighted graphs, sis-general, the 3-compartment
+    variants and any factor 1 - beta p_j <= 1e-12 take the general
+    np.linalg.eigvals of the dense Jacobian, whose result is complex.
+    """
+    if x.n != graph.n or x.k != model.k:
+        raise MeanFieldError("point does not match model/graph dimensions")
+    f = None
+    if model.k == 2 and model.contact is None and not graph.is_weighted:
+        f = 1.0 - model.beta * x.p_i
+    if f is None or f.min(initial=1.0) <= 1e-12:
+        return np.linalg.eigvals(mf_jacobian(model, graph, x))
+    n = graph.n
+    A = graph.adjacency_sparse
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    Pi = _row_products(A.indptr, f[A.indices])
+    d, c = _sis_coefficients(model, x.p_i, Pi)
+    w = np.sqrt(model.beta * Pi * c / f)
+    S = np.zeros((n, n))
+    S[rows, A.indices] = w[rows] * w[A.indices]
+    np.fill_diagonal(S, d)
+    return np.linalg.eigvalsh(S)
 
 
 def mf_iterate(model: ModelSpec, graph: Graph, x0: MeanFieldPoint,
@@ -376,6 +421,14 @@ def _relation_defect(model: ModelSpec, pt: MeanFieldPoint) -> float | None:
     return float(np.abs(pt.p_r - pred).max())
 
 
+# Longest period the fixed-point iteration detects as a cycle.
+_CYCLE_LAGS = 64
+# Doubles (128 KiB) per block of stored iterates in the cycle check: a block
+# stays in cache, so the check costs no more per lag than lag-by-lag
+# comparisons do, at any state size.
+_LAG_BLOCK = 16384
+
+
 def find_fixed_point(model: ModelSpec, graph: Graph, tol: float = 1e-10,
                      cap: int = 100000, damping: float | None = None,
                      x0: MeanFieldPoint | None = None,
@@ -408,7 +461,14 @@ def find_fixed_point(model: ModelSpec, graph: Graph, tol: float = 1e-10,
     assert_decreasing = monotone and x0 is None and damping == 1.0
     x = x0 if x0 is not None else _upper_corner(model, n)
     vec = x.concat()
-    history: list[np.ndarray] = [vec]
+    # The last _CYCLE_LAGS iterates; the one at lag j before the newest
+    # iterate sits in slot (head - j) % _CYCLE_LAGS.
+    ring = np.empty((_CYCLE_LAGS, len(vec)))
+    ring[0] = vec
+    rows = max(1, _LAG_BLOCK // len(vec))
+    scratch = np.empty((min(rows, _CYCLE_LAGS), len(vec)))
+    by_slot = np.empty(_CYCLE_LAGS)
+    head, stored = 1, 1
     classify_eps = max(tol, 1e-8)
     it = 0
     residual = math.inf
@@ -429,17 +489,20 @@ def find_fixed_point(model: ModelSpec, graph: Graph, tol: float = 1e-10,
             break
         cycle_q = 0
         nv_res = None
-        for q in range(2, min(len(history), 64) + 1):
-            if np.abs(nvec - history[-q]).max() < 1e-9:
-                # Candidate period q. A slowly converging trajectory also
-                # recurs within 1e-9; a genuine cycle must additionally
-                # swing by a macroscopic amplitude within the period.
-                amplitude = max(
-                    float(np.abs(nvec - history[-j]).max())
-                    for j in range(1, q)
-                )
-                if amplitude <= 1e-6:
-                    break
+        # Distance from nvec to every stored iterate, by slot.
+        for a in range(0, stored, rows):
+            blk = scratch[:min(rows, stored - a)]
+            np.subtract(ring[a:a + len(blk)], nvec, out=blk)
+            np.abs(blk, out=blk).max(axis=1, out=by_slot[a:a + len(blk)])
+        # dist[j - 1] is the distance from nvec to the iterate j steps back.
+        dist = by_slot[(head - np.arange(1, stored + 1)) % _CYCLE_LAGS]
+        recur = np.flatnonzero(dist[1:] < 1e-9)
+        if len(recur):
+            # Candidate period q. A slowly converging trajectory also
+            # recurs within 1e-9; a genuine cycle must additionally swing
+            # by a macroscopic amplitude within the period.
+            q = int(recur[0]) + 2
+            if float(dist[:q - 1].max()) > 1e-6:
                 nv_res = float(
                     np.abs(mf_step(model, graph,
                                    MeanFieldPoint.from_concat(nvec, model.k)
@@ -447,22 +510,22 @@ def find_fixed_point(model: ModelSpec, graph: Graph, tol: float = 1e-10,
                 )
                 if nv_res > tol:
                     cycle_q = q
-                break
         x = MeanFieldPoint.from_concat(nvec, model.k)
         vec = nvec
         if cycle_q:
             classification = f"cycle({cycle_q})"
             residual = nv_res
             break
-        history.append(vec)
-        if len(history) > 65:
-            history.pop(0)
+        ring[head] = vec
+        head = (head + 1) % _CYCLE_LAGS
+        stored = min(stored + 1, _CYCLE_LAGS)
+    del ring, scratch
     if classification == "converged":
         inf_norm = float(np.abs(x.p_i).max())
         classification = "disease-free" if inf_norm < classify_eps else "endemic"
     spectrum = None
     if compute_spectrum:
-        spectrum = np.linalg.eigvals(mf_jacobian(model, graph, x))
+        spectrum = jacobian_eigenvalues(model, graph, x)
     defect = _relation_defect(model, x) if classification == "endemic" else None
     return FixedPointReport(x, residual, it, classification, spectrum, defect)
 
@@ -482,7 +545,7 @@ def classify_stability(model: ModelSpec, graph: Graph, point: MeanFieldPoint,
         raise MeanFieldError(
             f"point is not fixed (residual {res:.3e} > {fixed_tol:.1e})"
         )
-    eigs = np.linalg.eigvals(mf_jacobian(model, graph, point))
+    eigs = jacobian_eigenvalues(model, graph, point)
     rho = float(np.abs(eigs).max()) if len(eigs) else 0.0
     real = eigs[np.abs(eigs.imag) <= 1e-9].real
     largest_real = float(real.max()) if len(real) else -math.inf

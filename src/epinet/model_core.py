@@ -241,6 +241,36 @@ def format_edge_list(graph: Graph) -> str:
 # Generators
 # ---------------------------------------------------------------------------
 
+# Largest number of candidate pairs the er and geometric generators hold at
+# once (a row longer than this is one block on its own).
+_PAIR_BLOCK = 1 << 18
+
+
+def _pairs_where(n: int, keep) -> np.ndarray:
+    """(m, 2) array of the pairs (i, j), i < j, for which keep holds.
+
+    Pairs come in np.triu_indices(n, 1) order. keep(iu, ju) is called on
+    consecutive blocks of whole rows, in that order, and returns a boolean
+    mask, so memory stays O(_PAIR_BLOCK + m) instead of O(n^2).
+    """
+    counts = np.arange(n - 1, -1, -1)
+    start = np.concatenate(([0], np.cumsum(counts)))
+    parts = [np.empty((0, 2), dtype=np.int64)]
+    a = 0
+    while a < n - 1:
+        b = max(a + 1, int(np.searchsorted(start, start[a] + _PAIR_BLOCK,
+                                           side="right")) - 1)
+        rows = np.arange(a, b)
+        iu = np.repeat(rows, counts[a:b])
+        # Pair t of row i, start[i] <= t < start[i + 1], is (i, i+1+t-start[i]).
+        ju = np.arange(start[a], start[b]) - np.repeat(start[a:b] - rows - 1,
+                                                       counts[a:b])
+        mask = keep(iu, ju)
+        parts.append(np.column_stack((iu[mask], ju[mask])))
+        a = b
+    return np.concatenate(parts)
+
+
 def generate(kind: str, seed: int = 0, **params) -> Graph:
     """Generate a graph deterministically from (kind, params, seed).
 
@@ -262,9 +292,8 @@ def generate(kind: str, seed: int = 0, **params) -> Graph:
         p = float(params["p"])
         if not (0.0 <= p <= 1.0):
             raise GraphError(f"probability p={p} outside [0,1]")
-        iu, ju = np.triu_indices(n, k=1)
-        mask = rng.random(len(iu)) < p
-        return Graph(n, np.column_stack((iu[mask], ju[mask])))
+        return Graph(n, _pairs_where(n, lambda iu, ju:
+                                     rng.random(len(iu)) < p))
     if kind == "geometric":
         if "r" not in params:
             raise GraphError("geometric generator requires r")
@@ -272,10 +301,9 @@ def generate(kind: str, seed: int = 0, **params) -> Graph:
         if r <= 0:
             raise GraphError(f"radius r={r} must be > 0")
         pts = rng.random((n, 2))
-        iu, ju = np.triu_indices(n, k=1)
-        d2 = ((pts[iu] - pts[ju]) ** 2).sum(axis=1)
-        mask = d2 < r * r
-        return Graph(n, np.column_stack((iu[mask], ju[mask])))
+        return Graph(n, _pairs_where(n, lambda iu, ju:
+                                     ((pts[iu] - pts[ju]) ** 2).sum(axis=1)
+                                     < r * r))
     if kind == "complete":
         return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
     if kind == "star":

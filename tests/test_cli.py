@@ -504,6 +504,21 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert project["version"] in proc.stdout
 
+    def test_import_leaves_heavy_scipy_modules_unloaded(self):
+        """Importing the CLI loads no scipy solver module; each is imported
+        where it is used, so start-up time stays small."""
+        heavy = ("scipy.sparse.linalg", "scipy.sparse.csgraph",
+                 "scipy.optimize", "scipy.linalg")
+        code = ("import sys, epinet.cli\n"
+                f"print([m for m in {heavy!r} if m in sys.modules])")
+        src = str(Path(epinet.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     @pytest.mark.skipif(shutil.which("epinet") is None,
                         reason="epinet console script not on PATH")
     def test_console_script_on_path(self):

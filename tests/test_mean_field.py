@@ -21,6 +21,7 @@ from epinet import (
     fd_jacobian,
     find_fixed_point,
     generate,
+    jacobian_eigenvalues,
     linear_bound_check,
     marginals,
     mf_iterate,
@@ -34,6 +35,7 @@ from epinet import (
     threshold_ratio,
 )
 
+from epinet import mean_field
 from conftest import ALL_VARIANTS, random_connected_graph, random_model
 
 
@@ -317,6 +319,59 @@ class TestJacobian:
         assert J[0, 1] == pytest.approx(0.375 * (1.0 - 0.5 * 0.0), abs=1e-12)
 
 
+class TestJacobianEigenvalues:
+    """jacobian_eigenvalues against np.linalg.eigvals(mf_jacobian)."""
+
+    @staticmethod
+    def oracle(m, g, pt):
+        return np.linalg.eigvals(mf_jacobian(m, g, pt))
+
+    def test_symmetric_path_matches_eigvals(self, rng):
+        graphs = [generate("complete", n=1), generate("path", n=2),
+                  Graph(6, ((0, 1), (1, 2), (3, 4)))]  # node 5 isolated
+        for _ in range(40):
+            n = int(rng.integers(1, 40))
+            graphs.append(generate("er", n=n, p=float(rng.uniform(0.02, 0.6)),
+                                   seed=int(rng.integers(2 ** 31))))
+        for t, g in enumerate(graphs):
+            m = random_model(rng, ("sis-nia", "sis-ia")[t % 2])
+            if t % 5 == 0:
+                m = ModelSpec(m.variant, beta=1.0, delta=m.delta)
+            pt = MeanFieldPoint(rng.uniform(0.0, 0.99, g.n))
+            ev = jacobian_eigenvalues(m, g, pt)
+            assert ev.dtype == np.float64
+            ref = np.sort_complex(self.oracle(m, g, pt))
+            scale = max(1.0, float(np.abs(ref).max()))
+            assert np.abs(ref.imag).max() <= 1e-12 * scale
+            assert np.abs(np.sort(ev) - ref.real).max() <= 1e-12 * scale
+
+    def test_fallbacks_equal_eigvals(self, rng):
+        g = random_connected_graph(rng, 7, n_min=4)
+        weighted = Graph(g.n, g.edges, rng.uniform(0.2, 1.0, g.m))
+        cases = [(random_model(rng, "sis-nia"), weighted),
+                 (random_model(rng, "sis-ia"), weighted)]
+        cases += [(random_model(rng, v, n=g.n), g)
+                  for v in ("sis-general", "sirs", "siv-id", "siv-vd")]
+        for variant in ("sis-nia", "sis-ia"):
+            cases.append((ModelSpec(variant, beta=1.0, delta=0.3), g))
+        for m, graph in cases:
+            pt = random_point(rng, m.variant, graph.n)
+            if m.beta == 1.0:
+                p = pt.p_i.copy()
+                p[1] = 1.0
+                pt = MeanFieldPoint(p)
+            ev = jacobian_eigenvalues(m, graph, pt)
+            assert np.array_equal(ev, self.oracle(m, graph, pt)), m.variant
+
+    def test_mismatched_point_rejected(self, path3):
+        m = ModelSpec("sis-nia", beta=0.3, delta=0.7)
+        with pytest.raises(MeanFieldError):
+            jacobian_eigenvalues(m, path3, MeanFieldPoint(np.full(4, 0.2)))
+        with pytest.raises(MeanFieldError):
+            jacobian_eigenvalues(m, path3, MeanFieldPoint(np.full(3, 0.2),
+                                                          np.full(3, 0.1)))
+
+
 # ---------------------------------------------------------------------------
 # Fixed points
 # ---------------------------------------------------------------------------
@@ -397,6 +452,158 @@ class TestFixedPoint:
         m = ModelSpec("sis-nia", beta=0.3, delta=0.7)
         with pytest.raises(MeanFieldError):
             find_fixed_point(m, path3, tol=0.0)
+
+
+def reference_fixed_point(model, graph, tol=1e-10, cap=100000, damping=None,
+                          x0=None):
+    """The fixed-point loop with a list history and one distance per lag,
+    as find_fixed_point ran it before its lags were compared at once.
+
+    Returns (classification, iterations, residual, point) and calls the map
+    through mean_field.mf_step, so a monkeypatched map reaches it too.
+    """
+    from epinet.model_core import _VARIANTS
+
+    monotone = _VARIANTS[model.variant].order_preserving
+    if damping is None:
+        damping = 1.0 if monotone else 0.5
+    assert_decreasing = monotone and x0 is None and damping == 1.0
+    x = x0 if x0 is not None else mean_field._upper_corner(model, graph.n)
+    vec = x.concat()
+    history = [vec]
+    it = 0
+    residual = math.inf
+    classification = "non-converged"
+    for it in range(1, cap + 1):
+        fx = mean_field.mf_step(model, graph, x)
+        fvec = fx.concat()
+        residual = float(np.abs(fvec - vec).max())
+        nvec = vec + damping * (fvec - vec)
+        if assert_decreasing and np.any(nvec > vec + 1e-12):
+            raise MeanFieldError("monotone iteration increased a coordinate")
+        if residual < tol:
+            x = fx
+            vec = fvec
+            classification = "converged"
+            break
+        cycle_q = 0
+        nv_res = None
+        for q in range(2, min(len(history), 64) + 1):
+            if np.abs(nvec - history[-q]).max() < 1e-9:
+                amplitude = max(
+                    float(np.abs(nvec - history[-j]).max())
+                    for j in range(1, q)
+                )
+                if amplitude <= 1e-6:
+                    break
+                nv_res = float(
+                    np.abs(mean_field.mf_step(
+                        model, graph,
+                        MeanFieldPoint.from_concat(nvec, model.k)
+                    ).concat() - nvec).max()
+                )
+                if nv_res > tol:
+                    cycle_q = q
+                break
+        x = MeanFieldPoint.from_concat(nvec, model.k)
+        vec = nvec
+        if cycle_q:
+            classification = f"cycle({cycle_q})"
+            residual = nv_res
+            break
+        history.append(vec)
+        if len(history) > 65:
+            history.pop(0)
+    if classification == "converged":
+        inf_norm = float(np.abs(x.p_i).max())
+        classification = ("disease-free" if inf_norm < max(tol, 1e-8)
+                          else "endemic")
+    return classification, it, residual, x
+
+
+class TestCycleDetector:
+    """find_fixed_point's cycle detection against reference_fixed_point."""
+
+    @staticmethod
+    def assert_same(m, g, **kwargs):
+        cls, it, res, pt = reference_fixed_point(m, g, **kwargs)
+        d = len(pt.concat())
+        # Stored iterates compared in one block, one at a time, and in
+        # blocks of three (the last block partial).
+        for block in (mean_field._LAG_BLOCK, d, 3 * d):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mean_field, "_LAG_BLOCK", block)
+                rep = find_fixed_point(m, g, compute_spectrum=False, **kwargs)
+            assert (rep.classification, rep.iterations, rep.residual) \
+                == (cls, it, res)
+            assert np.array_equal(rep.point.concat(), pt.concat())
+        return rep
+
+    @staticmethod
+    def use_map(monkeypatch, fn):
+        monkeypatch.setattr(mean_field, "mf_step",
+                            lambda model, graph, x: MeanFieldPoint(fn(x.p_i)))
+
+    M = ModelSpec("sis-ia", beta=0.5, delta=0.5)
+
+    def test_period_two(self, monkeypatch):
+        self.use_map(monkeypatch, lambda p: 1.0 - p)
+        rep = self.assert_same(self.M, generate("path", n=4), damping=1.0,
+                               x0=MeanFieldPoint(np.linspace(0.1, 0.4, 4)))
+        assert rep.classification == "cycle(2)"
+
+    @pytest.mark.parametrize("q", [3, 17, 64, 65])
+    def test_rotation_orbit(self, monkeypatch, q):
+        """A rotation of q distinct values has period q; 64 is the longest
+        period detected, so 65 runs to the cap."""
+        self.use_map(monkeypatch, lambda p: np.roll(p, 1))
+        rep = self.assert_same(self.M, generate("path", n=q), damping=1.0,
+                               cap=300,
+                               x0=MeanFieldPoint(np.linspace(0.05, 0.9, q)))
+        assert rep.classification == ("non-converged" if q > 64
+                                      else f"cycle({q})")
+
+    def test_slow_convergence_is_not_a_cycle(self, monkeypatch):
+        """Iterates recur within 1e-9 at lag 2 but swing by less than 1e-6,
+        for longer than the 64 stored iterates."""
+        c = np.array([0.3, 0.6])
+        self.use_map(monkeypatch, lambda p: c - 0.999 * (p - c))
+        rep = self.assert_same(self.M, generate("path", n=2), tol=1e-13,
+                               cap=600, damping=1.0,
+                               x0=MeanFieldPoint(c + 1e-7))
+        assert rep.classification == "non-converged"
+        assert rep.iterations == 600
+
+    def test_cycle_after_long_transient(self, monkeypatch):
+        """Node 0 decays geometrically; once it is small the other nodes
+        flip, so a period-2 cycle is found well past 64 stored iterates."""
+        def flip_late(p):
+            out = p.copy()
+            out[0] = 0.9 * p[0]
+            if p[0] < 1e-4:
+                out[1:] = 1.0 - p[1:]
+            return out
+
+        self.use_map(monkeypatch, flip_late)
+        x0 = MeanFieldPoint(np.array([0.5, 0.2, 0.7]))
+        rep = self.assert_same(self.M, generate("path", n=3), damping=1.0,
+                               x0=x0)
+        assert rep.classification == "cycle(2)"
+        assert rep.iterations > 100
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_real_maps(self, rng, variant):
+        g = random_connected_graph(rng, 8)
+        m = random_model(rng, variant, n=g.n)
+        self.assert_same(m, g, tol=1e-12)
+        if m.contact is None:
+            self.assert_same(m, g, tol=1e-12, damping=1.0,
+                             x0=random_point(rng, variant, g.n))
+
+    def test_star3_raw_cycle(self, star3):
+        rep = self.assert_same(ModelSpec("sis-ia", beta=0.9, delta=0.9),
+                               star3, damping=1.0)
+        assert rep.classification == "cycle(2)"
 
 
 # ---------------------------------------------------------------------------

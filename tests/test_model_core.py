@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from epinet import (
     threshold_ratio,
 )
 
+from epinet import model_core
 from conftest import random_connected_graph
 
 
@@ -194,6 +196,40 @@ class TestGenerate:
         small = generate("geometric", n=40, r=0.1, seed=2)
         large = generate("geometric", n=40, r=0.6, seed=2)
         assert small.m <= large.m
+
+    @pytest.mark.parametrize("block", [1, 4, 7])
+    def test_pair_blocks_match_all_pairs(self, monkeypatch, block):
+        """Row-blocked er and geometric graphs equal the ones drawn from all
+        n(n-1)/2 pairs at once: Generator.random concatenates across calls."""
+        def all_pairs(n, p=None, r=None, seed=0):
+            rng = np.random.default_rng(seed)
+            iu, ju = np.triu_indices(n, k=1)
+            if p is not None:
+                mask = rng.random(len(iu)) < p
+            else:
+                pts = rng.random((n, 2))
+                mask = ((pts[iu] - pts[ju]) ** 2).sum(axis=1) < r * r
+            return Graph(n, np.column_stack((iu[mask], ju[mask])))
+
+        monkeypatch.setattr(model_core, "_PAIR_BLOCK", block)
+        for n in (1, 2, 3, 9, 31):
+            for seed in (0, 11):
+                assert generate("er", n=n, p=0.3, seed=seed) \
+                    == all_pairs(n, p=0.3, seed=seed)
+                assert generate("geometric", n=n, r=0.4, seed=seed) \
+                    == all_pairs(n, r=0.4, seed=seed)
+
+    def test_er_memory_is_not_quadratic(self):
+        """12.5 million candidate pairs at n=5000 would need about 300 MB
+        held at once; the row blocks keep the peak far below that."""
+        tracemalloc.start()
+        try:
+            g = generate("er", n=5000, p=2.0 * math.log(5000) / 5000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.m > 0
+        assert peak < 64 * 2 ** 20
 
     def test_unknown_kind(self):
         with pytest.raises(GraphError):
