@@ -374,8 +374,11 @@ def cmd_sweep(*, graph_path, generate_spec, variant, beta, delta, gamma,
     for idx, b in enumerate(betas):
         model = _build_model(variant, b, delta, gamma, theta)
         ratio = _ratio_or_usage(model, g)
-        rep = mc_ensemble(model, g, init=init, t_max=t_max, n_reps=reps,
-                          master_seed=seed + idx)
+        try:
+            rep = mc_ensemble(model, g, init=init, t_max=t_max, n_reps=reps,
+                              master_seed=seed + idx)
+        except MonteCarloError as exc:
+            raise click.UsageError(str(exc))
         outcome = "extinct" if 2 * rep.extinct_count > rep.n_reps \
             else "persistent"
         ext = [a for a in rep.absorbed_steps if a is not None]

@@ -4,21 +4,24 @@ Synchronous updates: every node samples its next compartment from its exact
 conditional given the current full state (infection pressure counted against
 the pre-update snapshot). Randomness is counter-based (Philox): step t of
 replicate r draws from the stream keyed by the master seed with counter
-(0, 0, t, r), and initial-condition draws use counter (0, 1, 0, r), so
-trajectories are bit-identical regardless of scheduling or which other
-replicates run.
+(0, 0, t, r), and initial-condition draws use counter (0, 1, 0, r), so a
+replicate's trajectory is bit-identical whichever other replicates run
+beside it.
+
+All replicates of a run advance together: the live ones form an (R x n)
+int8 state matrix, stepped in row blocks that bound the float temporaries,
+and a replicate leaves the matrix at the step where its trajectory ends.
+Each row still draws its own substream, so batching changes no bit.
 
 Early-exit semantics: SIS and SIRS trajectories end at the first step with
 zero infected (the epidemic cannot restart and no susceptible node can enter
 the recovered compartment); SIV trajectories run to t_max, with the
 post-extinction dynamics reduced to the decoupled per-node
-susceptible/vaccinated chain (the escape probability is identically 1, so
-the neighbor sweep is skipped; the sampled law is unchanged).
+susceptible/vaccinated chain (the escape probability is identically 1; the
+sampled law is unchanged).
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +30,9 @@ import scipy.sparse as sp
 from .model_core import _VARIANTS, Graph, ModelSpec
 
 _LOG_FLOOR = -745.0  # exp() underflows to 0 below this; avoids -inf * 0 = nan
+# Upper bound on the doubles in one float temporary of a step: replicates are
+# stepped in blocks of max(1, _REP_BLOCK_DOUBLES // n) rows.
+_REP_BLOCK_DOUBLES = 1 << 18
 
 
 class MonteCarloError(ValueError):
@@ -122,59 +128,89 @@ class EnsembleReport:
 # Stepping
 # ---------------------------------------------------------------------------
 
-def _escape_function(model: ModelSpec, graph: Graph):
-    """z -> per-node probability of receiving no infection from the state.
+def _power_table(base: float, max_count: int) -> np.ndarray:
+    """base ** k for k = 0..max_count, the escape of k infected neighbors."""
+    return base ** np.arange(max_count + 1, dtype=float)
 
-    z is the float indicator of infected nodes. For sis-general the product
-    runs over the full contact row (including the diagonal), which folds
-    recovery into the same escape form. Built once per run: the log-factor
-    matrix depends only on the model and the graph.
+
+def _escape_function(model: ModelSpec, graph: Graph):
+    """Z -> per-node probability of receiving no infection, row by row.
+
+    Z is the (B x n) 0/1 indicator of infected nodes, one row per replicate.
+    For sis-general the product runs over the full contact row (including
+    the diagonal), which folds recovery into the same escape form. On an
+    unweighted graph the escape is a power of 1 - beta, read from a table
+    indexed by the infected-neighbor count. Built once per run: the table and
+    the log-factor matrix depend only on the model and the graph.
     """
-    n = graph.n
     if model.contact is not None:
         logs, scale = sp.csr_matrix(np.asarray(model.contact, dtype=float)), 1.0
     elif graph.is_weighted:
         logs, scale = graph.adjacency_sparse.copy(), model.beta
     else:
-        A, base = graph.adjacency_sparse, 1.0 - model.beta
-        return lambda z: base ** (A @ z) if z.any() else np.ones(n)
+        A = graph.adjacency_sparse
+        table = _power_table(1.0 - model.beta,
+                             int(graph.degrees.max(initial=0)))
+        return lambda Z: table.take((A @ Z.T).T.astype(np.intp))
     # log(1 - scale * w), floored so that exp() gives 0 instead of -inf * 0.
     logs.data = np.maximum(np.log1p(-scale * logs.data), _LOG_FLOOR)
-    return lambda z: np.exp(logs @ z) if z.any() else np.ones(n)
+    return lambda Z: np.exp((logs @ Z.T).T)
 
 
-def _step_uniforms(seed: int, replicate: int, t: int, n: int) -> np.ndarray:
-    gen = np.random.Generator(
-        np.random.Philox(counter=[0, 0, t, replicate], key=seed)
-    )
-    return gen.random(n)
+def _philox(seed: int):
+    """(out, t, replicate, stream=0) -> fill out with substream uniforms.
+
+    Writes the bits of Generator(Philox(counter=[0, stream, t, replicate],
+    key=seed)).random(len(out)) into the contiguous float64 vector out. One
+    Philox serves the whole run: each draw resets its counter and empties
+    its buffer instead of constructing a new generator.
+    """
+    bitgen = np.random.Philox(key=seed)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # fresh: zero counter, empty buffer
+    counter = state["state"]["counter"]
+
+    def fill(out: np.ndarray, t: int, replicate: int, stream: int = 0
+             ) -> None:
+        counter[1:] = stream, t, replicate
+        bitgen.state = state
+        gen.random(out=out)
+
+    return fill
 
 
 def _sampler(model: ModelSpec, graph: Graph):
-    """One synchronous update as (states, t, seed, replicate) -> next digits.
+    """One synchronous update as (states, u) -> next digits.
 
-    Inverse-CDF sampling: a node in compartment c with draw u moves to the
-    number of y < k-1 with u >= row[c][0] + ... + row[c][y], where
-    row[c][y] = C[c,y] + A[c,y] esc + B[c,y] (1 - esc) from the variant
-    table. Each coefficient column is gathered on the digits with a 1-D
-    take; all-zero columns are skipped.
+    states is a (B x n) digit matrix, one replicate per row, and u the
+    matching uniforms. Inverse-CDF sampling: a node in compartment c with
+    draw u moves to the number of y < k-1 with u >= row[c][0] + ... +
+    row[c][y], where row[c][y] = C[c,y] + A[c,y] esc + B[c,y] (1 - esc) from
+    the variant table. Each coefficient column is gathered on the digits
+    with a take; all-zero columns are skipped.
     """
     escape = _escape_function(model, graph)
     columns = [[(coef[:, y], j) for j, coef in
                 enumerate(_VARIANTS[model.variant].tables(model))
                 if coef[:, y].any()]
                for y in range(model.k - 1)]
-    n = graph.n
 
-    def advance(states: np.ndarray, t: int, seed: int,
-                replicate: int) -> np.ndarray:
-        u = _step_uniforms(seed, replicate, t, n)
-        esc = escape((states == 1).astype(float))
+    def advance(states: np.ndarray, u: np.ndarray) -> np.ndarray:
+        infected = states == 1
+        hit = infected.any(axis=1)
+        if hit.all():
+            esc = escape(infected.astype(float))
+        else:
+            # A row with no infected escapes with probability exactly 1.
+            esc = np.ones(states.shape)
+            if hit.any():
+                esc[hit] = escape(infected[hit].astype(float))
         factors = (1.0, esc, 1.0 - esc)
+        digits = states.astype(np.intp)
         cum = 0.0
-        nxt = np.zeros(n, dtype=np.int8)
+        nxt = np.zeros(states.shape, dtype=np.int8)
         for terms in columns:
-            cum = cum + sum(coef.take(states) * factors[j]
+            cum = cum + sum(coef.take(digits) * factors[j]
                             for coef, j in terms)
             nxt += u >= cum
         return nxt
@@ -188,85 +224,123 @@ def mc_step(model: ModelSpec, graph: Graph, state: SimState) -> SimState:
         raise MonteCarloError("state length does not match graph")
     if model.k == 2 and state.states.max(initial=0) > 1:
         raise MonteCarloError(f"digit 2 invalid for variant {model.variant}")
-    nxt = _sampler(model, graph)(state.states, state.t, state.rng_seed,
-                                 state.replicate)
+    u = np.empty((1, graph.n))
+    _philox(state.rng_seed)(u[0], state.t, state.replicate)
+    nxt = _sampler(model, graph)(state.states[None, :], u)[0]
     return SimState(nxt, state.t + 1, state.rng_seed, state.replicate)
 
 
-def _init_states(graph: Graph, init, seed: int, replicate: int) -> np.ndarray:
-    n = graph.n
+def _init_states(graph: Graph, init, fill, replicates: list[int]
+                 ) -> np.ndarray:
+    """Initial digit matrix, one row per replicate."""
+    shape = (len(replicates), graph.n)
     if isinstance(init, str):
         if init != "all-infected":
             raise MonteCarloError(f"unknown init {init!r}")
-        return np.ones(n, dtype=np.int8)
+        return np.ones(shape, dtype=np.int8)
     if isinstance(init, float):
         if not 0.0 <= init <= 1.0:
             raise MonteCarloError("init fraction must be in [0,1]")
-        gen = np.random.Generator(
-            np.random.Philox(counter=[0, 1, 0, replicate], key=seed)
-        )
-        return (gen.random(n) < init).astype(np.int8)
+        out = np.empty(shape, dtype=np.int8)
+        u = np.empty(graph.n)
+        for row, rep in enumerate(replicates):
+            fill(u, 0, rep, stream=1)
+            out[row] = u < init
+        return out
     nodes = np.asarray(list(init), dtype=np.int64)
-    if len(nodes) and (nodes.min() < 0 or nodes.max() >= n):
+    if len(nodes) and (nodes.min() < 0 or nodes.max() >= graph.n):
         raise MonteCarloError("explicit init set contains out-of-range nodes")
-    out = np.zeros(n, dtype=np.int8)
-    out[nodes] = 1
+    out = np.zeros(shape, dtype=np.int8)
+    out[:, nodes] = 1
     return out
 
 
-def _counts(states: np.ndarray) -> tuple[int, int, int]:
-    i = int(np.count_nonzero(states == 1))
-    r = int(np.count_nonzero(states == 2))
-    return len(states) - i - r, i, r
+def _run(model: ModelSpec, graph: Graph, init, t_max: int, seed: int,
+         replicates: list[int], snapshot_times: tuple[int, ...] = ()):
+    """Core loop: all replicates stepped as one batch to absorption/t_max.
 
-
-def _simulate(model: ModelSpec, graph: Graph, advance, init, t_max: int,
-              seed: int, replicate: int, snapshot_times: tuple[int, ...] = ()
-              ) -> tuple[list[tuple[int, int, int, int]], int | None,
-                         dict[int, np.ndarray]]:
-    """Core loop: rows to absorption/t_max plus exact state snapshots.
-
-    advance is the run's _sampler(model, graph).
+    Returns (i_mat, s_mat, r_mat, absorbed, snap_i, snap_r). Row j of the
+    (R x t_max+1) count matrices belongs to replicates[j]: i_mat is zero and
+    s_mat/r_mat NaN past the end of a record, except that a frozen
+    all-susceptible state extends its record exactly. absorbed[j] is the
+    first step with zero infected, -1 if none. snap_i[ts] (and snap_r[ts]
+    for three compartments) counts, per node, the replicates infected
+    (recovered) at time ts.
 
     Snapshot times past a SIS/SIRS absorption are still exact: a frozen
-    all-susceptible state is copied, and a SIRS state with zero infected
-    keeps evolving through the same update (its escape vector is 1).
+    all-susceptible state contributes nothing, and a SIRS state with zero
+    infected keeps evolving through the same update (its escape vector is
+    1) until the last requested snapshot.
     """
     if t_max < 1:
         raise MonteCarloError("t_max must be >= 1")
-    states = _init_states(graph, init, seed, replicate)
-    rows: list[tuple[int, int, int, int]] = []
-    snaps: dict[int, np.ndarray] = {}
+    fill = _philox(seed)
+    states = _init_states(graph, init, fill, replicates)
     need = sorted(set(snapshot_times))
     if need and (need[0] < 0 or need[-1] > t_max):
         raise MonteCarloError("snapshot times must lie in [0, t_max]")
-    absorbed: int | None = None
-    sim_until = t_max
-    record_until = t_max
-    t = 0
-    while True:
-        s, i, r = _counts(states)
-        if t <= record_until:
-            rows.append((t, s, i, r))
-        if t in need:
-            snaps[t] = states.copy()
-        if absorbed is None and i == 0:
-            absorbed = t
-            if _VARIANTS[model.variant].ends_at_extinction:
-                record_until = t
-                if model.k == 2 or r == 0:
-                    # Frozen all-susceptible state: copy it into any
-                    # remaining snapshots and stop.
-                    for ts in need:
-                        if ts > t:
-                            snaps[ts] = states.copy()
-                    break
-                sim_until = max([ts for ts in need if ts > t], default=t)
-        if t >= sim_until:
+    n = graph.n
+    reps = np.asarray(replicates, dtype=np.int64)
+    R, T = len(reps), t_max + 1
+    i_mat = np.zeros((R, T), dtype=np.int32)
+    s_mat = np.full((R, T), np.nan)
+    r_mat = np.full((R, T), np.nan)
+    absorbed = np.full(R, -1, dtype=np.int64)
+    snap_i = {ts: np.zeros(n, dtype=np.int64) for ts in need}
+    snap_r = {ts: np.zeros(n, dtype=np.int64) for ts in need} \
+        if model.k == 3 else {}
+    ends = _VARIANTS[model.variant].ends_at_extinction
+    advance = _sampler(model, graph)
+    block = max(1, _REP_BLOCK_DOUBLES // n)
+    u = np.empty((min(R, block), n))
+    # Per live row: its slot in the outputs, whether its record is still
+    # open, and the last step it is simulated to.
+    slot = np.arange(R)
+    recording = np.ones(R, dtype=bool)
+    sim_until = np.full(R, t_max)
+    for t in range(T):
+        infected = states == 1
+        recovered = states == 2
+        i = infected.sum(axis=1)
+        r = recovered.sum(axis=1)
+        rec = slot[recording]
+        i_mat[rec, t] = i[recording]
+        s_mat[rec, t] = (n - i - r)[recording]
+        r_mat[rec, t] = r[recording]
+        if t in snap_i:
+            snap_i[t] += infected.sum(axis=0)
+            if t in snap_r:
+                snap_r[t] += recovered.sum(axis=0)
+        zero = i == 0
+        if zero.any():
+            new = zero & (absorbed[slot] < 0)
+            absorbed[slot[new]] = t
+            if ends:
+                # SIS/SIRS: the record ends here. A frozen all-susceptible
+                # state extends it exactly and stops; any other state is
+                # simulated on to the last snapshot time.
+                recording &= ~new
+                frozen = new & (r == 0)
+                s_mat[slot[frozen], t + 1:] = n
+                r_mat[slot[frozen], t + 1:] = 0
+                sim_until[new & ~frozen] = max(
+                    [ts for ts in need if ts > t], default=t)
+                sim_until[frozen] = t
+                live = sim_until > t
+                if not live.all():
+                    states, slot = states[live], slot[live]
+                    recording, sim_until = recording[live], sim_until[live]
+                    if not len(slot):
+                        break
+        if t == t_max:
             break
-        states = advance(states, t, seed, replicate)
-        t += 1
-    return rows, absorbed, snaps
+        for b0 in range(0, len(slot), block):
+            rows = slice(b0, b0 + block)
+            ub = u[:len(slot[rows])]
+            for row, rep in enumerate(reps[slot[rows]].tolist()):
+                fill(ub[row], t, rep)
+            states[rows] = advance(states[rows], ub)
+    return i_mat, s_mat, r_mat, absorbed, snap_i, snap_r
 
 
 def mc_run(model: ModelSpec, graph: Graph, init="all-infected",
@@ -277,18 +351,24 @@ def mc_run(model: ModelSpec, graph: Graph, init="all-infected",
     init is "all-infected", a float infection fraction (sampled i.i.d. from
     the replicate's init substream), or an explicit iterable of node ids.
     """
-    rows, absorbed, _ = _simulate(model, graph, _sampler(model, graph), init,
-                                  t_max, seed, replicate)
-    return TrajectoryRecord(rows, absorbed)
+    i_mat, s_mat, r_mat, absorbed, _, _ = _run(model, graph, init, t_max,
+                                               seed, [replicate])
+    ab = int(absorbed[0])
+    end = ab if ab >= 0 and _VARIANTS[model.variant].ends_at_extinction \
+        else t_max
+    rows = list(zip(range(end + 1),
+                    s_mat[0, :end + 1].astype(int).tolist(),
+                    i_mat[0, :end + 1].tolist(),
+                    r_mat[0, :end + 1].astype(int).tolist()))
+    return TrajectoryRecord(rows, ab if ab >= 0 else None)
 
 
 def extinction_time(model: ModelSpec, graph: Graph, init="all-infected",
                     seed: int = 0, cap: int = 10000,
                     replicate: int = 0) -> int | None:
     """First step with zero infected, or None when censored at cap."""
-    rows, absorbed, _ = _simulate(model, graph, _sampler(model, graph), init,
-                                  cap, seed, replicate)
-    return absorbed
+    absorbed = _run(model, graph, init, cap, seed, [replicate])[3]
+    return int(absorbed[0]) if absorbed[0] >= 0 else None
 
 
 def mc_ensemble(model: ModelSpec, graph: Graph, init="all-infected",
@@ -296,56 +376,15 @@ def mc_ensemble(model: ModelSpec, graph: Graph, init="all-infected",
                 marginals_at: tuple[int, ...] = ()) -> EnsembleReport:
     """Aggregate n_reps independent replicates (substreams r = 0..n_reps-1).
 
-    Thread count is capped by the EPINET_THREADS environment variable
-    (default 1); results are bit-identical for any worker count because
-    each replicate owns slot r of the preallocated aggregation buffers.
+    The replicates are stepped as one batch; each keeps its own substream,
+    so every statistic equals what the replicates give one at a time.
     """
     if n_reps < 1:
         raise MonteCarloError("n_reps must be >= 1")
-    T = t_max + 1
-    n = graph.n
     snap_times = tuple(sorted(set(marginals_at)))
-    i_mat = np.zeros((n_reps, T), dtype=np.int32)
-    s_mat = np.full((n_reps, T), np.nan)
-    r_mat = np.full((n_reps, T), np.nan)
-    absorbed: list[int | None] = [None] * n_reps
-    snap_acc_i = {ts: np.zeros(n) for ts in snap_times}
-    snap_acc_r = {ts: np.zeros(n) for ts in snap_times} if model.k == 3 else {}
-    advance = _sampler(model, graph)
-
-    def run_one(rep: int) -> None:
-        rows, ab, snaps = _simulate(model, graph, advance, init, t_max,
-                                    master_seed, rep, snap_times)
-        absorbed[rep] = ab
-        for t, s, i, r in rows:
-            i_mat[rep, t] = i
-            s_mat[rep, t] = s
-            r_mat[rep, t] = r
-        last_t = rows[-1][0]
-        if last_t < t_max:
-            # Absorbed SIS/SIRS replicate: infected counts extend as zero;
-            # SIS susceptible counts extend exactly (frozen state).
-            if model.k == 2:
-                s_mat[rep, last_t + 1:] = n
-                r_mat[rep, last_t + 1:] = 0
-            elif rows[-1][3] == 0:
-                s_mat[rep, last_t + 1:] = n
-                r_mat[rep, last_t + 1:] = 0
-        for ts, st in snaps.items():
-            snap_acc_i[ts] += (st == 1)
-            if model.k == 3:
-                snap_acc_r[ts] += (st == 2)
-
-    try:
-        workers = int(os.environ.get("EPINET_THREADS", "1") or "1")
-    except ValueError:
-        workers = 1
-    if workers > 1 and n_reps > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_one, range(n_reps)))
-    else:
-        for rep in range(n_reps):
-            run_one(rep)
+    i_mat, s_mat, r_mat, absorbed, snap_i, snap_r = _run(
+        model, graph, init, t_max, master_seed, list(range(n_reps)),
+        snap_times)
 
     def nan_mean(mat: np.ndarray) -> np.ndarray:
         cnt = np.count_nonzero(~np.isnan(mat), axis=0)
@@ -356,20 +395,19 @@ def mc_ensemble(model: ModelSpec, graph: Graph, init="all-infected",
     q10, q50, q90 = np.quantile(i_mat, [0.1, 0.5, 0.9], axis=0)
     marg = None
     if snap_times:
-        marg = {}
-        for ts in snap_times:
-            pi = snap_acc_i[ts] / n_reps
-            pr = snap_acc_r[ts] / n_reps if model.k == 3 else None
-            marg[ts] = (pi, pr)
+        marg = {ts: (snap_i[ts] / n_reps,
+                     snap_r[ts] / n_reps if model.k == 3 else None)
+                for ts in snap_times}
+    steps = [int(a) if a >= 0 else None for a in absorbed]
     return EnsembleReport(
-        t=np.arange(T),
+        t=np.arange(t_max + 1),
         i_mean=i_mat.mean(axis=0),
         i_q10=q10, i_q50=q50, i_q90=q90,
         s_mean=nan_mean(s_mat),
         r_mean=nan_mean(r_mat),
         n_reps=n_reps,
-        extinct_count=sum(1 for a in absorbed if a is not None),
-        absorbed_steps=absorbed,
+        extinct_count=sum(1 for a in steps if a is not None),
+        absorbed_steps=steps,
         marginals=marg,
     )
 

@@ -440,6 +440,20 @@ class TestSweep:
         ])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("init, message", [
+        ("fraction:1.5", "init fraction must be in [0,1]"),
+        ("nodes:0,99", "explicit init set contains out-of-range nodes"),
+    ])
+    def test_bad_init_usage_error(self, runner, path3_file, tmp_path, init,
+                                  message):
+        res = runner.invoke(main, [
+            "sweep", "--graph", path3_file, "--variant", "sis-nia",
+            "--delta", "0.9", "--beta-grid", "0.1,0.2", "--t", "10",
+            "--reps", "2", "--init", init, "-o", str(tmp_path / "x.csv"),
+        ])
+        assert res.exit_code == 2
+        assert f"Error: {message}" in res.output
+
     def test_bad_grids(self, runner, path3_file, tmp_path):
         base = ["sweep", "--graph", path3_file, "--variant", "sis-nia",
                 "--delta", "0.9", "-o", str(tmp_path / "x.csv"),
