@@ -277,7 +277,7 @@ def cmd_exact(*, graph_path, generate_spec, variant, beta, delta, gamma,
         S = build_transition_matrix(model, g)
     except ExactChainError as exc:
         raise click.UsageError(str(exc))
-    pi = stationary(model, g)
+    pi = stationary(S)
     defect = float(np.abs(pi.entries @ S.entries - pi.entries).max())
     try:
         mrep = mixing_time_exact(S, pi, epsilon, cap=cap)
@@ -439,7 +439,7 @@ def main() -> None:
 @click.option("--n", type=int, required=True)
 @click.option("--p", type=float, default=None)
 @click.option("--radius", type=float, default=None)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("-o", "--out", type=str, required=True)
 def gen_command(**params):
     """Generate a graph and write its edge list."""
@@ -451,7 +451,7 @@ def gen_command(**params):
 @_model_options
 @click.option("--t", "t_max", type=click.IntRange(min=1), default=1000)
 @click.option("--reps", type=click.IntRange(min=1), default=1)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--init", type=str, default="all-infected")
 @click.option("-o", "--out", type=str, required=True)
 def simulate_command(**params):
@@ -496,7 +496,7 @@ def exact_command(**params):
               help="Suite name or 'all' (repeatable).")
 @click.option("--n-max", type=click.IntRange(min=2), default=5)
 @click.option("--trials", type=click.IntRange(min=1), default=50)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("-o", "--out", type=str, default=None)
 def verify_command(**params):
     """Run analytic-guarantee verification suites; exit 4 on any failure."""
@@ -510,7 +510,7 @@ def verify_command(**params):
               help="Comma list '0.05,0.06' or range 'start:stop:step'.")
 @click.option("--t", "t_max", type=click.IntRange(min=1), default=10000)
 @click.option("--reps", type=click.IntRange(min=1), default=25)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--init", type=str, default="all-infected")
 @click.option("--tol", type=float, default=1e-10)
 @click.option("--cap", type=click.IntRange(min=1), default=100000)

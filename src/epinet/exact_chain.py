@@ -3,7 +3,8 @@
 Implements:
   - ChainState / DistVector / TransitionMatrix / MarginalVector / MixingReport.
   - node_transition_prob: per-node conditional transition tables.
-  - build_transition_matrix: the full product-form transition matrix, as CSR.
+  - build_transition_matrix: the full product-form transition matrix S, as
+    CSR. S carries its model and graph; every analysis of the chain takes S.
   - propagate, marginals, stationary, tv_distance.
   - mixing_time_exact / mixing_time_bound: exact worst-case mixing time and
     the contraction-norm analytic upper bound.
@@ -57,6 +58,7 @@ _BUILD_BYTES_PER_NNZ = 48
 # Brute-force LP caps (basic-feasible-solution enumeration).
 LP_N_CAP_K2 = 4
 LP_N_CAP_K3 = 3
+_LP_BATCH = 20000  # candidate bases solved per batch
 
 
 class ExactChainError(ValueError):
@@ -206,17 +208,24 @@ class _CSR(sp.csr_array):
 
 @dataclass
 class TransitionMatrix:
-    """Sparse k^n x k^n row-stochastic matrix tagged with its model and graph.
+    """The chain S of a model on a graph: a sparse k^n x k^n row-stochastic
+    matrix with the model and graph it was built from, whose k and n it reads.
 
     entries is a csr_array with sorted indices that stores exactly the
     nonzero entries; entries.toarray() is the dense matrix.
     """
 
     entries: sp.csr_array
-    k: int
-    n: int
-    model: ModelSpec | None = None
-    graph: Graph | None = None
+    model: ModelSpec
+    graph: Graph
+
+    @property
+    def k(self) -> int:
+        return self.model.k
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
 
     @property
     def size(self) -> int:
@@ -353,6 +362,11 @@ def _check_dense_scan(k: int, n: int) -> None:
     _check_memory(3 * K * K * 8, f"the dense {K}x{K} mixing scan")
 
 
+def _check_contact(model: ModelSpec, graph: Graph) -> None:
+    if model.contact is not None and model.contact.shape[0] != graph.n:
+        raise ModelError("contact matrix dimension does not match graph")
+
+
 def build_transition_matrix(model: ModelSpec, graph: Graph) -> TransitionMatrix:
     """Full transition matrix S with S[X, Y] = prod_i P(Y_i | X), as CSR.
 
@@ -365,8 +379,7 @@ def build_transition_matrix(model: ModelSpec, graph: Graph) -> TransitionMatrix:
     against MEMORY_BUDGET_BYTES before anything nnz-sized is allocated.
     """
     n = graph.n
-    if model.contact is not None and model.contact.shape[0] != n:
-        raise ModelError("contact matrix dimension does not match graph")
+    _check_contact(model, graph)
     _check_cap(model.k, n)
     k = model.k
     D = states_table(n, k)
@@ -398,7 +411,7 @@ def build_transition_matrix(model: ModelSpec, graph: Graph) -> TransitionMatrix:
         indptr = indptr.astype(np.int32)  # so that cols is used uncopied
     S = _CSR((vals, cols, indptr), shape=(K, K))
     S.sort_indices()
-    return TransitionMatrix(S, k, n, model, graph)
+    return TransitionMatrix(S, model, graph)
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +453,8 @@ def marginals(mu: DistVector, model: ModelSpec) -> MarginalVector:
     return MarginalVector(np.clip(p_i, 0.0, 1.0), np.clip(p_r, 0.0, 1.0))
 
 
-def stationary(model: ModelSpec, graph: Graph) -> DistVector:
-    """Stationary distribution, verified against the built matrix.
+def stationary(S: TransitionMatrix) -> DistVector:
+    """Stationary distribution of the chain S, verified against S.
 
     The per-node product of the variant's single-node disease-free law:
     a point mass on the all-susceptible state for the SIS family and SIRS,
@@ -450,9 +463,8 @@ def stationary(model: ModelSpec, graph: Graph) -> DistVector:
     StationaryVerificationError if pi S differs from pi by more than 1e-10
     (which would signal a transition-matrix bug).
     """
-    S = build_transition_matrix(model, graph)
-    weights = np.array(_VARIANTS[model.variant].free_law(model))
-    pi = np.prod(weights[states_table(graph.n, model.k)], axis=1)
+    weights = np.array(_VARIANTS[S.model.variant].free_law(S.model))
+    pi = np.prod(weights[states_table(S.n, S.k)], axis=1)
     defect = float(np.abs(pi @ S.entries - pi).max())
     if defect > 1e-10:
         raise StationaryVerificationError(
@@ -566,14 +578,11 @@ def mixing_time_exact(S: TransitionMatrix, pi: DistVector, epsilon: float,
     if len(pi) != S.size:
         raise ExactChainError("pi and S sizes differ")
     K = S.size
-    bound = math.inf
-    if S.model is not None and S.graph is not None:
-        bound = mixing_time_bound(S.model, S.graph, epsilon)
+    bound = mixing_time_bound(S.model, S.graph, epsilon)
     if K == 1:
         return MixingReport(0, epsilon, bound, ChainState(0, S.n, S.k)
                             if S.n > 0 else None)
-    check_top = S.model is not None \
-        and _VARIANTS[S.model.variant].order_preserving
+    check_top = _VARIANTS[S.model.variant].order_preserving
     point = float(pi.entries.max()) >= 1.0 - 1e-12
     if point:
         s0 = int(pi.entries.argmax())
@@ -653,8 +662,7 @@ class OrderReport:
 def _mirror_matrix(S: TransitionMatrix) -> np.ndarray | None:
     """Transition matrix of the transposed-contact chain, or None."""
     model, graph = S.model, S.graph
-    if model is None or graph is None \
-            or not _VARIANTS[model.variant].order_preserving:
+    if not _VARIANTS[model.variant].order_preserving:
         return None
     if model.contact is not None:
         M = np.asarray(model.contact)
@@ -739,20 +747,19 @@ def u_vector(r: np.ndarray) -> np.ndarray:
     return np.prod(np.where(D == 1, 1.0 - r[None, :], 1.0), axis=1)
 
 
-def check_u_bound(S: TransitionMatrix, model: ModelSpec, graph: Graph,
-                  r: np.ndarray) -> float:
+def check_u_bound(S: TransitionMatrix, r: np.ndarray) -> float:
     """min over states of (S u(r) - u(Phi(r))); >= -1e-12 when the one-step
     mean-field map dominates the chain's healthy-set probabilities.
 
-    Defined for the sis-nia map Phi.
+    Defined for the sis-nia map Phi of S's model on S's graph.
     """
-    if model.variant != "sis-nia":
+    if S.model.variant != "sis-nia":
         raise ExactChainError("u-bound comparison is defined for sis-nia")
     from .mean_field import MeanFieldPoint, mf_step
 
     r = np.asarray(r, dtype=float)
     lhs = S.entries @ u_vector(r)
-    phi_r = mf_step(model, graph, MeanFieldPoint(r)).p_i
+    phi_r = mf_step(S.model, S.graph, MeanFieldPoint(r)).p_i
     rhs = u_vector(phi_r)
     return float((lhs - rhs).min())
 
@@ -806,7 +813,7 @@ def closed_form_marginal_bound(model: ModelSpec, graph: Graph, i: int,
 
 
 def lp_marginal_max(model: ModelSpec, graph: Graph, i: int,
-                    p: MarginalVector, chunk: int = 20000) -> LPReport:
+                    p: MarginalVector) -> LPReport:
     """Exact maximum of node i's next-step infection marginal over all joint
     distributions mu with the prescribed per-node marginals.
 
@@ -815,7 +822,8 @@ def lp_marginal_max(model: ModelSpec, graph: Graph, i: int,
     columns (m = number of constraints), solving the square system, and
     keeping nonnegative solutions. The feasible region is a polytope, so
     the optimum is attained at one of them. This oracle shares nothing with
-    the closed-form bound it is compared against.
+    the closed-form bound it is compared against. c is node i's one-step
+    infection law (a row sum of S), so S itself is never built.
 
     Raises LPInfeasibleError when no basic feasible solution exists (which
     for a full-row-rank constraint matrix is equivalent to infeasibility).
@@ -829,7 +837,7 @@ def lp_marginal_max(model: ModelSpec, graph: Graph, i: int,
         )
     if not (0 <= i < n):
         raise ExactChainError(f"node {i} out of range")
-    S = build_transition_matrix(model, graph)
+    _check_contact(model, graph)
     D = states_table(n, k)
     B = _marginal_constraint_matrix(n, k)
     m = B.shape[1]
@@ -842,14 +850,15 @@ def lp_marginal_max(model: ModelSpec, graph: Graph, i: int,
         beq = np.concatenate(
             ([1.0], np.asarray(p.p_r, dtype=float), np.asarray(p.p_i, dtype=float))
         )
-    c = S.entries @ (D[:, i] == 1).astype(float)
+    tables = _VARIANTS[model.variant].tables(model)
+    c = _node_digit_probs(model, graph, D, i, tables)[:, 1]
 
     best = -math.inf
     checked = 0
     feasible = 0
     combos_iter = itertools.combinations(range(K), m)
     while True:
-        block = list(itertools.islice(combos_iter, chunk))
+        block = list(itertools.islice(combos_iter, _LP_BATCH))
         if not block:
             break
         idx = np.asarray(block, dtype=np.int64)
@@ -889,20 +898,19 @@ class NonAbsorptionReport:
     slack: float
 
 
-def non_absorption_check(model: ModelSpec, graph: Graph,
-                         X0: ChainState | int, t: int) -> NonAbsorptionReport:
-    """P(chain not absorbed by step t | start X0) against the product bound
+def non_absorption_check(S: TransitionMatrix, X0: ChainState | int,
+                         t: int) -> NonAbsorptionReport:
+    """P(chain S not absorbed by step t | start X0) against the product bound
     1 - prod over initially infected i of (1 - Phi^t_i(all-ones)).
 
     Defined for sis-nia. slack = bound - exact must be >= -1e-10.
     """
+    model, graph, n = S.model, S.graph, S.n
     if model.variant != "sis-nia":
         raise ExactChainError("non-absorption bound is defined for sis-nia")
     from .mean_field import MeanFieldPoint, mf_step
 
-    n = graph.n
     code = X0.code if isinstance(X0, ChainState) else int(X0)
-    S = build_transition_matrix(model, graph)
     mu = propagate(DistVector.point_mass(code, S.size), S, t)
     exact = 1.0 - float(mu.entries[0])
     x = np.ones(n)

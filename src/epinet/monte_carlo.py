@@ -256,7 +256,8 @@ def _init_states(graph: Graph, init, fill, replicates: list[int]
 
 
 def _run(model: ModelSpec, graph: Graph, init, t_max: int, seed: int,
-         replicates: list[int], snapshot_times: tuple[int, ...] = ()):
+         replicates: list[int], snapshot_times: tuple[int, ...] = (),
+         until_extinct: bool = False):
     """Core loop: all replicates stepped as one batch to absorption/t_max.
 
     Returns (i_mat, s_mat, r_mat, absorbed, snap_i, snap_r). Row j of the
@@ -270,7 +271,8 @@ def _run(model: ModelSpec, graph: Graph, init, t_max: int, seed: int,
     Snapshot times past a SIS/SIRS absorption are still exact: a frozen
     all-susceptible state contributes nothing, and a SIRS state with zero
     infected keeps evolving through the same update (its escape vector is
-    1) until the last requested snapshot.
+    1) until the last requested snapshot. until_extinct ends SIV replicates
+    there too, for callers that need only absorbed.
     """
     if t_max < 1:
         raise MonteCarloError("t_max must be >= 1")
@@ -289,7 +291,7 @@ def _run(model: ModelSpec, graph: Graph, init, t_max: int, seed: int,
     snap_i = {ts: np.zeros(n, dtype=np.int64) for ts in need}
     snap_r = {ts: np.zeros(n, dtype=np.int64) for ts in need} \
         if model.k == 3 else {}
-    ends = _VARIANTS[model.variant].ends_at_extinction
+    ends = until_extinct or _VARIANTS[model.variant].ends_at_extinction
     advance = _sampler(model, graph)
     block = max(1, _REP_BLOCK_DOUBLES // n)
     u = np.empty((min(R, block), n))
@@ -366,8 +368,10 @@ def mc_run(model: ModelSpec, graph: Graph, init="all-infected",
 def extinction_time(model: ModelSpec, graph: Graph, init="all-infected",
                     seed: int = 0, cap: int = 10000,
                     replicate: int = 0) -> int | None:
-    """First step with zero infected, or None when censored at cap."""
-    absorbed = _run(model, graph, init, cap, seed, [replicate])[3]
+    """First step with zero infected, or None when censored at cap; the
+    replicate is simulated only up to that step, whatever the variant."""
+    absorbed = _run(model, graph, init, cap, seed, [replicate],
+                    until_extinct=True)[3]
     return int(absorbed[0]) if absorbed[0] >= 0 else None
 
 

@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model_core import Graph, ModelSpec, contact_from_rates, format_edge_list, \
-    generate, spectral_radius, threshold_ratio
+from .model_core import _VARIANTS, VARIANTS, Graph, ModelSpec, \
+    contact_from_rates, format_edge_list, generate, spectral_radius, \
+    threshold_ratio
 from .exact_chain import (
     MarginalVector,
     build_R_pair,
@@ -118,6 +119,32 @@ def _random_contact(rng: np.random.Generator, n: int) -> np.ndarray:
     return M
 
 
+# Ranges of the random rates, in the order they are drawn.
+_RATE_RANGES = {"beta": (0.05, 0.95), "delta": (0.05, 0.95),
+                "gamma": (0.05, 0.95), "theta": (0.05, 0.9)}
+
+
+def _random_rates(rng: np.random.Generator) -> dict[str, float]:
+    return {name: float(rng.uniform(*span))
+            for name, span in _RATE_RANGES.items()}
+
+
+def _variant_model(rng: np.random.Generator, variant: str, n: int,
+                  rates: dict[str, float] | None = None) -> ModelSpec:
+    """A model of the variant with the fields its table entry requires: a
+    random contact matrix on n nodes, and the rates taken from `rates` or,
+    when that is None, drawn now in table order."""
+    params: dict = {}
+    for name in _VARIANTS[variant].required:
+        if name == "contact":
+            params[name] = _random_contact(rng, n)
+        elif rates is not None:
+            params[name] = rates[name]
+        else:
+            params[name] = float(rng.uniform(*_RATE_RANGES[name]))
+    return ModelSpec(variant, **params)
+
+
 def _fail(failures: list, **info) -> None:
     failures.append({k: (v.tolist() if isinstance(v, np.ndarray) else v)
                      for k, v in info.items()})
@@ -154,11 +181,8 @@ def _suite_ordering(n_max: int, trials: int, seed: int) -> SuiteResult:
     for trial in range(trials):
         g = _random_graph(rng, min(n_max, 6), weighted_prob=0.25)
         n = g.n
-        if trial % 2 == 0:
-            model = ModelSpec("sis-nia", beta=float(rng.uniform(0.05, 0.95)),
-                              delta=float(rng.uniform(0.05, 0.95)))
-        else:
-            model = ModelSpec("sis-general", contact=_random_contact(rng, n))
+        variant = "sis-nia" if trial % 2 == 0 else "sis-general"
+        model = _variant_model(rng, variant, n)
         S = build_transition_matrix(model, g)
         R, R_inv = build_R_pair(n)
         K = 2 ** n
@@ -197,12 +221,11 @@ def _suite_u_bound(n_max: int, trials: int, seed: int) -> SuiteResult:
     checks = 0
     for _ in range(trials):
         g = _random_graph(rng, min(n_max, 6))
-        model = ModelSpec("sis-nia", beta=float(rng.uniform(0.05, 0.95)),
-                          delta=float(rng.uniform(0.05, 0.95)))
+        model = _variant_model(rng, "sis-nia", g.n)
         S = build_transition_matrix(model, g)
         for _ in range(2):
             r = rng.uniform(0.0, 1.0, g.n)
-            slack = check_u_bound(S, model, g, r)
+            slack = check_u_bound(S, r)
             checks += 1
             worst = min(worst, slack)
             if slack < -1e-12:
@@ -213,18 +236,8 @@ def _suite_u_bound(n_max: int, trials: int, seed: int) -> SuiteResult:
 
 
 def _lp_models(rng: np.random.Generator, n: int) -> list[ModelSpec]:
-    beta = float(rng.uniform(0.05, 0.95))
-    delta = float(rng.uniform(0.05, 0.95))
-    gamma = float(rng.uniform(0.05, 0.95))
-    theta = float(rng.uniform(0.05, 0.9))
-    return [
-        ModelSpec("sis-nia", beta=beta, delta=delta),
-        ModelSpec("sis-ia", beta=beta, delta=delta),
-        ModelSpec("sis-general", contact=_random_contact(rng, n)),
-        ModelSpec("sirs", beta=beta, delta=delta, gamma=gamma),
-        ModelSpec("siv-id", beta=beta, delta=delta, gamma=gamma, theta=theta),
-        ModelSpec("siv-vd", beta=beta, delta=delta, gamma=gamma, theta=theta),
-    ]
+    rates = _random_rates(rng)
+    return [_variant_model(rng, variant, n, rates) for variant in VARIANTS]
 
 
 def _suite_lp(n_max: int, trials: int, seed: int) -> SuiteResult:
@@ -234,29 +247,17 @@ def _suite_lp(n_max: int, trials: int, seed: int) -> SuiteResult:
     max_gap = -math.inf
     worst_eq = 0.0
     rounds = max(1, trials // 12)
-    variants = ("sis-nia", "sis-ia", "sis-general", "sirs", "siv-id",
-                "siv-vd")
     for _ in range(rounds):
-        for variant in variants:
-            beta = float(rng.uniform(0.05, 0.95))
-            delta = float(rng.uniform(0.05, 0.95))
-            gamma = float(rng.uniform(0.05, 0.95))
-            theta = float(rng.uniform(0.05, 0.9))
-            if variant == "sis-general":
+        for variant in VARIANTS:
+            rates = _random_rates(rng)
+            if "contact" in _VARIANTS[variant].required:
                 n = int(rng.integers(2, min(n_max, 4) + 1))
-                model = ModelSpec(variant, contact=_random_contact(rng, n))
                 g = generate("complete", n=n)
-            elif variant in ("sis-nia", "sis-ia"):
-                model = ModelSpec(variant, beta=beta, delta=delta)
-                g = _random_graph(rng, min(n_max, 4))
-                n = g.n
             else:
-                kwargs = {"beta": beta, "delta": delta, "gamma": gamma}
-                if variant != "sirs":
-                    kwargs["theta"] = theta
-                model = ModelSpec(variant, **kwargs)
-                g = _random_graph(rng, 3)
+                k = _VARIANTS[variant].k
+                g = _random_graph(rng, min(n_max, 4) if k == 2 else 3)
                 n = g.n
+            model = _variant_model(rng, variant, n, rates)
             i = int(rng.integers(n))
             # Small-marginal family: total mass below 1 so the documented
             # attainment distribution is feasible and the bound is tight.
@@ -299,11 +300,10 @@ def _suite_non_absorption(n_max: int, trials: int, seed: int) -> SuiteResult:
     checks = 0
     for _ in range(trials):
         g = _random_graph(rng, min(n_max, 6))
-        model = ModelSpec("sis-nia", beta=float(rng.uniform(0.05, 0.95)),
-                          delta=float(rng.uniform(0.05, 0.95)))
+        model = _variant_model(rng, "sis-nia", g.n)
         X0 = int(rng.integers(1, 2 ** g.n))
         t = int(rng.integers(0, 51))
-        rep = non_absorption_check(model, g, X0, t)
+        rep = non_absorption_check(build_transition_matrix(model, g), X0, t)
         checks += 1
         worst = min(worst, rep.slack)
         if rep.slack < -1e-10:
@@ -350,27 +350,10 @@ def _suite_jacobian(n_max: int, trials: int, seed: int) -> SuiteResult:
     worst = 0.0
     checks = 0
     per_variant = max(1, trials // 6)
-    for variant in ("sis-nia", "sis-ia", "sis-general", "sirs", "siv-id",
-                    "siv-vd"):
+    for variant in VARIANTS:
         for _ in range(per_variant):
             g = _random_graph(rng, n_max)
-            if variant == "sis-general":
-                model = ModelSpec(variant, contact=_random_contact(rng, g.n))
-            elif variant in ("sis-nia", "sis-ia"):
-                model = ModelSpec(variant,
-                                  beta=float(rng.uniform(0.05, 0.95)),
-                                  delta=float(rng.uniform(0.05, 0.95)))
-            elif variant == "sirs":
-                model = ModelSpec(variant,
-                                  beta=float(rng.uniform(0.05, 0.95)),
-                                  delta=float(rng.uniform(0.05, 0.95)),
-                                  gamma=float(rng.uniform(0.05, 0.95)))
-            else:
-                model = ModelSpec(variant,
-                                  beta=float(rng.uniform(0.05, 0.95)),
-                                  delta=float(rng.uniform(0.05, 0.95)),
-                                  gamma=float(rng.uniform(0.05, 0.95)),
-                                  theta=float(rng.uniform(0.05, 0.9)))
+            model = _variant_model(rng, variant, g.n)
             x = _interior_point(rng, g.n, model.k)
             J = mf_jacobian(model, g, x)
             J_fd = fd_jacobian(model, g, x)
@@ -473,8 +456,7 @@ def _suite_mixing(n_max: int, trials: int, seed: int) -> SuiteResult:
                   graph=_graph_payload(g), ratio=ratio, bound=bound)
             continue
         S = build_transition_matrix(model, g)
-        pi = stationary(model, g)
-        rep = mixing_time_exact(S, pi, 0.25)
+        rep = mixing_time_exact(S, stationary(S), 0.25)
         checks += 1
         rows.append({"variant": model.variant, "n": g.n,
                      "t_mix": rep.t_mix, "bound": bound})
@@ -495,13 +477,9 @@ def _suite_stationary(n_max: int, trials: int, seed: int) -> SuiteResult:
         for n in (2, 3, 4):
             for _ in range(max(1, trials // 12)):
                 g = _random_graph(rng, n, n_min=n)
-                model = ModelSpec(variant,
-                                  beta=float(rng.uniform(0.05, 0.95)),
-                                  delta=float(rng.uniform(0.05, 0.95)),
-                                  gamma=float(rng.uniform(0.05, 0.95)),
-                                  theta=float(rng.uniform(0.05, 0.9)))
-                pi = stationary(model, g)
+                model = _variant_model(rng, variant, g.n)
                 S = build_transition_matrix(model, g)
+                pi = stationary(S)
                 defect = float(np.abs(pi.entries @ S.entries
                                       - pi.entries).max())
                 checks += 1
@@ -533,10 +511,8 @@ def _suite_fixed_point(n_max: int, trials: int, seed: int) -> SuiteResult:
             elif variant == "siv-vd":
                 eff = (1.0 - theta) * gamma / (gamma + theta)
             beta = min(1.0, ratio_target * delta / (eff * lam))
-            kwargs = {"beta": beta, "delta": delta, "gamma": gamma}
-            if variant != "sirs":
-                kwargs["theta"] = theta
-            model = ModelSpec(variant, **kwargs)
+            model = _variant_model(rng, variant, g.n, {
+                "beta": beta, "delta": delta, "gamma": gamma, "theta": theta})
             if threshold_ratio(model, g) <= 1.0:
                 continue
             rep = find_fixed_point(model, g, tol=1e-12,

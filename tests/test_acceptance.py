@@ -304,8 +304,8 @@ def test_criterion_08_siv_stationarity():
                           delta=float(rng.uniform(0.05, 0.95)),
                           gamma=float(rng.uniform(0.1, 0.9)),
                           theta=float(rng.uniform(0.1, 0.9)))
-            pi = stationary(m, g)  # raises if the defect exceeds 1e-10
             S = build_transition_matrix(m, g)
+            pi = stationary(S)  # raises if the defect exceeds 1e-10
             defect = float(np.abs(pi.entries @ S.entries - pi.entries).max())
             assert defect <= 1e-10
 

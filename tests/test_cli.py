@@ -69,6 +69,13 @@ class TestGen:
             assert res.exit_code == 0
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    def test_negative_seed_exit_2(self, runner, tmp_path):
+        res = runner.invoke(main, ["gen", "--kind", "er", "--n", "10",
+                                   "--p", "0.2", "--seed", "-1",
+                                   "-o", str(tmp_path / "g.txt")])
+        assert res.exit_code == 2
+        assert "--seed" in res.output
+
 
 class TestSimulate:
     def test_runs_and_writes_csv(self, runner, path3_file, tmp_path):
@@ -181,6 +188,16 @@ class TestSimulate:
             "-o", str(tmp_path / "x.csv"),
         ])
         assert res.exit_code == 1  # ClickException: runtime error, not usage
+
+
+    def test_negative_seed_exit_2(self, runner, path3_file, tmp_path):
+        res = runner.invoke(main, [
+            "simulate", "--graph", path3_file, "--variant", "sis-nia",
+            "--beta", "0.1", "--delta", "0.9", "--t", "5", "--seed", "-1",
+            "-o", str(tmp_path / "x.csv"),
+        ])
+        assert res.exit_code == 2
+        assert "--seed" in res.output
 
 
 class TestMeanfield:
@@ -351,6 +368,27 @@ class TestExact:
         ])
         assert res.exit_code == 2
 
+    def test_builds_chain_once(self, runner, path3_file, tmp_path,
+                               monkeypatch):
+        calls = []
+        build = epinet.exact_chain.build_transition_matrix
+
+        def counting_build(model, graph):
+            calls.append(model.variant)
+            return build(model, graph)
+
+        monkeypatch.setattr(cli_module, "build_transition_matrix",
+                            counting_build)
+        monkeypatch.setattr(epinet.exact_chain, "build_transition_matrix",
+                            counting_build)
+        res = runner.invoke(main, [
+            "exact", "--graph", path3_file, "--variant", "sirs",
+            "--beta", "0.1", "--delta", "0.9", "--gamma", "0.5",
+            "-o", str(tmp_path / "x.json"),
+        ])
+        assert res.exit_code == 0, res.output
+        assert calls == ["sirs"]
+
     def test_siv_nonpoint_stationary(self, runner, tmp_path):
         out = str(tmp_path / "exact.json")
         res = runner.invoke(main, [
@@ -398,6 +436,12 @@ class TestVerify:
         assert res.exit_code == 4
         assert "linear: FAIL" in res.output
         assert "replay" in res.output and "forced" in res.output
+
+    def test_negative_seed_exit_2(self, runner):
+        res = runner.invoke(main, ["verify", "--suite", "linear",
+                                   "--seed", "-1"])
+        assert res.exit_code == 2
+        assert "--seed" in res.output
 
 
 class TestSweep:
@@ -453,6 +497,15 @@ class TestSweep:
         ])
         assert res.exit_code == 2
         assert f"Error: {message}" in res.output
+
+    def test_negative_seed_exit_2(self, runner, path3_file, tmp_path):
+        res = runner.invoke(main, [
+            "sweep", "--graph", path3_file, "--variant", "sis-nia",
+            "--delta", "0.9", "--beta-grid", "0.1,0.2", "--t", "10",
+            "--seed", "-1", "-o", str(tmp_path / "x.csv"),
+        ])
+        assert res.exit_code == 2
+        assert "--seed" in res.output
 
     def test_bad_grids(self, runner, path3_file, tmp_path):
         base = ["sweep", "--graph", path3_file, "--variant", "sis-nia",

@@ -16,6 +16,7 @@ from epinet import (
     DistVector,
     ExactChainError,
     MarginalVector,
+    ModelError,
     ModelSpec,
     StateSpaceCapError,
     build_R_pair,
@@ -197,6 +198,12 @@ class TestNodeTransition:
 # ---------------------------------------------------------------------------
 
 class TestTransitionMatrix:
+    def test_carries_model_and_graph(self, path3):
+        m = ModelSpec("sirs", beta=0.2, delta=0.5, gamma=0.5)
+        S = build_transition_matrix(m, path3)
+        assert S.model is m and S.graph is path3
+        assert (S.k, S.n, S.size) == (3, 3, 27)
+
     def test_rows_sum_to_one(self, rng):
         for variant in ALL_VARIANTS:
             g = random_connected_graph(rng, 4)
@@ -357,12 +364,12 @@ class TestTV:
 class TestStationary:
     def test_sis_point_mass(self, path3):
         m = ModelSpec("sis-nia", beta=0.5, delta=0.5)
-        pi = stationary(m, path3)
+        pi = stationary(build_transition_matrix(m, path3))
         assert pi.entries[0] == 1.0
 
     def test_sirs_point_mass(self, path3):
         m = ModelSpec("sirs", beta=0.5, delta=0.5, gamma=0.5)
-        pi = stationary(m, path3)
+        pi = stationary(build_transition_matrix(m, path3))
         assert pi.entries[0] == 1.0
 
     @pytest.mark.parametrize("variant", ["siv-id", "siv-vd"])
@@ -370,8 +377,8 @@ class TestStationary:
         for n in (2, 3, 4):
             g = random_connected_graph(rng, n, n_min=n)
             m = random_model(rng, variant, n=n)
-            pi = stationary(m, g)
             S = build_transition_matrix(m, g)
+            pi = stationary(S)
             defect = np.abs(pi.entries @ S.entries - pi.entries).max()
             assert defect <= 1e-10
             # product-form marginals
@@ -419,7 +426,7 @@ class TestMixing:
     def test_exact_within_bound_path3(self, path3):
         m = ModelSpec("sis-nia", beta=0.1, delta=0.9)
         S = build_transition_matrix(m, path3)
-        rep = mixing_time_exact(S, stationary(m, path3), 0.25)
+        rep = mixing_time_exact(S, stationary(S), 0.25)
         assert rep.t_mix == 2
         assert rep.t_mix <= math.ceil(rep.bound)
         assert not rep.censored
@@ -431,7 +438,7 @@ class TestMixing:
         g = generate("complete", n=3)
         m = ModelSpec("sis-nia", beta=0.9, delta=0.2)
         S = build_transition_matrix(m, g)
-        rep = mixing_time_exact(S, stationary(m, g), 0.25, cap=30)
+        rep = mixing_time_exact(S, stationary(S), 0.25, cap=30)
         assert rep.censored and rep.t_mix is None
 
     def test_exact_sirs_nonpoint_path(self, rng):
@@ -440,7 +447,7 @@ class TestMixing:
         g = generate("path", n=2)
         m = ModelSpec("siv-id", beta=0.1, delta=0.9, gamma=0.5, theta=0.5)
         S = build_transition_matrix(m, g)
-        pi = stationary(m, g)
+        pi = stationary(S)
         rep = mixing_time_exact(S, pi, 0.25)
         assert rep.t_mix is not None
         assert rep.t_mix <= math.ceil(rep.bound)
@@ -459,7 +466,7 @@ class TestMixing:
         g = generate("complete", n=3)
         m = ModelSpec(variant, **rates)
         S = build_transition_matrix(m, g)
-        pi = stationary(m, g)
+        pi = stationary(S)
         rep = mixing_time_exact(S, pi, 0.25)
         M = S.entries.toarray()
         power = np.eye(len(M))
@@ -475,14 +482,16 @@ class TestMixing:
     def test_cap_below_one_point_mass(self):
         g = generate("path", n=2)
         m = ModelSpec("sis-nia", beta=0.3, delta=0.5)
-        S, pi = build_transition_matrix(m, g), stationary(m, g)
+        S = build_transition_matrix(m, g)
+        pi = stationary(S)
         with pytest.raises(ExactChainError, match="cap must be >= 1"):
             mixing_time_exact(S, pi, 0.25, cap=0)
 
     def test_cap_below_one_dense(self):
         g = generate("path", n=2)
         m = ModelSpec("siv-id", beta=0.3, delta=0.5, gamma=0.4, theta=0.3)
-        S, pi = build_transition_matrix(m, g), stationary(m, g)
+        S = build_transition_matrix(m, g)
+        pi = stationary(S)
         assert pi.entries.max() < 1.0  # the non-point-mass branch
         with pytest.raises(ExactChainError, match="cap must be >= 1"):
             mixing_time_exact(S, pi, 0.25, cap=0)
@@ -495,7 +504,7 @@ class TestMixing:
         monkeypatch.setattr(exact_chain, "MEMORY_BUDGET_BYTES",
                             3 * 27 * 27 * 8 - 1)
         with pytest.raises(StateSpaceCapError, match="memory budget"):
-            mixing_time_exact(S_siv, stationary(siv, path3), 0.25)
+            mixing_time_exact(S_siv, stationary(S_siv), 0.25)
         # The point-mass scan holds no dense K x K array.
         rep = mixing_time_exact(S_sirs, DistVector.point_mass(0, 27), 0.25)
         assert rep.t_mix is not None
@@ -582,13 +591,13 @@ class TestUBound:
             m = random_model(rng, "sis-nia", n=g.n)
             S = build_transition_matrix(m, g)
             r = rng.random(g.n)
-            assert check_u_bound(S, m, g, r) >= -1e-12
+            assert check_u_bound(S, r) >= -1e-12
 
     def test_requires_sis_nia(self, path3):
         m = ModelSpec("sis-ia", beta=0.5, delta=0.5)
         S = build_transition_matrix(m, path3)
         with pytest.raises(ExactChainError):
-            check_u_bound(S, m, path3, np.full(3, 0.5))
+            check_u_bound(S, np.full(3, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +656,67 @@ class TestLP:
         with pytest.raises(ExactChainError, match="cap"):
             lp_marginal_max(m, g, 0, p)
 
+    def test_contact_dimension_checked(self, path3):
+        m = ModelSpec("sis-general", contact=np.full((4, 4), 0.2))
+        with pytest.raises(ModelError, match="dimension"):
+            lp_marginal_max(m, path3, 0, MarginalVector(np.full(3, 0.1)))
+
+    def test_never_builds_chain(self, rng, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("S was built")
+
+        monkeypatch.setattr(exact_chain, "build_transition_matrix", no_build)
+        for variant in ALL_VARIANTS:
+            g = random_connected_graph(rng, 3)
+            m = random_model(rng, variant, n=g.n)
+            p = MarginalVector(np.full(g.n, 0.2),
+                               np.full(g.n, 0.2) if m.k == 3 else None)
+            rep = lp_marginal_max(m, g, 0, p)
+            assert rep.lp_max <= rep.closed_form + 1e-9
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_objective_is_row_sum_of_chain(self, rng, variant):
+        # The LP objective, node i's one-step infection probability, equals
+        # the mass S puts on the states where node i is infected.
+        k = exact_chain._VARIANTS[variant].k
+        n = exact_chain.LP_N_CAP_K2 if k == 2 else exact_chain.LP_N_CAP_K3
+        for _ in range(3):
+            g = random_connected_graph(rng, n, n_min=n, weighted_prob=0.5)
+            m = random_model(rng, variant, n=n)
+            S = build_transition_matrix(m, g)
+            D = states_table(n, k)
+            tables = exact_chain._VARIANTS[variant].tables(m)
+            for i in range(n):
+                row_sum = S.entries @ (D[:, i] == 1).astype(float)
+                c = exact_chain._node_digit_probs(m, g, D, i, tables)[:, 1]
+                assert np.abs(c - row_sum).max() <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# One build per chain
+# ---------------------------------------------------------------------------
+
+class TestOneBuildPerChain:
+    @pytest.mark.parametrize("suite, trials", [("mixing", 12),
+                                               ("stationary", 12)])
+    def test_verify_suite_builds_once_per_instance(self, monkeypatch, suite,
+                                                   trials):
+        import epinet.verify as verify
+
+        calls = []
+        build = exact_chain.build_transition_matrix
+
+        def counting_build(model, graph):
+            calls.append((model.variant, graph.n))
+            return build(model, graph)
+
+        monkeypatch.setattr(exact_chain, "build_transition_matrix",
+                            counting_build)
+        monkeypatch.setattr(verify, "build_transition_matrix", counting_build)
+        res = verify.run_suite(suite, trials=trials, seed=0)
+        assert res.passed
+        assert len(calls) == res.checks > 0
+
 
 # ---------------------------------------------------------------------------
 # Non-absorption bound
@@ -655,13 +725,13 @@ class TestLP:
 class TestNonAbsorption:
     def test_all_susceptible_start(self, path3):
         m = ModelSpec("sis-nia", beta=0.5, delta=0.5)
-        rep = non_absorption_check(m, path3, 0, 5)
+        rep = non_absorption_check(build_transition_matrix(m, path3), 0, 5)
         assert rep.exact == 0.0
         assert rep.bound == 0.0
 
     def test_zero_steps(self, path3):
         m = ModelSpec("sis-nia", beta=0.5, delta=0.5)
-        rep = non_absorption_check(m, path3, 5, 0)
+        rep = non_absorption_check(build_transition_matrix(m, path3), 5, 0)
         assert rep.exact == 1.0
         assert rep.bound == 1.0
 
@@ -671,11 +741,11 @@ class TestNonAbsorption:
             m = random_model(rng, "sis-nia", n=g.n)
             X0 = int(rng.integers(1, 2 ** g.n))
             t = int(rng.integers(1, 30))
-            rep = non_absorption_check(m, g, X0, t)
+            rep = non_absorption_check(build_transition_matrix(m, g), X0, t)
             assert rep.slack >= -1e-10
             assert 0.0 <= rep.exact <= 1.0
 
     def test_requires_sis_nia(self, path3):
         m = ModelSpec("sirs", beta=0.5, delta=0.5, gamma=0.5)
         with pytest.raises(ExactChainError):
-            non_absorption_check(m, path3, 1, 3)
+            non_absorption_check(build_transition_matrix(m, path3), 1, 3)

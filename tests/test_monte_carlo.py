@@ -267,6 +267,47 @@ class TestExtinction:
         assert all(t is not None for t in times)
         assert np.median(times) <= 12
 
+    @staticmethod
+    def _count_steps(monkeypatch) -> list[int]:
+        """Count the replicate-steps every later run simulates."""
+        steps = [0]
+        sampler = monte_carlo._sampler
+
+        def counting_sampler(model, graph):
+            advance = sampler(model, graph)
+
+            def counted(states, u):
+                steps[0] += len(states)
+                return advance(states, u)
+            return counted
+
+        monkeypatch.setattr(monte_carlo, "_sampler", counting_sampler)
+        return steps
+
+    @pytest.mark.parametrize("variant", ["siv-id", "siv-vd"])
+    @pytest.mark.parametrize("rates, expected", [
+        (dict(beta=0.05, delta=0.9, gamma=0.5, theta=0.5), 2),
+        (dict(beta=0.3, delta=0.3, gamma=0.5, theta=0.2), 8),
+    ])
+    def test_siv_stops_at_extinction(self, monkeypatch, variant, rates,
+                                     expected):
+        # SIV trajectories run on past extinction, but extinction_time
+        # simulates only up to the step it returns.
+        g = generate("path", n=8)
+        m = ModelSpec(variant, **rates)
+        full = mc_run(m, g, t_max=expected + 20, seed=1)
+        assert full.absorbed_at == expected
+        steps = self._count_steps(monkeypatch)
+        assert extinction_time(m, g, seed=1) == expected
+        assert steps[0] == expected
+
+    def test_siv_censored_runs_to_cap(self, monkeypatch):
+        g = generate("path", n=8)
+        m = ModelSpec("siv-vd", beta=0.3, delta=0.3, gamma=0.5, theta=0.2)
+        steps = self._count_steps(monkeypatch)
+        assert extinction_time(m, g, seed=1, cap=5) is None
+        assert steps[0] == 5
+
 
 class TestCsv:
     def test_trajectory_roundtrip(self):
