@@ -13,8 +13,9 @@ Implements:
     order-preservation certificate min(R^-1 S R) >= 0.
   - u_vector / check_u_bound: the product vector u(r)_X = prod_{i in S(X)}
     (1 - r_i) and the one-step comparison S u(r) >= u(Phi(r)).
-  - lp_marginal_max: brute-force LP oracle maximizing a next-step infection
-    marginal over all joint distributions with prescribed marginals.
+  - lp_marginal_max: exact LP maximum of a next-step infection marginal
+    over all joint distributions with prescribed marginals, solved by a
+    two-phase tableau simplex with Bland's rule.
   - non_absorption_check: exact survival probability against the
     mean-field product bound.
 
@@ -23,7 +24,6 @@ State encoding: digit i of the base-k code is the compartment of node i
 """
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -55,10 +55,17 @@ MEMORY_BUDGET_BYTES = 2 * 2 ** 30
 # value) arrays before and after the last node's expansion.
 _BUILD_BYTES_PER_NNZ = 48
 
-# Brute-force LP caps (basic-feasible-solution enumeration).
-LP_N_CAP_K2 = 4
-LP_N_CAP_K3 = 3
-_LP_BATCH = 20000  # candidate bases solved per batch
+# LP caps: the largest n at which one marginal LP on a complete graph
+# solves in about 0.5 s. Measured on 2 shared cores with general marginals,
+# worst variant: k=2 n=12 0.31 s (n=13 0.64 s), k=3 n=8 0.39 s (n=9 3.3 s).
+LP_N_CAP_K2 = 12
+LP_N_CAP_K3 = 8
+# Simplex tolerances. A Phase-1 optimum (total constraint violation) above
+# _LP_FEAS_TOL raises LPInfeasibleError: MarginalVector admits p_i + p_r up
+# to 1 + 1e-9, and requests beyond 1 + 1e-10 have no joint distribution.
+# Pivot entries and reduced costs within _LP_TOL of zero count as zero.
+_LP_FEAS_TOL = 1e-10
+_LP_TOL = 1e-11
 
 
 class ExactChainError(ValueError):
@@ -770,17 +777,16 @@ def check_u_bound(S: TransitionMatrix, r: np.ndarray) -> float:
 
 @dataclass
 class LPReport:
-    """Brute-force LP maximum of a next-step infection marginal.
+    """LP maximum of a next-step infection marginal.
 
     lp_max: exact optimum over all joint distributions with the prescribed
     marginals. closed_form: the linear upper bound evaluated on the same
-    marginals. bases_checked / bases_feasible: enumeration statistics.
+    marginals. pivots: simplex pivots taken, Phase 1 and Phase 2 together.
     """
 
     lp_max: float
     closed_form: float
-    bases_checked: int
-    bases_feasible: int
+    pivots: int
 
 
 def _marginal_constraint_matrix(n: int, k: int) -> np.ndarray:
@@ -812,36 +818,110 @@ def closed_form_marginal_bound(model: ModelSpec, graph: Graph, i: int,
     return float(acc)
 
 
+def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
+    """Column j enters the basis in row r: one rank-1 tableau update."""
+    T[r] /= T[r, j]
+    col = T[:, j].copy()
+    col[r] = 0.0
+    T -= np.outer(col, T[r])
+    basis[r] = j
+
+
+def _bland_pivots(T: np.ndarray, basis: np.ndarray, n_cols: int) -> int:
+    """Pivot until no reduced cost among the first n_cols columns is
+    negative; return the number of pivots.
+
+    T's constraint rows end in the basic values, and its last row holds the
+    reduced costs of a minimization. Bland's rule picks the lowest-indexed
+    improving column to enter and, among the rows tied in the ratio test,
+    the one whose basic column has the lowest index to leave, so the
+    degenerate vertices of the marginal polytope cannot make it cycle.
+    """
+    m = len(basis)
+    pivots = 0
+    while True:
+        improving = np.flatnonzero(T[m, :n_cols] < -_LP_TOL)
+        if not len(improving):
+            return pivots
+        j = improving[0]
+        rows = np.flatnonzero(T[:m, j] > _LP_TOL)
+        if not len(rows):
+            raise ExactChainError("LP is unbounded")
+        ratios = np.maximum(T[rows, -1], 0.0) / T[rows, j]
+        ties = rows[ratios <= ratios.min() + _LP_TOL]
+        _pivot(T, basis, int(ties[np.argmin(basis[ties])]), j)
+        pivots += 1
+
+
+def _simplex_max(c: np.ndarray, A_eq: np.ndarray,
+                 b_eq: np.ndarray) -> tuple[float, int]:
+    """max c.x  s.t.  A_eq x = b_eq, x >= 0, by the two-phase dense tableau
+    simplex; returns (optimum, pivots).
+
+    Phase 1 minimizes the sum of one artificial column per row, starting
+    from the artificial basis; an optimum above _LP_FEAS_TOL raises
+    LPInfeasibleError. Artificials still basic afterwards (at value zero)
+    are pivoted out, and a row with no nonzero original entry left is a
+    redundant constraint and is dropped. Phase 2 then maximizes c.x from
+    that feasible basis.
+    """
+    m, K = A_eq.shape
+    sign = np.where(b_eq < 0, -1.0, 1.0)
+    T = np.zeros((m + 1, K + m + 1))
+    T[:m, :K] = A_eq * sign[:, None]
+    T[:m, K:K + m] = np.eye(m)
+    T[:m, -1] = b_eq * sign
+    T[m, :K] = -T[:m, :K].sum(axis=0)
+    T[m, -1] = -T[:m, -1].sum()
+    basis = np.arange(K, K + m)
+    pivots = _bland_pivots(T, basis, K)
+    if -T[m, -1] > _LP_FEAS_TOL:
+        raise LPInfeasibleError(
+            "no joint distribution matches the requested marginals"
+        )
+    keep = []
+    for r in range(m):
+        if basis[r] >= K:
+            j = int(np.argmax(np.abs(T[r, :K])))
+            if abs(T[r, j]) <= _LP_TOL:
+                continue
+            _pivot(T, basis, r, j)
+            pivots += 1
+        keep.append(r)
+    T = T[keep + [m]][:, np.r_[:K, -1]]
+    basis = basis[keep]
+    T[-1, :K] = c[basis] @ T[:-1, :K] - c
+    T[-1, -1] = c[basis] @ T[:-1, -1]
+    pivots += _bland_pivots(T, basis, K)
+    return float(c[basis] @ T[:-1, -1]), pivots
+
+
 def lp_marginal_max(model: ModelSpec, graph: Graph, i: int,
                     p: MarginalVector) -> LPReport:
     """Exact maximum of node i's next-step infection marginal over all joint
     distributions mu with the prescribed per-node marginals.
 
     The equality-constrained LP  max c.mu  s.t.  mu >= 0, B^T mu = (1, p)
-    is solved by enumerating basic feasible solutions: every subset of m
-    columns (m = number of constraints), solving the square system, and
-    keeping nonnegative solutions. The feasible region is a polytope, so
-    the optimum is attained at one of them. This oracle shares nothing with
-    the closed-form bound it is compared against. c is node i's one-step
-    infection law (a row sum of S), so S itself is never built.
+    has one column per state (k^n) and 1 + (k-1)n rows; it is solved by
+    _simplex_max, which shares nothing with the closed-form bound it is
+    compared against. c is node i's one-step infection law (a row sum of
+    S), so S itself is never built.
 
-    Raises LPInfeasibleError when no basic feasible solution exists (which
-    for a full-row-rank constraint matrix is equivalent to infeasibility).
+    Raises LPInfeasibleError when the marginals admit no joint distribution
+    (beyond a total violation of 1e-10).
     """
     n = graph.n
     k = model.k
     cap = LP_N_CAP_K2 if k == 2 else LP_N_CAP_K3
     if n > cap:
         raise ExactChainError(
-            f"LP enumeration capped at n <= {cap} for k={k} (got n={n})"
+            f"marginal LP capped at n <= {cap} for k={k} (got n={n})"
         )
     if not (0 <= i < n):
         raise ExactChainError(f"node {i} out of range")
     _check_contact(model, graph)
     D = states_table(n, k)
     B = _marginal_constraint_matrix(n, k)
-    m = B.shape[1]
-    K = k ** n
     if k == 2:
         beq = np.concatenate(([1.0], np.asarray(p.p_i, dtype=float)))
     else:
@@ -852,37 +932,9 @@ def lp_marginal_max(model: ModelSpec, graph: Graph, i: int,
         )
     tables = _VARIANTS[model.variant].tables(model)
     c = _node_digit_probs(model, graph, D, i, tables)[:, 1]
-
-    best = -math.inf
-    checked = 0
-    feasible = 0
-    combos_iter = itertools.combinations(range(K), m)
-    while True:
-        block = list(itertools.islice(combos_iter, _LP_BATCH))
-        if not block:
-            break
-        idx = np.asarray(block, dtype=np.int64)
-        checked += len(idx)
-        # Basis matrices: columns of B^T = rows of B at the chosen indices.
-        mats = B[idx, :].transpose(0, 2, 1)
-        dets = np.linalg.det(mats)
-        ok = np.abs(dets) > 0.5  # 0/1 matrices: nonsingular => |det| >= 1
-        if not ok.any():
-            continue
-        rhs = np.broadcast_to(beq[:, None], (int(ok.sum()), m, 1))
-        sols = np.linalg.solve(mats[ok], rhs)[..., 0]
-        nonneg = (sols >= -1e-10).all(axis=1)
-        if not nonneg.any():
-            continue
-        feasible += int(nonneg.sum())
-        vals = (c[idx[ok]] * sols).sum(axis=1)[nonneg]
-        best = max(best, float(vals.max()))
-    if feasible == 0:
-        raise LPInfeasibleError(
-            "no joint distribution matches the requested marginals"
-        )
+    best, pivots = _simplex_max(c, B.T, beq)
     cf = closed_form_marginal_bound(model, graph, i, p)
-    return LPReport(best, cf, checked, feasible)
+    return LPReport(best, cf, pivots)
 
 
 # ---------------------------------------------------------------------------

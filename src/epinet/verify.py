@@ -7,8 +7,8 @@ returns a SuiteResult with enough serialized detail to replay any failure:
                   transition matrix, and order preservation on sampled
                   ordered distribution pairs (sis-nia and sis-general).
   u-bound         S u(r) dominates u(mean-field step of r) componentwise.
-  lp              brute-force LP marginal optimum vs closed-form bound,
-                  with equality on the small-marginal family.
+  lp              exact LP marginal optimum (simplex) vs closed-form
+                  bound, with equality on the small-marginal family.
   non-absorption  exact survival probability vs mean-field product bound.
   linear          linearized infection update dominates the nonlinear map.
   jacobian        analytic Jacobians vs central finite differences.
@@ -255,7 +255,7 @@ def _suite_lp(n_max: int, trials: int, seed: int) -> SuiteResult:
                 g = generate("complete", n=n)
             else:
                 k = _VARIANTS[variant].k
-                g = _random_graph(rng, min(n_max, 4) if k == 2 else 3)
+                g = _random_graph(rng, min(n_max, 4 if k == 2 else 3))
                 n = g.n
             model = _variant_model(rng, variant, n, rates)
             i = int(rng.integers(n))

@@ -3,18 +3,24 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+import epinet
 import epinet.exact_chain as exact_chain
 from epinet import (
     ChainState,
     DistVector,
     ExactChainError,
+    LPInfeasibleError,
     MarginalVector,
     ModelError,
     ModelSpec,
@@ -604,6 +610,64 @@ class TestUBound:
 # LP marginal bound
 # ---------------------------------------------------------------------------
 
+def _enumerate_bases_max(c, A_eq, b_eq):
+    """Reference LP solver: max c.x s.t. A_eq x = b_eq, x >= 0, by trying
+    every basis.
+
+    Every subset of m columns (m = rows of A_eq) with a nonsingular square
+    matrix is solved, and solutions above -1e-10 everywhere are basic
+    feasible. The feasible region is a polytope, so the optimum is attained
+    at one of them. Returns None when none is feasible, which for a
+    full-row-rank A_eq means the LP is infeasible. C(K, m) solves: only
+    k=2 with n <= 4 and k=3 with n <= 3 are in reach.
+    """
+    m, K = A_eq.shape
+    best = -math.inf
+    combos = itertools.combinations(range(K), m)
+    while True:
+        block = list(itertools.islice(combos, 20000))
+        if not block:
+            return None if best == -math.inf else best
+        idx = np.asarray(block, dtype=np.int64)
+        mats = A_eq.T[idx, :].transpose(0, 2, 1)
+        ok = np.abs(np.linalg.det(mats)) > 0.5  # 0/1 matrices: |det| >= 1
+        if not ok.any():
+            continue
+        rhs = np.broadcast_to(b_eq[:, None], (int(ok.sum()), m, 1))
+        sols = np.linalg.solve(mats[ok], rhs)[..., 0]
+        nonneg = (sols >= -1e-10).all(axis=1)
+        if nonneg.any():
+            vals = (c[idx[ok]] * sols).sum(axis=1)[nonneg]
+            best = max(best, float(vals.max()))
+
+
+def _lp_problem(m, g, i, p):
+    """(c, A_eq, b_eq) of node i's marginal LP, with c read from the rows
+    of the built chain S rather than from the LP's own objective code."""
+    k = m.k
+    D = states_table(g.n, k)
+    c = build_transition_matrix(m, g).entries @ (D[:, i] == 1).astype(float)
+    A_eq = exact_chain._marginal_constraint_matrix(g.n, k).T
+    b_eq = np.concatenate(([1.0], p.p_i) if k == 2 else ([1.0], p.p_r, p.p_i))
+    return c, A_eq, b_eq
+
+
+def _oracle_max(m, g, i, p):
+    return _enumerate_bases_max(*_lp_problem(m, g, i, p))
+
+
+def _marginal_families(rng, n, k):
+    """verify's two lp families: total mass below 1 (the closed form is
+    attained) and unrestricted marginals."""
+    small = rng.uniform(0.0, 1.0, (k - 1) * n)
+    small *= rng.uniform(0.2, 0.95) / small.sum()
+    if k == 2:
+        return (MarginalVector(small), MarginalVector(rng.uniform(0, 1, n)))
+    pi_ = rng.uniform(0.0, 1.0, n)
+    pr_ = rng.uniform(0.0, 1.0, n) * (1.0 - pi_)
+    return (MarginalVector(small[:n], small[n:]), MarginalVector(pi_, pr_))
+
+
 class TestLP:
     def test_equality_on_small_marginals(self, rng):
         """For marginals with sum <= 1 the closed form is attained exactly."""
@@ -624,37 +688,90 @@ class TestLP:
                 pi_ = rng.random(g.n) * 0.5
                 pr_ = rng.random(g.n) * 0.5
                 p = MarginalVector(pi_, pr_)
-            rep = lp_marginal_max(m, g, int(rng.integers(g.n)), p)
+            i = int(rng.integers(g.n))
+            rep = lp_marginal_max(m, g, i, p)
             assert rep.lp_max <= rep.closed_form + 1e-9
-            assert rep.bases_feasible >= 1
+            assert abs(rep.lp_max - _oracle_max(m, g, i, p)) <= 1e-12
 
-    def test_scipy_linprog_agreement(self, rng):
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_enumerator_agreement(self, rng, variant):
+        """The simplex optimum equals the basis enumerator's on every size
+        the enumerator reaches, weighted and not, on both verify families."""
+        k = exact_chain._VARIANTS[variant].k
+        for n in range(2, (4 if k == 2 else 3) + 1):
+            for weighted in (0.0, 1.0):
+                g = random_connected_graph(rng, n, n_min=n,
+                                           weighted_prob=weighted)
+                m = random_model(rng, variant, n=n)
+                i = int(rng.integers(n))
+                for p in _marginal_families(rng, n, k):
+                    rep = lp_marginal_max(m, g, i, p)
+                    assert abs(rep.lp_max - _oracle_max(m, g, i, p)) <= 1e-12
+                    assert rep.pivots >= 1
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_scipy_linprog_agreement(self, rng, variant):
         """Independent LP solver must find the same optimum."""
         from scipy.optimize import linprog
 
-        from epinet.exact_chain import _marginal_constraint_matrix
-
-        g = random_connected_graph(rng, 3)
-        m = random_model(rng, "sis-ia", n=g.n)
-        p = MarginalVector(rng.random(g.n))
+        k = exact_chain._VARIANTS[variant].k
+        g = random_connected_graph(rng, 4 if k == 2 else 3, n_min=3,
+                                   weighted_prob=0.5)
+        m = random_model(rng, variant, n=g.n)
+        p = _marginal_families(rng, g.n, k)[1]
         rep = lp_marginal_max(m, g, 1, p)
 
-        S = build_transition_matrix(m, g)
-        D = states_table(g.n, 2)
-        c = S.entries @ (D[:, 1] == 1).astype(float)
-        B = _marginal_constraint_matrix(g.n, 2)
-        beq = np.concatenate(([1.0], p.p_i))
-        res = linprog(-c, A_eq=B.T, b_eq=beq, bounds=(0, None),
+        c, A_eq, b_eq = _lp_problem(m, g, 1, p)
+        res = linprog(-c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None),
                       method="highs")
         assert res.status == 0
         assert rep.lp_max == pytest.approx(-res.fun, abs=1e-9)
 
-    def test_cap_enforced(self, rng):
-        g = generate("path", n=5)
-        m = ModelSpec("sis-nia", beta=0.5, delta=0.5)
-        p = MarginalVector(np.full(5, 0.1))
-        with pytest.raises(ExactChainError, match="cap"):
-            lp_marginal_max(m, g, 0, p)
+    def test_infeasible_beyond_tolerance(self, path3):
+        # p_i + p_r = 1 + 5e-10 at node 0: MarginalVector admits it, but no
+        # joint law has these marginals, and the violation exceeds 1e-10.
+        m = ModelSpec("sirs", beta=0.4, delta=0.3, gamma=0.2)
+        p = MarginalVector([0.6, 0.2, 0.3], [0.4 + 5e-10, 0.1, 0.5])
+        with pytest.raises(LPInfeasibleError):
+            lp_marginal_max(m, path3, 1, p)
+        assert _oracle_max(m, path3, 1, p) is None
+
+    def test_feasible_within_tolerance(self, path3):
+        # A violation of 1e-11 is accepted. Both solvers then return a
+        # vertex that misses the polytope by that much, each its own, so
+        # they agree to within the 1e-10 feasibility tolerance, not 1e-12.
+        m = ModelSpec("sirs", beta=0.4, delta=0.3, gamma=0.2)
+        p = MarginalVector([0.6, 0.2, 0.3], [0.4 + 1e-11, 0.1, 0.5])
+        rep = lp_marginal_max(m, path3, 1, p)
+        assert abs(rep.lp_max - _oracle_max(m, path3, 1, p)) <= 1e-10
+
+    def test_cap_enforced(self):
+        for variant, cap in (("sis-nia", exact_chain.LP_N_CAP_K2),
+                             ("sirs", exact_chain.LP_N_CAP_K3)):
+            k = exact_chain._VARIANTS[variant].k
+            g = generate("path", n=cap + 1)
+            m = ModelSpec(variant, beta=0.5, delta=0.5,
+                          **({"gamma": 0.5} if k == 3 else {}))
+            p = MarginalVector(np.full(g.n, 0.1),
+                               np.full(g.n, 0.1) if k == 3 else None)
+            with pytest.raises(ExactChainError, match="cap"):
+                lp_marginal_max(m, g, 0, p)
+
+    @pytest.mark.parametrize("kind, i", [("path", 3), ("star", 0)])
+    def test_bound_at_k3_cap(self, kind, i):
+        """The paper's claim beyond the enumerator's reach: the LP optimum
+        never exceeds the closed form, and attains it on the small family."""
+        rng = np.random.default_rng(11)
+        n = exact_chain.LP_N_CAP_K3
+        g = generate(kind, n=n)
+        for variant in ("sirs", "siv-id", "siv-vd"):
+            m = random_model(rng, variant, n=n)
+            small, general = _marginal_families(rng, n, 3)
+            for p, tight in ((small, True), (general, False)):
+                rep = lp_marginal_max(m, g, i, p)
+                assert rep.lp_max <= rep.closed_form + 1e-9
+                if tight:
+                    assert abs(rep.lp_max - rep.closed_form) <= 1e-6
 
     def test_contact_dimension_checked(self, path3):
         m = ModelSpec("sis-general", contact=np.full((4, 4), 0.2))
@@ -677,9 +794,10 @@ class TestLP:
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_objective_is_row_sum_of_chain(self, rng, variant):
         # The LP objective, node i's one-step infection probability, equals
-        # the mass S puts on the states where node i is infected.
+        # the mass S puts on the states where node i is infected. (At the
+        # LP caps S itself would need up to 2 GB, so smaller n are used.)
         k = exact_chain._VARIANTS[variant].k
-        n = exact_chain.LP_N_CAP_K2 if k == 2 else exact_chain.LP_N_CAP_K3
+        n = 4 if k == 2 else 3
         for _ in range(3):
             g = random_connected_graph(rng, n, n_min=n, weighted_prob=0.5)
             m = random_model(rng, variant, n=n)
@@ -690,6 +808,40 @@ class TestLP:
                 row_sum = S.entries @ (D[:, i] == 1).astype(float)
                 c = exact_chain._node_digit_probs(m, g, D, i, tables)[:, 1]
                 assert np.abs(c - row_sum).max() <= 1e-15
+
+    def test_verify_lp_respects_n_max(self, monkeypatch):
+        import epinet.verify as verify
+
+        sizes = []
+        lp = verify.lp_marginal_max
+
+        def recording_lp(model, graph, i, p):
+            sizes.append(graph.n)
+            return lp(model, graph, i, p)
+
+        monkeypatch.setattr(verify, "lp_marginal_max", recording_lp)
+        for seed in range(4):
+            assert verify.run_suite("lp", n_max=2, trials=12, seed=seed).passed
+        assert len(sizes) == 48
+        assert max(sizes) == 2
+
+    def test_does_not_import_scipy_optimize(self):
+        """scipy.optimize costs about 25 MB of resident memory; the LP
+        must not load it."""
+        code = (
+            "import sys, numpy as np, epinet\n"
+            "m = epinet.ModelSpec('sirs', beta=0.4, delta=0.3, gamma=0.2)\n"
+            "p = epinet.MarginalVector(np.full(3, 0.3), np.full(3, 0.2))\n"
+            "epinet.lp_marginal_max(m, epinet.generate('path', n=3), 1, p)\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        src = str(Path(epinet.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            q for q in (src, os.environ.get("PYTHONPATH")) if q))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
