@@ -67,6 +67,7 @@ from .mean_field import (
     StabilityReport,
     classify_stability,
     find_fixed_point,
+    jacobian_contracts,
     jacobian_eigenvalues,
     linear_bound_check,
     mf_iterate,

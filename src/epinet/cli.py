@@ -420,6 +420,18 @@ def _model_options(fn):
     return fn
 
 
+def _check_tol(ctx, param, value: float) -> float:
+    if not 0.0 < value < math.inf:
+        raise click.BadParameter(f"{value} is not a finite number > 0")
+    return value
+
+
+def _check_damping(ctx, param, value: float | None) -> float | None:
+    if value is not None and not 0.0 < value <= 1.0:
+        raise click.BadParameter(f"{value} is not in (0, 1]")
+    return value
+
+
 def _exit(code: int) -> None:
     if code:
         sys.exit(code)
@@ -462,10 +474,11 @@ def simulate_command(**params):
 @main.command("meanfield")
 @_graph_options
 @_model_options
-@click.option("--tol", type=float, default=1e-10)
+@click.option("--tol", type=float, default=1e-10, callback=_check_tol,
+              help="Residual tolerance, a finite number > 0.")
 @click.option("--cap", type=click.IntRange(min=1), default=100000)
-@click.option("--damping", type=click.FloatRange(min=0.0, max=1.0,
-                                                 min_open=True), default=None)
+@click.option("--damping", type=float, default=None, callback=_check_damping,
+              help="Damping factor in (0, 1].")
 @click.option("--raw-iteration", is_flag=True, default=False,
               help="Iterate the undamped map (reproduces cycles).")
 @click.option("--traj-out", type=str, default=None)
@@ -512,7 +525,8 @@ def verify_command(**params):
 @click.option("--reps", type=click.IntRange(min=1), default=25)
 @click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--init", type=str, default="all-infected")
-@click.option("--tol", type=float, default=1e-10)
+@click.option("--tol", type=float, default=1e-10, callback=_check_tol,
+              help="Residual tolerance, a finite number > 0.")
 @click.option("--cap", type=click.IntRange(min=1), default=100000)
 @click.option("-o", "--out", type=str, required=True)
 def sweep_command(**params):

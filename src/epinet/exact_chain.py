@@ -611,9 +611,12 @@ def mixing_time_exact(S: TransitionMatrix, pi: DistVector, epsilon: float,
     # Dense BLAS powers beat dense @ CSR here.
     _check_dense_scan(S.k, S.n)
     M = S.entries.toarray()
-    Dmat = np.eye(K)
+    # S^1 is M itself: no K^3 product with the identity. Dmat is rebound,
+    # never written in place, so M stays intact.
+    Dmat = M
     for t in range(1, cap + 1):
-        Dmat = Dmat @ M
+        if t > 1:
+            Dmat = Dmat @ M
         dev = Dmat - pi.entries[None, :]
         tv = 0.5 * np.abs(dev, out=dev).sum(axis=1)
         del dev

@@ -16,8 +16,8 @@ independent per-node marginals, giving an n-dimensional (2-compartment) or
 
 with Pi_i(x) = prod over neighbors j of (1 - beta w_ij x_j) and
 s_i = 1 - r_i - p_i. Implements mf_step, mf_linear_model, mf_jacobian,
-mf_iterate, find_fixed_point, classify_stability, perron_certificate, and
-linear_bound_check.
+jacobian_eigenvalues, jacobian_contracts, mf_iterate, find_fixed_point,
+classify_stability, perron_certificate, and linear_bound_check.
 """
 from __future__ import annotations
 
@@ -67,7 +67,7 @@ class MeanFieldPoint:
         if p.min(initial=0.0) < -1e-9 or p.max(initial=0.0) > 1 + 1e-9:
             raise MeanFieldError(f"p_i outside [0,1]: range "
                                  f"[{p.min()}, {p.max()}]")
-        np.clip(p, 0.0, 1.0, out=p)
+        p.clip(0.0, 1.0, out=p)
         self.p_i = p
         if self.p_r is not None:
             r = np.asarray(self.p_r, dtype=float).copy()
@@ -75,7 +75,7 @@ class MeanFieldPoint:
                 raise MeanFieldError("p_r and p_i must have the same length")
             if r.min(initial=0.0) < -1e-9 or r.max(initial=0.0) > 1 + 1e-9:
                 raise MeanFieldError("p_r outside [0,1]")
-            np.clip(r, 0.0, 1.0, out=r)
+            r.clip(0.0, 1.0, out=r)
             if np.any(p + r > 1 + 1e-9):
                 raise MeanFieldError("p_i + p_r exceeds 1")
             self.p_r = r
@@ -96,11 +96,11 @@ class MeanFieldPoint:
 
     @classmethod
     def from_concat(cls, v: np.ndarray, k: int) -> "MeanFieldPoint":
-        v = np.asarray(v, dtype=float)
+        # __post_init__ copies both halves.
         if k == 2:
-            return cls(v.copy())
+            return cls(v)
         n = len(v) // 2
-        return cls(v[n:].copy(), v[:n].copy())
+        return cls(v[n:], v[:n])
 
 
 @dataclass
@@ -372,6 +372,39 @@ def jacobian_eigenvalues(model: ModelSpec, graph: Graph,
     return np.linalg.eigvalsh(S)
 
 
+# Power steps of jacobian_contracts' bound before it takes the spectrum.
+_BOUND_STEPS = 20
+
+
+def jacobian_contracts(model: ModelSpec, graph: Graph,
+                       x: MeanFieldPoint) -> bool:
+    """Whether mf_jacobian(model, graph, x) has spectral radius < 1.
+
+    Two Perron-Frobenius facts (Horn & Johnson, Matrix Analysis, ch. 8)
+    bound the radius from above: rho(J) <= rho(B) for B = |J|, and
+    rho(B) <= max_i (B v)_i / v_i for any v > 0 (Collatz-Wielandt). Up to
+    20 power steps v <- B v / max(B v) from v = 1 tighten the bound; once
+    it is below 1 - 1e-9 the answer is True. Otherwise, or when B v has an
+    entry that is not positive and finite, the answer is
+    np.abs(jacobian_eigenvalues(...)).max() < 1. The margin is far above
+    the rounding error of the bound and of the spectrum (about 1e-13
+    each), so both routes give the same answer.
+    """
+    B = mf_jacobian(model, graph, x)
+    np.abs(B, out=B)
+    v = np.ones(len(B))
+    for _ in range(_BOUND_STEPS):
+        y = B @ v
+        top = y.max()
+        if not (y.min() > 0.0 and top < math.inf):
+            break
+        if (y / v).max() < 1.0 - 1e-9:
+            return True
+        v = y / top
+    del B
+    return bool(np.abs(jacobian_eigenvalues(model, graph, x)).max() < 1.0)
+
+
 def mf_iterate(model: ModelSpec, graph: Graph, x0: MeanFieldPoint,
                t: int) -> list[MeanFieldPoint]:
     """Deterministic trajectory [x0, F(x0), ..., F^t(x0)]."""
@@ -423,10 +456,6 @@ def _relation_defect(model: ModelSpec, pt: MeanFieldPoint) -> float | None:
 
 # Longest period the fixed-point iteration detects as a cycle.
 _CYCLE_LAGS = 64
-# Doubles (128 KiB) per block of stored iterates in the cycle check: a block
-# stays in cache, so the check costs no more per lag than lag-by-lag
-# comparisons do, at any state size.
-_LAG_BLOCK = 16384
 
 
 def find_fixed_point(model: ModelSpec, graph: Graph, tol: float = 1e-10,
@@ -441,19 +470,27 @@ def find_fixed_point(model: ModelSpec, graph: Graph, tol: float = 1e-10,
     skipped). The remaining variants use damped iteration
     x <- (1-eta) x + eta F(x) with eta = 0.5 from the upper corner
     (p_i = all ones, p_r = 0), because their raw maps can oscillate; pass
-    damping=1.0 to reproduce cycles.
+    damping=1.0 to reproduce cycles. tol must be finite and > 0, and
+    damping None or in (0, 1]; anything else raises MeanFieldError.
 
     Cycle detection: if an iterate recurs (within 1e-9) at lag q <= 64
     while the residual is still above tol and the trajectory swings by more
     than 1e-6 within the period (distinguishing a cycle from slow
     convergence), classification is 'cycle(q)'. Cycles of smaller amplitude
-    are reported as 'non-converged' at the cap.
+    are reported as 'non-converged' at the cap. Each iteration first
+    compares one probe coordinate, the largest entry of |F(x) - x|, with
+    the stored iterates: a lag whose probe entry differs by 1e-9 or more
+    cannot recur, since its full distance contains that same difference.
+    Only the remaining lags are compared in full, and the swing within
+    the period is measured only once a recurrence is found.
     Classification is 'disease-free' when the converged infection norm is
     below max(tol, 1e-8) (the iteration cannot distinguish exact zero from
     geometric decay truncated at residual tol), else 'endemic'.
     """
-    if tol <= 0:
-        raise MeanFieldError("tol must be > 0")
+    if not 0.0 < tol < math.inf:
+        raise MeanFieldError(f"tol must be finite and > 0, got {tol}")
+    if damping is not None and not 0.0 < damping <= 1.0:
+        raise MeanFieldError(f"damping must be in (0, 1], got {damping}")
     n = graph.n
     monotone = _VARIANTS[model.variant].order_preserving
     if damping is None:
@@ -461,13 +498,10 @@ def find_fixed_point(model: ModelSpec, graph: Graph, tol: float = 1e-10,
     assert_decreasing = monotone and x0 is None and damping == 1.0
     x = x0 if x0 is not None else _upper_corner(model, n)
     vec = x.concat()
-    # The last _CYCLE_LAGS iterates; the one at lag j before the newest
-    # iterate sits in slot (head - j) % _CYCLE_LAGS.
+    # The last _CYCLE_LAGS iterates; the one at lag j >= 1 before the
+    # newest iterate sits in slot (head - j) % _CYCLE_LAGS.
     ring = np.empty((_CYCLE_LAGS, len(vec)))
     ring[0] = vec
-    rows = max(1, _LAG_BLOCK // len(vec))
-    scratch = np.empty((min(rows, _CYCLE_LAGS), len(vec)))
-    by_slot = np.empty(_CYCLE_LAGS)
     head, stored = 1, 1
     classify_eps = max(tol, 1e-8)
     it = 0
@@ -476,41 +510,38 @@ def find_fixed_point(model: ModelSpec, graph: Graph, tol: float = 1e-10,
     for it in range(1, cap + 1):
         fx = mf_step(model, graph, x)
         fvec = fx.concat()
-        residual = float(np.abs(fvec - vec).max())
-        nvec = vec + damping * (fvec - vec)
+        step = fvec - vec
+        gap = np.abs(step)
+        probe = int(gap.argmax())
+        residual = float(gap[probe])
+        nvec = vec + damping * step
         if assert_decreasing and np.any(nvec > vec + 1e-12):
             raise MeanFieldError(
                 "monotone iteration increased a coordinate; map bug"
             )
         if residual < tol:
             x = fx
-            vec = fvec
             classification = "converged"
             break
+        x = MeanFieldPoint.from_concat(nvec, model.k)
         cycle_q = 0
-        nv_res = None
-        # Distance from nvec to every stored iterate, by slot.
-        for a in range(0, stored, rows):
-            blk = scratch[:min(rows, stored - a)]
-            np.subtract(ring[a:a + len(blk)], nvec, out=blk)
-            np.abs(blk, out=blk).max(axis=1, out=by_slot[a:a + len(blk)])
-        # dist[j - 1] is the distance from nvec to the iterate j steps back.
-        dist = by_slot[(head - np.arange(1, stored + 1)) % _CYCLE_LAGS]
-        recur = np.flatnonzero(dist[1:] < 1e-9)
-        if len(recur):
+        near = np.flatnonzero(np.abs(ring[:stored, probe] - nvec[probe])
+                              < 1e-9).tolist()
+        # The lags of the stored iterates whose probe entry recurs.
+        for q in sorted((head - 1 - slot) % _CYCLE_LAGS + 1 for slot in near):
+            if q < 2 or not (np.abs(ring[(head - q) % _CYCLE_LAGS]
+                                    - nvec).max() < 1e-9):
+                continue
             # Candidate period q. A slowly converging trajectory also
             # recurs within 1e-9; a genuine cycle must additionally swing
             # by a macroscopic amplitude within the period.
-            q = int(recur[0]) + 2
-            if float(dist[:q - 1].max()) > 1e-6:
-                nv_res = float(
-                    np.abs(mf_step(model, graph,
-                                   MeanFieldPoint.from_concat(nvec, model.k)
-                                   ).concat() - nvec).max()
-                )
+            within = ring[(head - np.arange(1, q)) % _CYCLE_LAGS]
+            if float(np.abs(within - nvec).max()) > 1e-6:
+                nv_res = float(np.abs(mf_step(model, graph, x).concat()
+                                      - nvec).max())
                 if nv_res > tol:
                     cycle_q = q
-        x = MeanFieldPoint.from_concat(nvec, model.k)
+            break
         vec = nvec
         if cycle_q:
             classification = f"cycle({cycle_q})"
@@ -519,7 +550,7 @@ def find_fixed_point(model: ModelSpec, graph: Graph, tol: float = 1e-10,
         ring[head] = vec
         head = (head + 1) % _CYCLE_LAGS
         stored = min(stored + 1, _CYCLE_LAGS)
-    del ring, scratch
+    del ring
     if classification == "converged":
         inf_norm = float(np.abs(x.p_i).max())
         classification = "disease-free" if inf_norm < classify_eps else "endemic"

@@ -244,6 +244,22 @@ class TestMeanfield:
         ])
         assert res.exit_code == 3
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "inf"), ("--tol", "nan"), ("--tol", "0"), ("--tol", "-1e-9"),
+        ("--damping", "nan"), ("--damping", "0"), ("--damping", "1.5"),
+    ])
+    def test_bad_tol_or_damping_exit_2(self, runner, path3_file, tmp_path,
+                                       flag, value):
+        out = tmp_path / "mf.json"
+        res = runner.invoke(main, [
+            "meanfield", "--graph", path3_file, "--variant", "sirs",
+            "--beta", "0.9", "--delta", "0.3", "--gamma", "0.2",
+            flag, value, "-o", str(out),
+        ])
+        assert res.exit_code == 2
+        assert flag in res.output
+        assert not out.exists()
+
     def test_trajectory_output(self, runner, path3_file, tmp_path):
         out = str(tmp_path / "mf.json")
         traj = str(tmp_path / "traj.csv")
@@ -506,6 +522,18 @@ class TestSweep:
         ])
         assert res.exit_code == 2
         assert "--seed" in res.output
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_bad_tol_exit_2(self, runner, path3_file, tmp_path, value):
+        out = tmp_path / "x.csv"
+        res = runner.invoke(main, [
+            "sweep", "--graph", path3_file, "--variant", "sis-nia",
+            "--delta", "0.9", "--beta-grid", "0.1,0.2", "--t", "10",
+            "--tol", value, "-o", str(out),
+        ])
+        assert res.exit_code == 2
+        assert "--tol" in res.output
+        assert not out.exists()
 
     def test_bad_grids(self, runner, path3_file, tmp_path):
         base = ["sweep", "--graph", path3_file, "--variant", "sis-nia",

@@ -485,6 +485,46 @@ class TestMixing:
         assert len(tied) == 3
         assert rep.worst_initial.code == tied[0]
 
+    @staticmethod
+    def reference_dense_scan(S, pi, epsilon, cap):
+        """The dense mixing scan as it ran when its powers of S started
+        from the identity."""
+        M = S.entries.toarray()
+        bound = mixing_time_bound(S.model, S.graph, epsilon)
+        Dmat = np.eye(len(M))
+        for t in range(1, cap + 1):
+            Dmat = Dmat @ M
+            dev = Dmat - pi.entries[None, :]
+            tv = 0.5 * np.abs(dev, out=dev).sum(axis=1)
+            top = tv.max()
+            if top <= epsilon:
+                return exact_chain.MixingReport(
+                    t, epsilon, bound, exact_chain._worst_state(tv, top, S))
+        return exact_chain.MixingReport(
+            None, epsilon, bound, exact_chain._worst_state(tv, tv.max(), S),
+            censored=True)
+
+    @pytest.mark.parametrize("variant, rates", [
+        ("siv-id", dict(beta=0.3, delta=0.6, gamma=0.4, theta=0.3)),
+        ("siv-vd", dict(beta=0.54, delta=0.79, gamma=0.48, theta=0.25)),
+    ])
+    def test_dense_scan_matches_identity_start(self, variant, rates):
+        """Starting the dense scan from S itself gives the report of the
+        scan that started from the identity: at t = 1 (a loose epsilon),
+        later, and censored at the cap."""
+        g = generate("path", n=4)
+        S = build_transition_matrix(ModelSpec(variant, **rates), g)
+        pi = stationary(S)
+        assert pi.entries.max() < 1.0  # the dense branch
+        runs = [(0.99, 100), (0.25, 100), (1e-6, 3)]
+        reports = [mixing_time_exact(S, pi, eps, cap=cap)
+                   for eps, cap in runs]
+        assert reports[0].t_mix == 1
+        assert reports[1].t_mix > 1
+        assert reports[2].censored
+        for (eps, cap), rep in zip(runs, reports):
+            assert rep == self.reference_dense_scan(S, pi, eps, cap)
+
     def test_cap_below_one_point_mass(self):
         g = generate("path", n=2)
         m = ModelSpec("sis-nia", beta=0.3, delta=0.5)

@@ -2,6 +2,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from epinet import (
     fd_jacobian,
     find_fixed_point,
     generate,
+    jacobian_contracts,
     jacobian_eigenvalues,
     linear_bound_check,
     marginals,
@@ -453,6 +458,19 @@ class TestFixedPoint:
         with pytest.raises(MeanFieldError):
             find_fixed_point(m, path3, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [-1e-10, math.inf, math.nan])
+    def test_tol_must_be_finite_positive(self, path3, tol):
+        m = ModelSpec("sis-ia", beta=0.3, delta=0.7)
+        with pytest.raises(MeanFieldError, match="tol"):
+            find_fixed_point(m, path3, tol=tol)
+
+    @pytest.mark.parametrize("damping", [0.0, -0.5, 1.5, math.inf,
+                                         math.nan])
+    def test_damping_in_unit_interval(self, path3, damping):
+        m = ModelSpec("sis-ia", beta=0.3, delta=0.7)
+        with pytest.raises(MeanFieldError, match="damping"):
+            find_fixed_point(m, path3, damping=damping)
+
 
 def reference_fixed_point(model, graph, tol=1e-10, cap=100000, damping=None,
                           x0=None):
@@ -527,16 +545,10 @@ class TestCycleDetector:
     @staticmethod
     def assert_same(m, g, **kwargs):
         cls, it, res, pt = reference_fixed_point(m, g, **kwargs)
-        d = len(pt.concat())
-        # Stored iterates compared in one block, one at a time, and in
-        # blocks of three (the last block partial).
-        for block in (mean_field._LAG_BLOCK, d, 3 * d):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(mean_field, "_LAG_BLOCK", block)
-                rep = find_fixed_point(m, g, compute_spectrum=False, **kwargs)
-            assert (rep.classification, rep.iterations, rep.residual) \
-                == (cls, it, res)
-            assert np.array_equal(rep.point.concat(), pt.concat())
+        rep = find_fixed_point(m, g, compute_spectrum=False, **kwargs)
+        assert (rep.classification, rep.iterations, rep.residual) \
+            == (cls, it, res)
+        assert np.array_equal(rep.point.concat(), pt.concat())
         return rep
 
     @staticmethod
@@ -574,6 +586,32 @@ class TestCycleDetector:
         assert rep.classification == "non-converged"
         assert rep.iterations == 600
 
+    def test_slow_convergence_converges(self, monkeypatch):
+        """Recent iterates recur within 1e-9 and the swing stays below
+        1e-6, so each step finds a candidate period and rejects it, until
+        the residual falls below tol."""
+        c = np.array([0.3, 0.6, 0.45])
+        self.use_map(monkeypatch, lambda p: c + 0.999 * (p - c))
+        rep = self.assert_same(self.M, generate("path", n=3), tol=1e-13,
+                               damping=1.0,
+                               x0=MeanFieldPoint(c + [1e-7, -5e-8, 2e-8]))
+        assert rep.classification == "endemic"
+        assert rep.iterations > 1000
+
+    def test_probe_recurs_other_coordinate_moves(self, monkeypatch):
+        """Node 0 flips between 0.2 and 0.8 and so is the probe coordinate;
+        it recurs at every even lag while node 1 still climbs by 1e-3 a
+        step, and each such lag fails the full comparison. Once node 1
+        stops at 0.1 the period-2 cycle is found."""
+        def flip_and_climb(p):
+            return np.array([1.0 - p[0], min(p[1] + 1e-3, 0.1)])
+
+        self.use_map(monkeypatch, flip_and_climb)
+        rep = self.assert_same(self.M, generate("path", n=2), damping=1.0,
+                               x0=MeanFieldPoint(np.array([0.2, 0.0])))
+        assert rep.classification == "cycle(2)"
+        assert rep.iterations > 100
+
     def test_cycle_after_long_transient(self, monkeypatch):
         """Node 0 decays geometrically; once it is small the other nodes
         flip, so a period-2 cycle is found well past 64 stored iterates."""
@@ -599,6 +637,13 @@ class TestCycleDetector:
         if m.contact is None:
             self.assert_same(m, g, tol=1e-12, damping=1.0,
                              x0=random_point(rng, variant, g.n))
+
+    @pytest.mark.parametrize("damping", [0.5, 1.0])
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_real_maps_damping(self, rng, variant, damping):
+        g = random_connected_graph(rng, 8)
+        m = random_model(rng, variant, n=g.n)
+        self.assert_same(m, g, tol=1e-12, damping=damping)
 
     def test_star3_raw_cycle(self, star3):
         rep = self.assert_same(ModelSpec("sis-ia", beta=0.9, delta=0.9),
@@ -664,6 +709,112 @@ class TestStability:
             m = random_model(rng, variant, n=g.n)
             pt = random_point(rng, variant, g.n)
             assert linear_bound_check(m, g, pt) >= -1e-12, variant
+
+
+def spectrum_contracts(m, g, x):
+    return bool(np.abs(jacobian_eigenvalues(m, g, x)).max() < 1.0)
+
+
+class TestJacobianContracts:
+    """jacobian_contracts(m, g, x) == spectrum_contracts(m, g, x), with the
+    spectrum taken only when the Collatz-Wielandt bound cannot decide."""
+
+    @staticmethod
+    def count_spectra(monkeypatch):
+        calls = []
+        spectrum = mean_field.jacobian_eigenvalues
+
+        def counted(*args):
+            calls.append(args)
+            return spectrum(*args)
+
+        monkeypatch.setattr(mean_field, "jacobian_eigenvalues", counted)
+        return calls
+
+    def test_agrees_on_stability_er_stream(self, monkeypatch):
+        """Every endemic point of the stability-er suite at trials=12,
+        seeds 0-5: 216 points on ER graphs with n = 200, 400 and 800."""
+        import epinet.verify as verify
+
+        points = []
+        monkeypatch.setattr(
+            verify, "jacobian_contracts",
+            lambda m, g, x: points.append((m, g, x)) or True)
+        for seed in range(6):
+            verify.run_suite("stability-er", trials=12, seed=seed)
+        assert len(points) == 216
+        spectra = self.count_spectra(monkeypatch)
+        got = [jacobian_contracts(m, g, x) for m, g, x in points]
+        fallbacks = len(spectra)
+        monkeypatch.undo()
+        want = [spectrum_contracts(m, g, x) for m, g, x in points]
+        assert got == want
+        # Most points are decided by the bound alone.
+        assert 0 < fallbacks < len(points) // 4
+
+    def test_fallback_decides_when_bound_exceeds_one(self, monkeypatch):
+        """On the triangle the endemic Jacobian has a negative diagonal:
+        rho(J) = 0.66 while rho(|J|) = 1.06, so no v proves the bound and
+        the spectrum decides."""
+        g = generate("complete", n=3)
+        m = ModelSpec("sis-ia", beta=0.7, delta=0.9)
+        x = find_fixed_point(m, g, compute_spectrum=False).point
+        B = np.abs(mf_jacobian(m, g, x))
+        assert np.abs(np.linalg.eigvals(B)).max() > 1.05
+        spectra = self.count_spectra(monkeypatch)
+        assert jacobian_contracts(m, g, x)
+        assert len(spectra) == 1
+
+    def test_disease_free_above_threshold_is_false(self):
+        """At x = 0, J = (1 - delta) I + beta A with rho = 1 - delta +
+        beta lambda_max > 1."""
+        g = generate("star", n=6)
+        m = ModelSpec("sis-ia", beta=0.3, delta=0.4)
+        lam = spectral_radius(g).lambda_max
+        assert 1.0 - m.delta + m.beta * lam > 1.0
+        assert not jacobian_contracts(m, g, MeanFieldPoint(np.zeros(g.n)))
+
+    def test_unstable_endemic_is_false(self):
+        g = generate("star", n=4)
+        m = ModelSpec("sis-ia", beta=0.9, delta=0.8)
+        rep = find_fixed_point(m, g)
+        assert rep.classification == "endemic"
+        assert 1.0 < np.abs(rep.jacobian_spectrum).max() < 1.001
+        assert not jacobian_contracts(m, g, rep.point)
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_weighted_and_k3(self, rng, monkeypatch, variant):
+        """Fixed points and random points on graphs that are weighted half
+        of the time; every variant, so k=3 and sis-general too."""
+        spectra = self.count_spectra(monkeypatch)
+        by_bound = 0
+        for _ in range(12):
+            g = random_connected_graph(rng, 9, n_min=3, weighted_prob=0.5)
+            m = random_model(rng, variant, n=g.n)
+            points = [find_fixed_point(m, g, compute_spectrum=False).point,
+                      random_point(rng, variant, g.n)]
+            for x in points:
+                before = len(spectra)
+                got = jacobian_contracts(m, g, x)
+                by_bound += len(spectra) == before
+                assert got == spectrum_contracts(m, g, x)
+        assert by_bound > 0
+
+    def test_does_not_load_scipy_linalg(self):
+        """The bound and its fallback use numpy alone."""
+        code = (
+            "import sys, epinet\n"
+            "epinet.run_suite('stability-er', trials=1)\n"
+            "print([m for m in ('scipy.sparse.linalg', 'scipy.linalg')\n"
+            "       if m in sys.modules])\n"
+        )
+        src = str(Path(mean_field.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            q for q in (src, os.environ.get("PYTHONPATH")) if q))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 def perron_certificate_checked(m, g):
