@@ -822,11 +822,21 @@ def closed_form_marginal_bound(model: ModelSpec, graph: Graph, i: int,
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
-    """Column j enters the basis in row r: one rank-1 tableau update."""
+    """Column j enters the basis in row r: one rank-1 tableau update.
+
+    Every row i, r included with multiplier 0, subtracts T[i, j] times a
+    copy of the scaled row r (row r itself changes in the loop), in place
+    and row by row. No row is skipped: x - 0 * y can change the sign of a
+    zero x.
+    """
     T[r] /= T[r, j]
-    col = T[:, j].copy()
+    row = T[r].copy()
+    col = T[:, j].tolist()
     col[r] = 0.0
-    T -= np.outer(col, T[r])
+    scaled = np.empty_like(row)
+    for i, f in enumerate(col):
+        np.multiply(f, row, out=scaled)
+        T[i] -= scaled
     basis[r] = j
 
 

@@ -160,15 +160,33 @@ def _row_products(indptr: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def _neighbor_products(graph: Graph, beta: float, x: np.ndarray) -> np.ndarray:
-    """Pi_i = prod over neighbors j of (1 - beta w_ij x_j), all nodes."""
+def _neighbor_products(graph: Graph, beta: float):
+    """x -> Pi_i = prod over neighbors j of (1 - beta w_ij x_j), all nodes.
+
+    What depends only on the graph is computed once, for maps applied many
+    times: beta w_ij, the neighbor indices as intp (take with intp indices
+    is 2-3x faster than indexing with the CSR's int32 indices) and the
+    starts of the non-empty rows.
+    """
     A = graph.adjacency_sparse
     if not graph.is_weighted and graph.n > 256:
-        # log-product fast path; exp(-inf) = 0 handles beta x_j = 1.
-        with np.errstate(divide="ignore"):
-            logs = np.log1p(-beta * x)
-        return np.exp(A @ logs)
-    return _row_products(A.indptr, 1.0 - beta * A.data * x[A.indices])
+        def log_products(x: np.ndarray) -> np.ndarray:
+            # log-product fast path; exp(-inf) = 0 handles beta x_j = 1.
+            with np.errstate(divide="ignore"):
+                logs = np.log1p(-beta * x)
+            return np.exp(A @ logs)
+        return log_products
+    bw = beta * A.data
+    cols = A.indices.astype(np.intp)
+    full = np.diff(A.indptr) > 0
+    starts = A.indptr[:-1][full]
+
+    def products(x: np.ndarray) -> np.ndarray:
+        out = np.ones(graph.n)
+        if len(starts):
+            out[full] = np.multiply.reduceat(1.0 - bw * x.take(cols), starts)
+        return out
+    return products
 
 
 def _leave_one_out(f: np.ndarray, indptr: np.ndarray,
@@ -192,41 +210,61 @@ def _leave_one_out(f: np.ndarray, indptr: np.ndarray,
 # The maps
 # ---------------------------------------------------------------------------
 
-def mf_step(model: ModelSpec, graph: Graph, x: MeanFieldPoint) -> MeanFieldPoint:
-    """One synchronous application of the variant's mean-field map."""
+def _check_point(model: ModelSpec, graph: Graph, x: MeanFieldPoint) -> None:
     if x.n != graph.n:
         raise MeanFieldError(f"point has n={x.n}, graph has n={graph.n}")
     if x.k != model.k:
         raise MeanFieldError(
             f"point has {x.k} compartments, model {model.variant} has {model.k}"
         )
-    p = x.p_i
+
+
+def _mf_map(model: ModelSpec, graph: Graph):
+    """The variant's mean-field map on MeanFieldPoint.concat vectors.
+
+    Returns a function from a vector in [0,1] to a new, unchecked and
+    unclipped, image vector. Built once per solve: the neighbor-product
+    kernel depends only on the model and the graph.
+    """
+    n = graph.n
     if model.variant == "sis-general":
         M = model.contact
-        if M.shape[0] != graph.n:
+        if M.shape[0] != n:
             raise ModelError("contact matrix dimension does not match graph")
-        new = 1.0 - np.prod(1.0 - M * p[None, :], axis=1)
-        return MeanFieldPoint(new)
-    Pi = _neighbor_products(graph, model.beta, p)
+        return lambda p: 1.0 - np.prod(1.0 - M * p[None, :], axis=1)
+    products = _neighbor_products(graph, model.beta)
+    delta, gamma, theta = model.delta, model.gamma, model.theta
     if model.variant == "sis-nia":
-        return MeanFieldPoint(1.0 - Pi * (1.0 - (1.0 - model.delta) * p))
+        return lambda p: 1.0 - products(p) * (1.0 - (1.0 - delta) * p)
     if model.variant == "sis-ia":
-        return MeanFieldPoint((1.0 - model.delta) * p + (1.0 - p) * (1.0 - Pi))
-    r = x.p_r
-    s = 1.0 - r - p
-    np.clip(s, 0.0, 1.0, out=s)
-    new_i_core = (1.0 - model.delta) * p
-    xi = 1.0 - Pi
-    if model.variant == "sirs":
-        new_r = (1.0 - model.gamma) * r + model.delta * p
-        new_i = new_i_core + xi * s
-    elif model.variant == "siv-id":
-        new_r = (1.0 - model.gamma) * r + model.delta * p + model.theta * Pi * s
-        new_i = new_i_core + xi * s
-    else:  # siv-vd
-        new_r = (1.0 - model.gamma) * r + model.delta * p + model.theta * s
-        new_i = new_i_core + (1.0 - model.theta) * xi * s
-    return MeanFieldPoint(new_i, new_r)
+        return lambda p: (1.0 - delta) * p + (1.0 - p) * (1.0 - products(p))
+    variant = model.variant
+
+    def step(v: np.ndarray) -> np.ndarray:
+        r, p = v[:n], v[n:]
+        Pi = products(p)
+        s = 1.0 - r - p
+        np.clip(s, 0.0, 1.0, out=s)
+        new_i_core = (1.0 - delta) * p
+        xi = 1.0 - Pi
+        if variant == "sirs":
+            new_r = (1.0 - gamma) * r + delta * p
+            new_i = new_i_core + xi * s
+        elif variant == "siv-id":
+            new_r = (1.0 - gamma) * r + delta * p + theta * Pi * s
+            new_i = new_i_core + xi * s
+        else:  # siv-vd
+            new_r = (1.0 - gamma) * r + delta * p + theta * s
+            new_i = new_i_core + (1.0 - theta) * xi * s
+        return np.concatenate([new_r, new_i])
+    return step
+
+
+def mf_step(model: ModelSpec, graph: Graph, x: MeanFieldPoint) -> MeanFieldPoint:
+    """One synchronous application of the variant's mean-field map."""
+    _check_point(model, graph, x)
+    return MeanFieldPoint.from_concat(_mf_map(model, graph)(x.concat()),
+                                      model.k)
 
 
 def siv_base_point(model: ModelSpec, n: int) -> MeanFieldPoint:
@@ -492,12 +530,28 @@ def find_fixed_point(model: ModelSpec, graph: Graph, tol: float = 1e-10,
     if damping is not None and not 0.0 < damping <= 1.0:
         raise MeanFieldError(f"damping must be in (0, 1], got {damping}")
     n = graph.n
+    if x0 is not None:
+        _check_point(model, graph, x0)
     monotone = _VARIANTS[model.variant].order_preserving
     if damping is None:
         damping = 1.0 if monotone else 0.5
     assert_decreasing = monotone and x0 is None and damping == 1.0
-    x = x0 if x0 is not None else _upper_corner(model, n)
-    vec = x.concat()
+    F = _mf_map(model, graph)
+
+    def image(v: np.ndarray) -> np.ndarray:
+        # The clip mf_step's MeanFieldPoint applies to the map's output.
+        fv = F(v)
+        fv.clip(0.0, 1.0, out=fv)
+        return fv
+
+    # The iterates are concat vectors, and the damped combination needs no
+    # clip: for a, b in [0,1] and 0 < eta <= 1, round-to-nearest keeps
+    # fl(a + fl(eta fl(b - a))) in [0,1]. Rounding is monotone. For b > a
+    # the sum is at most fl(a + fl(1 - a)), which is 1 exactly when
+    # a >= 1/2 (Sterbenz) and otherwise 1 + d with |d| <= 2^-54, which
+    # rounds to 1. For b < a, fl(b - a) >= -a and fl(eta a) <= a, so the sum
+    # is at least a - a = 0.
+    vec = (x0 if x0 is not None else _upper_corner(model, n)).concat()
     # The last _CYCLE_LAGS iterates; the one at lag j >= 1 before the
     # newest iterate sits in slot (head - j) % _CYCLE_LAGS.
     ring = np.empty((_CYCLE_LAGS, len(vec)))
@@ -508,8 +562,7 @@ def find_fixed_point(model: ModelSpec, graph: Graph, tol: float = 1e-10,
     residual = math.inf
     classification = "non-converged"
     for it in range(1, cap + 1):
-        fx = mf_step(model, graph, x)
-        fvec = fx.concat()
+        fvec = image(vec)
         step = fvec - vec
         gap = np.abs(step)
         probe = int(gap.argmax())
@@ -520,10 +573,9 @@ def find_fixed_point(model: ModelSpec, graph: Graph, tol: float = 1e-10,
                 "monotone iteration increased a coordinate; map bug"
             )
         if residual < tol:
-            x = fx
+            vec = fvec
             classification = "converged"
             break
-        x = MeanFieldPoint.from_concat(nvec, model.k)
         cycle_q = 0
         near = np.flatnonzero(np.abs(ring[:stored, probe] - nvec[probe])
                               < 1e-9).tolist()
@@ -537,8 +589,7 @@ def find_fixed_point(model: ModelSpec, graph: Graph, tol: float = 1e-10,
             # by a macroscopic amplitude within the period.
             within = ring[(head - np.arange(1, q)) % _CYCLE_LAGS]
             if float(np.abs(within - nvec).max()) > 1e-6:
-                nv_res = float(np.abs(mf_step(model, graph, x).concat()
-                                      - nvec).max())
+                nv_res = float(np.abs(image(nvec) - nvec).max())
                 if nv_res > tol:
                     cycle_q = q
             break
@@ -551,6 +602,7 @@ def find_fixed_point(model: ModelSpec, graph: Graph, tol: float = 1e-10,
         head = (head + 1) % _CYCLE_LAGS
         stored = min(stored + 1, _CYCLE_LAGS)
     del ring
+    x = MeanFieldPoint.from_concat(vec, model.k)
     if classification == "converged":
         inf_norm = float(np.abs(x.p_i).max())
         classification = "disease-free" if inf_norm < classify_eps else "endemic"

@@ -11,7 +11,12 @@ beside it.
 All replicates of a run advance together: the live ones form an (R x n)
 int8 state matrix, stepped in row blocks that bound the float temporaries,
 and a replicate leaves the matrix at the step where its trajectory ends.
-Each row still draws its own substream, so batching changes no bit.
+Each row still draws its own substream, so batching changes no bit. For
+the same reason a large run can split its replicates into contiguous shares
+stepped in forked processes, one per usable CPU on Linux (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC11): the parent steps one
+share, reassembles the rows in replicate order and adds up the integer
+snapshot counts, so every output equals the serial run's bit for bit.
 
 Early-exit semantics: SIS and SIRS trajectories end at the first step with
 zero infected (the epidemic cannot restart and no susceptible node can enter
@@ -22,6 +27,8 @@ sampled law is unchanged).
 """
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +40,11 @@ _LOG_FLOOR = -745.0  # exp() underflows to 0 below this; avoids -inf * 0 = nan
 # Upper bound on the doubles in one float temporary of a step: replicates are
 # stepped in blocks of max(1, _REP_BLOCK_DOUBLES // n) rows.
 _REP_BLOCK_DOUBLES = 1 << 18
+# Work bound R * n * t_max (the node updates if no replicate ends early)
+# above which a run's replicates are split across forked processes. A split
+# costs a fixed 10-25 ms (fork, copy-on-write faults, collecting the rows):
+# on 2 CPUs it measured slower than a serial run at 5e5 and faster from 1e6.
+_FORK_MIN_WORK = 1 << 20
 
 
 class MonteCarloError(ValueError):
@@ -258,7 +270,7 @@ def _init_states(graph: Graph, init, fill, replicates: list[int]
 def _run(model: ModelSpec, graph: Graph, init, t_max: int, seed: int,
          replicates: list[int], snapshot_times: tuple[int, ...] = (),
          until_extinct: bool = False):
-    """Core loop: all replicates stepped as one batch to absorption/t_max.
+    """Core loop: all replicates stepped to absorption/t_max.
 
     Returns (i_mat, s_mat, r_mat, absorbed, snap_i, snap_r). Row j of the
     (R x t_max+1) count matrices belongs to replicates[j]: i_mat is zero and
@@ -273,6 +285,10 @@ def _run(model: ModelSpec, graph: Graph, init, t_max: int, seed: int,
     infected keeps evolving through the same update (its escape vector is
     1) until the last requested snapshot. until_extinct ends SIV replicates
     there too, for callers that need only absorbed.
+
+    The request is validated here, before any process is forked. A run whose
+    work bound R * n * t_max exceeds _FORK_MIN_WORK is then split into
+    contiguous shares of its replicates, one per usable CPU (_split).
     """
     if t_max < 1:
         raise MonteCarloError("t_max must be >= 1")
@@ -281,8 +297,26 @@ def _run(model: ModelSpec, graph: Graph, init, t_max: int, seed: int,
     need = sorted(set(snapshot_times))
     if need and (need[0] < 0 or need[-1] > t_max):
         raise MonteCarloError("snapshot times must lie in [0, t_max]")
-    n = graph.n
     reps = np.asarray(replicates, dtype=np.int64)
+    ends = until_extinct or _VARIANTS[model.variant].ends_at_extinction
+
+    def core(rows: slice):
+        return _simulate(model, graph, states[rows], reps[rows], t_max, fill,
+                         need, ends)
+
+    R = len(reps)
+    cpus = _usable_cpus()[:R]
+    if len(cpus) < 2 or R * graph.n * t_max <= _FORK_MIN_WORK:
+        return core(slice(None))
+    return _split(core, R, cpus)
+
+
+def _simulate(model: ModelSpec, graph: Graph, states: np.ndarray,
+              reps: np.ndarray, t_max: int, fill, need: list[int],
+              ends: bool):
+    """The serial core of _run: step the rows of states (replicates reps)
+    as one batch; same returns as _run."""
+    n = graph.n
     R, T = len(reps), t_max + 1
     i_mat = np.zeros((R, T), dtype=np.int32)
     s_mat = np.full((R, T), np.nan)
@@ -291,7 +325,6 @@ def _run(model: ModelSpec, graph: Graph, init, t_max: int, seed: int,
     snap_i = {ts: np.zeros(n, dtype=np.int64) for ts in need}
     snap_r = {ts: np.zeros(n, dtype=np.int64) for ts in need} \
         if model.k == 3 else {}
-    ends = until_extinct or _VARIANTS[model.variant].ends_at_extinction
     advance = _sampler(model, graph)
     block = max(1, _REP_BLOCK_DOUBLES // n)
     u = np.empty((min(R, block), n))
@@ -343,6 +376,92 @@ def _run(model: ModelSpec, graph: Graph, init, t_max: int, seed: int,
                 fill(ub[row], t, rep)
             states[rows] = advance(states[rows], ub)
     return i_mat, s_mat, r_mat, absorbed, snap_i, snap_r
+
+
+def _usable_cpus() -> list[int]:
+    """The CPUs this process may run on. Off Linux runs stay serial."""
+    if not sys.platform.startswith("linux"):
+        return []
+    return sorted(os.sched_getaffinity(0))
+
+
+def _split(core, R: int, cpus: list[int]):
+    """core over len(cpus) contiguous shares of the R rows, all but the
+    first in forked processes; the results are reassembled in row order.
+
+    Every replicate draws only from its own substreams, so the rows and the
+    integer snapshot counts equal the serial run's bit for bit. Each process
+    keeps to its own CPU while it steps: where the kernel does not balance
+    load between CPUs, a forked child would otherwise share its parent's. A
+    worker's exception re-raises here, and every worker is joined before
+    this returns.
+
+    Workers are forked, not spawned: a spawned worker would import numpy,
+    scipy and epinet again (about 0.5 s) and be sent the graph, while a
+    forked one shares the parent's pages. They run numpy and scipy.sparse
+    code only, no BLAS, so idle BLAS threads in the parent are no hazard.
+    """
+    import multiprocessing
+
+    if multiprocessing.current_process().daemon:
+        # A daemonic process, such as a multiprocessing.Pool worker, may not
+        # have children.
+        return core(slice(None))
+    ctx = multiprocessing.get_context("fork")
+    W = len(cpus)
+    shares = [slice(R * w // W, R * (w + 1) // W) for w in range(W)]
+    home = os.sched_getaffinity(0)
+    procs, conns = [], []
+    done = False
+    try:
+        os.sched_setaffinity(0, {cpus[0]})
+        for cpu, share in zip(cpus[1:], shares[1:]):
+            recv, send = ctx.Pipe(duplex=False)
+            conns.append(recv)
+            proc = ctx.Process(target=_worker, args=(core, share, cpu, send),
+                               daemon=True)
+            try:
+                proc.start()
+            finally:
+                send.close()
+            procs.append(proc)
+        parts = [core(shares[0])]
+        for proc, conn in zip(procs, conns):
+            try:
+                ok, result = conn.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"Monte Carlo worker exited with code "
+                                   f"{proc.exitcode}") from None
+            if not ok:
+                raise result
+            parts.append(result)
+        done = True
+    finally:
+        for proc in procs:
+            if not done:
+                proc.terminate()
+            proc.join()
+        for conn in conns:
+            conn.close()
+        os.sched_setaffinity(0, home)
+    out = [np.concatenate([part[k] for part in parts]) for k in range(4)]
+    for k in (4, 5):
+        out.append({ts: sum(part[k][ts] for part in parts)
+                    for ts in parts[0][k]})
+    return tuple(out)
+
+
+def _worker(core, share: slice, cpu: int, conn) -> None:
+    """Forked process body: keep to cpu, then send (True, core(share)) or
+    (False, the exception it raised)."""
+    try:
+        os.sched_setaffinity(0, {cpu})
+        result = (True, core(share))
+    except Exception as exc:
+        result = (False, exc)
+    conn.send(result)
+    conn.close()
 
 
 def mc_run(model: ModelSpec, graph: Graph, init="all-infected",

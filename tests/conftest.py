@@ -1,6 +1,8 @@
 """Shared fixtures and instance generators for the test suites."""
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,18 @@ def random_model(rng: np.random.Generator, variant: str,
 
 ALL_VARIANTS = ("sis-nia", "sis-ia", "sis-general", "sirs", "siv-id",
                 "siv-vd")
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail any test that leaves a multiprocessing child running; stop the
+    children first, so that later tests do not inherit them."""
+    yield
+    left = multiprocessing.active_children()
+    for proc in left:
+        proc.terminate()
+        proc.join()
+    assert not left, f"processes left running: {left}"
 
 
 @pytest.fixture

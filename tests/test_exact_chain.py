@@ -767,6 +767,47 @@ class TestLP:
         assert res.status == 0
         assert rep.lp_max == pytest.approx(-res.fun, abs=1e-9)
 
+    @staticmethod
+    def outer_pivot(T, basis, r, j):
+        """The rank-1 update as one outer-product temporary."""
+        T[r] /= T[r, j]
+        col = T[:, j].copy()
+        col[r] = 0.0
+        T -= np.outer(col, T[r])
+        basis[r] = j
+
+    def test_pivot_matches_outer_product(self, rng):
+        """The in-place pivot writes the bits of the outer-product update,
+        signed zeros included."""
+        for _ in range(50):
+            m, w = int(rng.integers(2, 8)), int(rng.integers(3, 30))
+            T = rng.normal(size=(m + 1, w))
+            T[rng.random(T.shape) < 0.3] = 0.0
+            T[rng.random(T.shape) < 0.3] = -0.0
+            r, j = int(rng.integers(m)), int(rng.integers(w - 1))
+            T[r, j] = rng.uniform(0.5, 2.0)
+            want, got = T.copy(), T.copy()
+            b_want, b_got = np.arange(m), np.arange(m)
+            self.outer_pivot(want, b_want, r, j)
+            exact_chain._pivot(got, b_got, r, j)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(b_got, b_want)
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_pivot_layout_changes_nothing(self, rng, monkeypatch, variant):
+        """lp_max and the pivot count equal the outer-product simplex's."""
+        k = exact_chain._VARIANTS[variant].k
+        n = 5 if k == 2 else 4
+        g = random_connected_graph(rng, n, n_min=n, weighted_prob=0.5)
+        m = random_model(rng, variant, n=n)
+        for p in _marginal_families(rng, n, k):
+            got = lp_marginal_max(m, g, 1, p)
+            with monkeypatch.context() as mp:
+                mp.setattr(exact_chain, "_pivot", self.outer_pivot)
+                want = lp_marginal_max(m, g, 1, p)
+            assert (got.lp_max.hex(), got.pivots) \
+                == (want.lp_max.hex(), want.pivots)
+
     def test_infeasible_beyond_tolerance(self, path3):
         # p_i + p_r = 1 + 5e-10 at node 0: MarginalVector admits it, but no
         # joint law has these marginals, and the violation exceeds 1e-10.

@@ -458,6 +458,25 @@ class TestFixedPoint:
         with pytest.raises(MeanFieldError):
             find_fixed_point(m, path3, tol=0.0)
 
+    def test_x0_must_match(self, path3):
+        m = ModelSpec("sirs", beta=0.3, delta=0.7, gamma=0.4)
+        for x0 in (MeanFieldPoint(np.full(3, 0.2)),
+                   MeanFieldPoint(np.full(4, 0.2), np.full(4, 0.1))):
+            with pytest.raises(MeanFieldError, match="point has"):
+                find_fixed_point(m, path3, x0=x0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0),
+           eta=st.one_of(st.floats(0.0, 1.0, exclude_min=True),
+                         st.sampled_from([1.0, 0.5, 1.0 - 2.0 ** -53])))
+    def test_damped_combination_stays_in_unit_interval(self, a, b, eta):
+        """find_fixed_point keeps its iterates unclipped: the damped
+        combination of two points of [0,1] rounds into [0,1]."""
+        vec = np.array([a, b, 1e-300, 0.4999999999999999, 1.0, 0.0])
+        fvec = np.array([b, a, 1.0, 1.0, 0.0, 1.0])
+        nvec = vec + eta * (fvec - vec)
+        assert np.all((nvec >= 0.0) & (nvec <= 1.0))
+
     @pytest.mark.parametrize("tol", [-1e-10, math.inf, math.nan])
     def test_tol_must_be_finite_positive(self, path3, tol):
         m = ModelSpec("sis-ia", beta=0.3, delta=0.7)
@@ -478,7 +497,8 @@ def reference_fixed_point(model, graph, tol=1e-10, cap=100000, damping=None,
     as find_fixed_point ran it before its lags were compared at once.
 
     Returns (classification, iterations, residual, point) and calls the map
-    through mean_field.mf_step, so a monkeypatched map reaches it too.
+    through mean_field.mf_step, which builds it with mean_field._mf_map as
+    find_fixed_point does, so a monkeypatched _mf_map reaches both.
     """
     from epinet.model_core import _VARIANTS
 
@@ -553,8 +573,7 @@ class TestCycleDetector:
 
     @staticmethod
     def use_map(monkeypatch, fn):
-        monkeypatch.setattr(mean_field, "mf_step",
-                            lambda model, graph, x: MeanFieldPoint(fn(x.p_i)))
+        monkeypatch.setattr(mean_field, "_mf_map", lambda model, graph: fn)
 
     M = ModelSpec("sis-ia", beta=0.5, delta=0.5)
 

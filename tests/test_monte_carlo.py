@@ -3,6 +3,10 @@ and the batched core against the per-replicate loop it replaced."""
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -595,10 +599,11 @@ class TestBatchedOracle:
             assert extinction_time(m, g, init=0.4, seed=21, cap=30,
                                    replicate=rep) == ab
 
-    def test_replicates_stop_at_their_last_step(self, monkeypatch):
+    @staticmethod
+    def assert_draws_stop(monkeypatch, log):
         """Each replicate draws the steps the per-replicate loop simulated
-        and none after its trajectory ends."""
-        draws = []
+        and none after its trajectory ends. Draws are logged to a file, so
+        that those made in forked workers count too."""
         make = monte_carlo._philox
 
         def counting(seed):
@@ -606,7 +611,8 @@ class TestBatchedOracle:
 
             def counted(out, t, rep, stream=0):
                 if stream == 0:
-                    draws.append((rep, t))
+                    with open(log, "a", encoding="utf-8") as fh:
+                        fh.write(f"{rep} {t}\n")
                 fill(out, t, rep, stream)
             return counted
 
@@ -615,12 +621,25 @@ class TestBatchedOracle:
         snaps = (2, 6, 12)
         for variant in ("sis-nia", "sirs", "siv-id"):
             m = _oracle_model(variant, g.n, beta=0.08)
-            draws.clear()
+            log.write_text("")
             mc_ensemble(m, g, init=0.5, t_max=30, n_reps=20, master_seed=3,
                         marginals_at=snaps)
+            draws = [tuple(map(int, line.split()))
+                     for line in log.read_text().splitlines()]
             want = [(rep, t) for rep in range(20) for t in range(
                 reference_simulate(m, g, 0.5, 30, 3, rep, snaps)[3])]
             assert sorted(draws) == want
+
+    def test_replicates_stop_at_their_last_step(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(monte_carlo, "_usable_cpus", lambda: [0])
+        self.assert_draws_stop(monkeypatch, tmp_path / "draws.txt")
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="runs split only on Linux")
+    def test_replicates_stop_at_their_last_step_split(self, monkeypatch,
+                                                      tmp_path):
+        force_split(monkeypatch, 2)
+        self.assert_draws_stop(monkeypatch, tmp_path / "draws.txt")
 
     def test_mc_step_matches_reference(self):
         g = _oracle_graph(True)
@@ -694,3 +713,206 @@ class TestStepShortcuts:
             tracemalloc.stop()
         assert rep.n_reps == 200
         assert peak < 64 * 2 ** 20, peak
+
+
+# ---------------------------------------------------------------------------
+# Replicates split across forked workers
+# ---------------------------------------------------------------------------
+
+def force_split(monkeypatch, workers):
+    """Make every run with at least `workers` replicates split into that
+    many shares, whatever the host's CPU count: the workers are pinned to
+    the usable CPUs in turn."""
+    cpus = sorted(os.sched_getaffinity(0))
+    monkeypatch.setattr(monte_carlo, "_FORK_MIN_WORK", 0)
+    monkeypatch.setattr(monte_carlo, "_usable_cpus",
+                        lambda: [cpus[w % len(cpus)] for w in range(workers)])
+
+
+def serial_and_split(monkeypatch, workers, **kw):
+    """(serial report, split report) of one mc_ensemble request."""
+    monkeypatch.setattr(monte_carlo, "_usable_cpus", lambda: [0])
+    serial = mc_ensemble(**kw)
+    force_split(monkeypatch, workers)
+    return serial, mc_ensemble(**kw)
+
+
+def _pool_ensemble():
+    g = _oracle_graph(True)
+    return mc_ensemble(_oracle_model("sirs", g.n), g, init=0.4, t_max=20,
+                       n_reps=6, master_seed=2, marginals_at=(4,))
+
+
+def failing_sampler(monkeypatch, fail):
+    """Patch _sampler so that advance calls fail(in_parent) first."""
+    parent = os.getpid()
+    make = monte_carlo._sampler
+
+    def sampler(model, graph):
+        advance = make(model, graph)
+
+        def checked(states, u):
+            fail(os.getpid() == parent)
+            return advance(states, u)
+        return checked
+
+    monkeypatch.setattr(monte_carlo, "_sampler", sampler)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="runs split only on Linux")
+class TestSplit:
+    @pytest.fixture(autouse=True)
+    def affinity_restored(self):
+        """The parent keeps to one CPU only while it steps its share."""
+        home = os.sched_getaffinity(0)
+        yield
+        assert os.sched_getaffinity(0) == home
+
+    @pytest.mark.parametrize("init", ["all-infected", 0.3, (0, 4, 9)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_matches_serial(self, monkeypatch, variant, weighted, init):
+        g = _oracle_graph(weighted)
+        m = _oracle_model(variant, g.n)
+        assert_same_report(*serial_and_split(
+            monkeypatch, 2, model=m, graph=g, init=init, t_max=30, n_reps=9,
+            master_seed=11, marginals_at=(0, 3, 30)))
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("variant", ["sis-nia", "sis-ia", "sirs"])
+    def test_extinctions_around_snapshot_times(self, monkeypatch, variant,
+                                               workers):
+        """Shares whose replicates die out before, at and after snapshot
+        times, and SIRS replicates simulated past the end of their record
+        (see TestBatchedOracle)."""
+        g = _oracle_graph(False)
+        m = _oracle_model(variant, g.n, beta=0.08)
+        serial, split = serial_and_split(
+            monkeypatch, workers, model=m, graph=g, init=0.5, t_max=40,
+            n_reps=60, master_seed=3, marginals_at=(0, 2, 4, 6, 8, 12, 40))
+        assert len(set(serial.absorbed_steps)) > 5
+        assert_same_report(split, serial)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_siv_runs_to_t_max(self, monkeypatch, workers):
+        g = _oracle_graph(False)
+        m = _oracle_model("siv-id", g.n, beta=0.05)
+        serial, split = serial_and_split(
+            monkeypatch, workers, model=m, graph=g, init="all-infected",
+            t_max=50, n_reps=8, master_seed=6, marginals_at=(10, 50))
+        assert serial.extinct_count == 8
+        assert_same_report(split, serial)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("block_rows", [1, 3])
+    def test_row_blocks(self, monkeypatch, block_rows, workers):
+        g = _oracle_graph(True)
+        monkeypatch.setattr(monte_carlo, "_REP_BLOCK_DOUBLES",
+                            block_rows * g.n)
+        for variant in ("sis-nia", "sirs", "siv-vd"):
+            m = _oracle_model(variant, g.n, beta=0.12)
+            assert_same_report(*serial_and_split(
+                monkeypatch, workers, model=m, graph=g, init=0.6, t_max=25,
+                n_reps=8, master_seed=9, marginals_at=(1, 5, 25)))
+
+    def test_more_workers_than_replicates(self, monkeypatch):
+        g = _oracle_graph(False)
+        m = _oracle_model("sirs", g.n)
+        assert_same_report(*serial_and_split(
+            monkeypatch, 3, model=m, graph=g, t_max=20, n_reps=2,
+            master_seed=4, marginals_at=(5,)))
+
+    def test_worker_error_propagates(self, monkeypatch):
+        def fail(in_parent):
+            if not in_parent:
+                raise MonteCarloError("bad step in a worker")
+
+        failing_sampler(monkeypatch, fail)
+        force_split(monkeypatch, 3)
+        g = _oracle_graph(False)
+        with pytest.raises(MonteCarloError, match="^bad step in a worker$"):
+            mc_ensemble(_oracle_model("sis-nia", g.n), g, t_max=10,
+                        n_reps=6)
+
+    def test_worker_that_dies_is_reported(self, monkeypatch):
+        def fail(in_parent):
+            if not in_parent:
+                os._exit(3)
+
+        failing_sampler(monkeypatch, fail)
+        force_split(monkeypatch, 2)
+        g = _oracle_graph(False)
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            mc_ensemble(_oracle_model("sis-nia", g.n), g, t_max=10,
+                        n_reps=4)
+
+    def test_parent_error_stops_the_workers(self, monkeypatch):
+        """A failing parent share terminates the workers at once, instead
+        of waiting for them to finish."""
+        def fail(in_parent):
+            if in_parent:
+                raise MonteCarloError("bad step in the parent")
+            if not slept:
+                slept.append(True)
+                time.sleep(20)
+
+        slept = []
+
+        failing_sampler(monkeypatch, fail)
+        force_split(monkeypatch, 3)
+        g = _oracle_graph(False)
+        start = time.monotonic()
+        with pytest.raises(MonteCarloError, match="in the parent"):
+            mc_ensemble(_oracle_model("sis-nia", g.n), g, t_max=10,
+                        n_reps=6)
+        assert time.monotonic() - start < 15
+
+    def test_failed_fork_raises_its_error(self, monkeypatch):
+        def fork_fails():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        force_split(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", fork_fails)
+        g = _oracle_graph(False)
+        with pytest.raises(OSError, match="temporarily unavailable"):
+            mc_ensemble(_oracle_model("sis-nia", g.n), g, t_max=10,
+                        n_reps=6)
+
+    def test_daemonic_caller_stays_serial(self, monkeypatch):
+        """A multiprocessing.Pool worker may not have children, so its runs
+        stay serial."""
+        monkeypatch.setattr(monte_carlo, "_usable_cpus", lambda: [0])
+        want = _pool_ensemble()
+        force_split(monkeypatch, 2)
+        pool = multiprocessing.get_context("fork").Pool(1)
+        try:
+            got = pool.apply(_pool_ensemble)
+        finally:
+            pool.close()
+            pool.join()
+        assert_same_report(got, want)
+
+    @pytest.mark.parametrize("case", ["one-cpu", "below-threshold",
+                                      "one-replicate", "not-linux"])
+    def test_never_forks(self, monkeypatch, case):
+        def no_fork():
+            raise AssertionError("forked")
+
+        g = generate("er", n=400, p=0.02, seed=1)
+        m = ModelSpec("sis-ia", beta=0.3, delta=0.2)
+        kw = dict(t_max=400, n_reps=8)
+        monkeypatch.setattr(monte_carlo, "_FORK_MIN_WORK", 0)
+        if case == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif case == "below-threshold":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            monkeypatch.setattr(monte_carlo, "_FORK_MIN_WORK",
+                                8 * g.n * 400)
+        elif case == "one-replicate":
+            kw["n_reps"] = 1
+        else:
+            monkeypatch.setattr(monte_carlo.sys, "platform", "darwin")
+        monkeypatch.setattr(os, "fork", no_fork)
+        rep = mc_ensemble(m, g, **kw)
+        assert rep.n_reps == kw["n_reps"]
