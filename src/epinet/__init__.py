@@ -50,7 +50,6 @@ from .exact_chain import (
     marginals,
     mixing_time_bound,
     mixing_time_exact,
-    node_transition_prob,
     non_absorption_check,
     propagate,
     states_table,

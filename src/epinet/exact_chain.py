@@ -2,7 +2,6 @@
 
 Implements:
   - ChainState / DistVector / TransitionMatrix / MarginalVector / MixingReport.
-  - node_transition_prob: per-node conditional transition tables.
   - build_transition_matrix: the full product-form transition matrix S, as
     CSR. S carries its model and graph; every analysis of the chain takes S.
   - propagate, marginals, stationary, tv_distance.
@@ -54,6 +53,9 @@ MEMORY_BUDGET_BYTES = 2 * 2 ** 30
 # Peak bytes per stored entry while the CSR is assembled: the (row, column,
 # value) arrays before and after the last node's expansion.
 _BUILD_BYTES_PER_NNZ = 48
+
+# Row blocks of the dense mixing scan hold at most this many doubles.
+_SCAN_BLOCK_DOUBLES = 1 << 18
 
 # LP caps: the largest n at which one marginal LP on a complete graph
 # solves in about 0.5 s. Measured on 2 shared cores with general marginals,
@@ -286,64 +288,6 @@ def _node_digit_probs(model: ModelSpec, graph: Graph, D: np.ndarray,
     return C + A * esc + B * (1.0 - esc)
 
 
-def node_transition_prob(model: ModelSpec, graph: Graph, X: ChainState | int,
-                         i: int, y: int) -> float:
-    """P(next digit of node i = y | current state X), scalar reference path.
-
-    Computed directly from the per-variant tables with the infection-escape
-    product over currently infected neighbors (empty product = 1).
-    """
-    k = model.k
-    if isinstance(X, ChainState):
-        if X.k != k:
-            raise ExactChainError(f"state has k={X.k}, model has k={k}")
-        digits = X.digits
-    else:
-        n = graph.n
-        if not (0 <= X < k ** n):
-            raise ExactChainError(f"state code {X} out of range")
-        digits = states_table(n, k)[X]
-    n = len(digits)
-    if not (0 <= i < n):
-        raise ExactChainError(f"node {i} out of range")
-    if not (0 <= y < k):
-        raise ExactChainError(f"target digit {y} invalid for a {k}-state variant")
-    if model.variant == "sis-general":
-        esc = 1.0
-        for j in range(n):
-            if digits[j] == 1:
-                esc *= 1.0 - model.contact[i, j]
-        p1 = 1.0 - esc
-        return p1 if y == 1 else 1.0 - p1
-    nbrs, wts = _neighbor_row(graph, i)
-    esc = 1.0
-    for j, w in zip(nbrs, wts):
-        if digits[j] == 1:
-            esc *= 1.0 - model.beta * w
-    cur = int(digits[i])
-    if k == 2:
-        if cur == 1:
-            p1 = 1.0 - model.delta * esc if model.variant == "sis-nia" \
-                else 1.0 - model.delta
-        else:
-            p1 = 1.0 - esc
-        return p1 if y == 1 else 1.0 - p1
-    if cur == 0:
-        if model.variant == "sirs":
-            row = (esc, 1.0 - esc, 0.0)
-        elif model.variant == "siv-id":
-            row = (esc * (1.0 - model.theta), 1.0 - esc, esc * model.theta)
-        else:  # siv-vd
-            row = (esc * (1.0 - model.theta),
-                   (1.0 - esc) * (1.0 - model.theta),
-                   model.theta)
-    elif cur == 1:
-        row = (0.0, 1.0 - model.delta, model.delta)
-    else:
-        row = (model.gamma, 0.0, 1.0 - model.gamma)
-    return row[y]
-
-
 def _check_cap(k: int, n: int) -> None:
     cap = STATE_CAP_K2 if k == 2 else STATE_CAP_K3
     if k ** n > cap:
@@ -363,7 +307,7 @@ def _check_memory(nbytes: int, what: str) -> None:
 
 def _check_dense_scan(k: int, n: int) -> None:
     """Refuse the non-point-mass mixing scan on k^n states before it runs:
-    it holds S, the matrix power and one temporary as dense K x K floats."""
+    at most three dense K x K arrays (S, S^t and the next power built)."""
     _check_cap(k, n)
     K = k ** n
     _check_memory(3 * K * K * 8, f"the dense {K}x{K} mixing scan")
@@ -557,26 +501,69 @@ def _worst_state(values: np.ndarray, extremum: float,
     return ChainState(code, S.n, S.k)
 
 
+def _product(A: np.ndarray, rows, B: np.ndarray) -> np.ndarray:
+    """Rows `rows` of A @ B: the dense mixing scan's only K^3 work."""
+    return A[rows] @ B
+
+
+def _tv_rows(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Total-variation distance of each row of P from pi, by row blocks."""
+    block = max(1, _SCAN_BLOCK_DOUBLES // P.shape[1])
+    tv = np.empty(len(P))
+    for a in range(0, len(P), block):
+        dev = P[a:a + block] - pi
+        tv[a:a + block] = 0.5 * np.abs(dev, out=dev).sum(axis=1)
+    return tv
+
+
+def _check_rows(A: np.ndarray, B: np.ndarray, tv: np.ndarray,
+                pi: np.ndarray, epsilon: float):
+    """TV of every row of A @ B if all are <= epsilon, else None at the
+    first row above it; A @ B is never stored. Rows go worst-first by tv in
+    blocks of 1, 2, 4, ... rows (at most _SCAN_BLOCK_DOUBLES doubles)."""
+    most = max(1, _SCAN_BLOCK_DOUBLES // len(tv))
+    order = np.argsort(-tv, kind="stable")
+    out = np.empty_like(tv)
+    a, size = 0, 1
+    while a < len(tv):
+        rows = order[a:a + size]
+        out[rows] = _tv_rows(_product(A, rows, B), pi)
+        if out[rows].max() > epsilon:
+            return None
+        a += len(rows)
+        size = min(2 * size, most)
+    return out
+
+
 def mixing_time_exact(S: TransitionMatrix, pi: DistVector, epsilon: float,
                       cap: int = 100000) -> MixingReport:
     """Smallest t with sup over initial states of TV(mu S^t, pi) <= epsilon.
 
-    The sup over all initial distributions is attained at point masses
-    because total variation is convex in mu (the sup of a convex function
-    over the simplex sits at a vertex), so only the k^n point-mass initials
-    are scanned. When pi is a point mass, TV(e_X S^t, pi) = 1 - (S^t)_{X,s0}
-    and a single absorption-probability column is iterated through the
-    sparse S; otherwise the full matrix power is tracked densely, which
-    raises StateSpaceCapError when three dense K x K arrays would exceed
-    MEMORY_BUDGET_BYTES. The reported worst initial is the smallest state
-    code within 1e-12 of the worst value. cap (the step limit) must be >= 1.
+    pi must be the stationary law of S. The sup over all initial
+    distributions is attained at point masses because total variation is
+    convex in mu (the sup of a convex function over the simplex sits at a
+    vertex), so only the k^n point-mass initials are scanned. The reported
+    worst initial is the smallest state code within 1e-12 of the worst
+    value, at t_mix or, censored, at t = cap (the step limit, >= 1).
 
-    For the order-preserving SIS variants (sis-nia, sis-general) the
-    all-infected state is checked to be a worst-case initial at every step;
-    a violation raises, since it would contradict the monotone-coupling
-    structure of those chains. The recovery-independent variant sis-ia is
-    exempt: it is not order-preserving and its worst initial can be an
-    interior state.
+    When pi is a point mass, TV(e_X S^t, pi) = 1 - (S^t)_{X,s0} and a single
+    absorption-probability column is iterated through the sparse S. For the
+    order-preserving SIS variants (sis-nia, sis-general) the all-infected
+    state is checked to be a worst-case initial at every step; a violation
+    raises, since it would contradict the monotone-coupling structure of
+    those chains. sis-ia is exempt: it is not order-preserving and its worst
+    initial can be an interior state.
+
+    Otherwise the powers of S are dense, and since d(t) = max_X TV(e_X S^t,
+    pi) never increases with t (Levin, Peres & Wilmer, Markov Chains and
+    Mixing Times, ch. 4) the scan searches by doubling. Holding S^t with
+    d(t) > epsilon, it probes S^(t+1) = S^t S, then checks S^(2t) = S^t S^t
+    and builds S^(2t) only if it fails; once S^(2t) passes, it steps S^t S,
+    S^(t+1) S, ... toward it, probing each next power. Probes and checks
+    take rows worst-first, stop at the first row above epsilon, and store
+    nothing, and no square goes past cap. The scan holds S and S^t as dense
+    K x K arrays, and a third while it builds the next power; it raises
+    StateSpaceCapError when three would exceed MEMORY_BUDGET_BYTES.
     """
     if not (0.0 < epsilon < 1.0):
         raise ExactChainError("epsilon must be in (0,1)")
@@ -590,11 +577,8 @@ def mixing_time_exact(S: TransitionMatrix, pi: DistVector, epsilon: float,
         return MixingReport(0, epsilon, bound, ChainState(0, S.n, S.k)
                             if S.n > 0 else None)
     check_top = _VARIANTS[S.model.variant].order_preserving
-    point = float(pi.entries.max()) >= 1.0 - 1e-12
-    if point:
-        s0 = int(pi.entries.argmax())
-        c = np.zeros(K)
-        c[s0] = 1.0
+    if float(pi.entries.max()) >= 1.0 - 1e-12:
+        c = DistVector.point_mass(int(pi.entries.argmax()), K).entries
         for t in range(1, cap + 1):
             c = S.entries @ c
             low = c.min()
@@ -608,23 +592,39 @@ def mixing_time_exact(S: TransitionMatrix, pi: DistVector, epsilon: float,
                                     _worst_state(c, low, S))
         return MixingReport(None, epsilon, bound, _worst_state(c, c.min(), S),
                             censored=True)
+
+    def report(t: int, tv: np.ndarray) -> MixingReport:
+        top = float(tv.max())
+        return MixingReport(None if top > epsilon else t, epsilon, bound,
+                            _worst_state(tv, top, S), top > epsilon)
+
     # Dense BLAS powers beat dense @ CSR here.
     _check_dense_scan(S.k, S.n)
     M = S.entries.toarray()
-    # S^1 is M itself: no K^3 product with the identity. Dmat is rebound,
-    # never written in place, so M stays intact.
-    Dmat = M
-    for t in range(1, cap + 1):
+    p = pi.entries
+    # D = S^t. S^1 is M itself; D is rebound, never written in place.
+    t, D, tv = 1, M, _tv_rows(M, p)
+    ahead = None  # (2t', TV at 2t') once a checked square passes
+    while True:
+        if tv.max() <= epsilon or t == cap:
+            return report(t, tv)
         if t > 1:
-            Dmat = Dmat @ M
-        dev = Dmat - pi.entries[None, :]
-        tv = 0.5 * np.abs(dev, out=dev).sum(axis=1)
-        del dev
-        top = tv.max()
-        if top <= epsilon:
-            return MixingReport(t, epsilon, bound, _worst_state(tv, top, S))
-    return MixingReport(None, epsilon, bound, _worst_state(tv, tv.max(), S),
-                        censored=True)
+            nxt = _check_rows(D, M, tv, p, epsilon)
+            if nxt is not None:
+                return report(t + 1, nxt)
+        # S^(t+1) fails, or t = 1 and S^(t+1) is the square.
+        B = M
+        if ahead is None and 2 * t <= cap:
+            sq = None if t == 1 else _check_rows(D, D, tv, p, epsilon)
+            if sq is None:
+                B = D
+            else:
+                ahead = (2 * t, sq)
+        if ahead and ahead[0] == t + 2:
+            return report(*ahead)
+        t = 2 * t if B is D else t + 1
+        D = _product(D, slice(None), B)
+        tv = _tv_rows(D, p)
 
 
 # ---------------------------------------------------------------------------

@@ -405,6 +405,42 @@ class TestExact:
         assert res.exit_code == 0, res.output
         assert calls == ["sirs"]
 
+    @pytest.mark.parametrize("args, expected", [
+        # The two commands of the benchmark's exact workload.
+        ("--generate path:n=8 --variant sirs --beta 0.05 --delta 0.6 "
+         "--gamma 0.9", (6, False, "11111111")),
+        ("--generate path:n=7 --variant siv-id --beta 0.1 --delta 0.6 "
+         "--gamma 0.5 --theta 0.5", (4, False, "1111111")),
+        # Dense scans censored at the cap, and a long one.
+        ("--generate path:n=5 --variant siv-vd --beta 0.5 --delta 0.3 "
+         "--gamma 0.2 --theta 0.1 --epsilon 0.001 --cap 5",
+         (None, True, "10101")),
+        ("--generate star:n=5 --variant siv-id --beta 0.3 --delta 0.4 "
+         "--gamma 0.3 --theta 0.2 --epsilon 0.01", (19, False, "01111")),
+    ])
+    def test_mixing_reports_pinned(self, runner, tmp_path, args, expected):
+        out = str(tmp_path / "exact.json")
+        res = runner.invoke(main, ["exact", *args.split(), "-o", out])
+        assert res.exit_code == 0, res.output
+        payload = json.loads(open(out).read())
+        assert (payload["t_mix"], payload["censored"],
+                payload["worst_initial"]) == expected
+
+    def test_dense_scan_over_budget_exit_2(self, runner, tmp_path,
+                                           monkeypatch):
+        # siv-id on path:n=9 needs 3 * (3^9)^2 * 8 bytes, above 2 GiB.
+        def no_build(*args):
+            raise AssertionError("S was built")
+
+        monkeypatch.setattr(cli_module, "build_transition_matrix", no_build)
+        res = runner.invoke(main, [
+            "exact", "--generate", "path:n=9", "--variant", "siv-id",
+            "--beta", "0.1", "--delta", "0.6", "--gamma", "0.5",
+            "--theta", "0.5", "-o", str(tmp_path / "x.json"),
+        ])
+        assert res.exit_code == 2, res.output
+        assert "8.66 GiB" in res.output and "memory budget" in res.output
+
     def test_siv_nonpoint_stationary(self, runner, tmp_path):
         out = str(tmp_path / "exact.json")
         res = runner.invoke(main, [

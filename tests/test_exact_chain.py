@@ -36,7 +36,6 @@ from epinet import (
     marginals,
     mixing_time_bound,
     mixing_time_exact,
-    node_transition_prob,
     non_absorption_check,
     propagate,
     states_table,
@@ -99,6 +98,54 @@ class TestDistVector:
 # ---------------------------------------------------------------------------
 # Per-node transition law (hand-computed table values)
 # ---------------------------------------------------------------------------
+
+def node_transition_prob(model, graph, X, i, y):
+    """P(next digit of node i = y | current state X), written out per
+    variant with a scalar escape product: the oracle for the vectorized
+    law that build_transition_matrix assembles."""
+    k = model.k
+    if isinstance(X, ChainState):
+        assert X.k == k
+        digits = X.digits
+    else:
+        digits = states_table(graph.n, k)[X]
+    n = len(digits)
+    assert 0 <= i < n and 0 <= y < k
+    if model.variant == "sis-general":
+        esc = 1.0
+        for j in range(n):
+            if digits[j] == 1:
+                esc *= 1.0 - model.contact[i, j]
+        p1 = 1.0 - esc
+        return p1 if y == 1 else 1.0 - p1
+    nbrs, wts = exact_chain._neighbor_row(graph, i)
+    esc = 1.0
+    for j, w in zip(nbrs, wts):
+        if digits[j] == 1:
+            esc *= 1.0 - model.beta * w
+    cur = int(digits[i])
+    if k == 2:
+        if cur == 1:
+            p1 = 1.0 - model.delta * esc if model.variant == "sis-nia" \
+                else 1.0 - model.delta
+        else:
+            p1 = 1.0 - esc
+        return p1 if y == 1 else 1.0 - p1
+    if cur == 0:
+        if model.variant == "sirs":
+            row = (esc, 1.0 - esc, 0.0)
+        elif model.variant == "siv-id":
+            row = (esc * (1.0 - model.theta), 1.0 - esc, esc * model.theta)
+        else:  # siv-vd
+            row = (esc * (1.0 - model.theta),
+                   (1.0 - esc) * (1.0 - model.theta),
+                   model.theta)
+    elif cur == 1:
+        row = (0.0, 1.0 - model.delta, model.delta)
+    else:
+        row = (model.gamma, 0.0, 1.0 - model.gamma)
+    return row[y]
+
 
 class TestNodeTransition:
     def test_sis_nia_both_infected_k2(self):
@@ -524,6 +571,73 @@ class TestMixing:
         assert reports[2].censored
         for (eps, cap), rep in zip(runs, reports):
             assert rep == self.reference_dense_scan(S, pi, eps, cap)
+
+    @staticmethod
+    def count_product_rows(monkeypatch):
+        """Rows multiplied by each call of the dense scan's product helper;
+        K rows are one K^3 product."""
+        rows = []
+        product = exact_chain._product
+
+        def counting(A, r, B):
+            out = product(A, r, B)
+            rows.append(len(out))
+            return out
+
+        monkeypatch.setattr(exact_chain, "_product", counting)
+        return rows
+
+    # Slow-mixing rates: with the grid below they give t_mix up to 85.
+    SLOW = {"siv-id": dict(beta=0.3, delta=0.4, gamma=0.3, theta=0.2),
+            "siv-vd": dict(beta=0.5, delta=0.3, gamma=0.2, theta=0.1)}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["path", "star", "complete"])
+    @pytest.mark.parametrize("variant", ["siv-id", "siv-vd"])
+    def test_doubling_scan_matches_linear(self, monkeypatch, variant, kind,
+                                          n):
+        """The doubling search reports what the linear scan reports, passing
+        or censored, for slow and random rates. It multiplies at most the
+        linear scan's t_mix - 1 (cap - 1 when censored) K^3 products, plus
+        fewer than K rows spent in probes that stop at a failing row."""
+        rng = np.random.default_rng(
+            [n, "psc".index(kind[0]), int(variant == "siv-vd")])
+        g = generate(kind, n=n)
+        rows = self.count_product_rows(monkeypatch)
+        for m in (ModelSpec(variant, **self.SLOW[variant]),
+                  random_model(rng, variant)):
+            S = build_transition_matrix(m, g)
+            pi = stationary(S)
+            for eps in (0.9, 0.5, 0.25, 0.1, 1e-2, 1e-3, 1e-5):
+                for cap in (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 100):
+                    rows.clear()
+                    rep = mixing_time_exact(S, pi, eps, cap=cap)
+                    assert rep == self.reference_dense_scan(S, pi, eps, cap)
+                    assert rep.censored is (rep.t_mix is None)
+                    linear = (cap if rep.censored else rep.t_mix) - 1
+                    assert sum(rows) // S.size <= linear, (eps, cap)
+
+    def test_dense_scan_products_and_memory_path7(self, monkeypatch):
+        """siv-id on path:n=7 (t_mix = 4): the scan builds S^2, probes S^3
+        with its worst row and checks S^4 row block by row block. That is
+        two K^3 products and one row, with S and S^2 the only dense K x K
+        arrays: S^4 passes, so it is never stored."""
+        g = generate("path", n=7)
+        m = ModelSpec("siv-id", beta=0.1, delta=0.6, gamma=0.5, theta=0.5)
+        S = build_transition_matrix(m, g)
+        pi = stationary(S)
+        K = S.size
+        rows = self.count_product_rows(monkeypatch)
+        tracemalloc.start()
+        try:
+            rep = mixing_time_exact(S, pi, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rep.t_mix, rep.censored) == (4, False)
+        assert rep == self.reference_dense_scan(S, pi, 0.25, 100000)
+        assert sum(rows) == 2 * K + 1
+        assert 2 * K * K * 8 < peak < 2.5 * K * K * 8
 
     def test_cap_below_one_point_mass(self):
         g = generate("path", n=2)
