@@ -275,7 +275,7 @@ def cmd_exact(*, graph_path, generate_spec, variant, beta, delta, gamma,
         if max(law) ** g.n < 1.0 - 1e-12:
             _check_dense_scan(model.k, g.n)
         S = build_transition_matrix(model, g)
-    except ExactChainError as exc:
+    except (ExactChainError, ModelError) as exc:
         raise click.UsageError(str(exc))
     pi = stationary(S)
     defect = float(np.abs(pi.entries @ S.entries - pi.entries).max())

@@ -35,7 +35,7 @@ from .model_core import (
     _VARIANTS,
     Graph,
     ModelSpec,
-    ModelError,
+    _check_contact,
     contact_from_rates,
     spectral_radius,
 )
@@ -313,11 +313,6 @@ def _check_dense_scan(k: int, n: int) -> None:
     _check_memory(3 * K * K * 8, f"the dense {K}x{K} mixing scan")
 
 
-def _check_contact(model: ModelSpec, graph: Graph) -> None:
-    if model.contact is not None and model.contact.shape[0] != graph.n:
-        raise ModelError("contact matrix dimension does not match graph")
-
-
 def build_transition_matrix(model: ModelSpec, graph: Graph) -> TransitionMatrix:
     """Full transition matrix S with S[X, Y] = prod_i P(Y_i | X), as CSR.
 
@@ -468,6 +463,7 @@ def mixing_time_bound(model: ModelSpec, graph: Graph, epsilon: float) -> float:
     """
     if not (0.0 < epsilon < 1.0):
         raise ExactChainError("epsilon must be in (0,1)")
+    _check_contact(model, graph)
     n = graph.n
     num = (model.k - 1) * n
     if model.contact is not None:

@@ -1,21 +1,16 @@
 """Mean-field maps, linearizations, Jacobians, fixed points, and stability.
 
-The mean-field approximation replaces the joint chain distribution by
-independent per-node marginals, giving an n-dimensional (2-compartment) or
-2n-dimensional (3-compartment) synchronous map:
+The mean-field map is the exact chain's one-step law with the joint law
+replaced by the product of its per-node marginals. From the variant
+table's (C, A, B) (model_core._VARIANTS), with x_S = s = 1 - r - p and
+Pi_i = prod over neighbors j of (1 - beta w_ij p_j), it is
 
-  sis-nia:  x_i' = 1 - Pi_i(x) (1 - (1-delta) x_i)
-  sis-ia:   x_i' = (1-delta) x_i + (1 - x_i)(1 - Pi_i(x))
-  sis-general: x_i' = 1 - prod_j (1 - m_ij x_j)
-  sirs:     r_i' = (1-gamma) r_i + delta p_i
-            p_i' = (1-delta) p_i + (1 - Pi_i(p)) s_i
-  siv-id:   r_i' = (1-gamma) r_i + delta p_i + theta Pi_i(p) s_i
-            p_i' as sirs
-  siv-vd:   r_i' = (1-gamma) r_i + delta p_i + theta s_i
-            p_i' = (1-delta) p_i + (1-theta)(1 - Pi_i(p)) s_i
+  x_y' = sum over c = R, I, S of x_c (C[c,y] + A[c,y] Pi + B[c,y] (1 - Pi)),
 
-with Pi_i(x) = prod over neighbors j of (1 - beta w_ij x_j) and
-s_i = 1 - r_i - p_i. Implements mf_step, mf_linear_model, mf_jacobian,
+and its Jacobian comes from the same tables. sis-nia keeps its factored
+1 - Pi (1 - (1-delta) x), which rounds differently from that sum, and
+sis-general its 1 - prod_j (1 - m_ij x_j), which holds the node's own
+factor 1 - m_ii. Implements mf_step, mf_linear_model, mf_jacobian,
 jacobian_eigenvalues, jacobian_contracts, mf_iterate, find_fixed_point,
 classify_stability, perron_certificate, and linear_bound_check.
 """
@@ -23,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,7 +26,7 @@ from .model_core import (
     _VARIANTS,
     Graph,
     ModelSpec,
-    ModelError,
+    _check_contact,
     _power_iteration,
     spectral_radius,
     threshold_ratio,
@@ -211,12 +207,50 @@ def _leave_one_out(f: np.ndarray, indptr: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _check_point(model: ModelSpec, graph: Graph, x: MeanFieldPoint) -> None:
+    _check_contact(model, graph)
     if x.n != graph.n:
         raise MeanFieldError(f"point has n={x.n}, graph has n={graph.n}")
     if x.k != model.k:
-        raise MeanFieldError(
-            f"point has {x.k} compartments, model {model.variant} has {model.k}"
-        )
+        raise MeanFieldError(f"point has {x.k} compartments, model "
+                             f"{model.variant} has {model.k}")
+
+
+# The terms: entries nonzero at generic rates, kept where a rate zeroes them.
+_HELD = {name: (rule.tables(SimpleNamespace(
+    beta=0.3, delta=0.31, gamma=0.37, theta=0.23)) != 0).tolist()
+    for name, rule in _VARIANTS.items()}
+
+
+def _law(model: ModelSpec) -> list:
+    """Per new block b (R, I; or I alone), the terms (a, t, coef): entry
+    coef of table t (C, A, B) at old compartment a, in the order R, I, S."""
+    tables = _VARIANTS[model.variant].tables(model).tolist()
+    held, comps = _HELD[model.variant], (2, 1, 0)[3 - model.k:]
+    return [[(a, t, tables[t][c][y]) for a, c in enumerate(comps)
+             for t in range(3) if held[t][c][y]] for y in comps[:-1]]
+
+
+def _sum(terms: list, factors: tuple, x: list):
+    """Sum of coef * factors[t] * x[a] over the terms (a, t, coef), or None.
+    A None factor or x[a] is 1, and a coefficient 1.0 leaves its factor as
+    it is. Starting at the first term keeps -0.0: 0 + -0.0 is +0.0."""
+    total = None
+    for a, t, coef in terms:
+        f = factors[t]
+        v = coef if f is None else f if coef == 1.0 else coef * f
+        if x[a] is not None:
+            v = v * x[a]
+        total = v if total is None else total + v
+    return total
+
+
+def _coordinates(v: np.ndarray, n: int, k: int) -> list:
+    """[r, p, s] or, for k = 2, [p, s] of a concat vector; s = 1 - r - p."""
+    if k == 2:
+        return [v, 1.0 - v]
+    s = 1.0 - v[:n] - v[n:]
+    np.clip(s, 0.0, 1.0, out=s)  # r + p may round above 1
+    return [v[:n], v[n:], s]
 
 
 def _mf_map(model: ModelSpec, graph: Graph):
@@ -227,36 +261,25 @@ def _mf_map(model: ModelSpec, graph: Graph):
     kernel depends only on the model and the graph.
     """
     n = graph.n
+    _check_contact(model, graph)
     if model.variant == "sis-general":
+        # The contact product holds the node's own factor 1 - m_ii.
         M = model.contact
-        if M.shape[0] != n:
-            raise ModelError("contact matrix dimension does not match graph")
         return lambda p: 1.0 - np.prod(1.0 - M * p[None, :], axis=1)
     products = _neighbor_products(graph, model.beta)
-    delta, gamma, theta = model.delta, model.gamma, model.theta
     if model.variant == "sis-nia":
+        # The table's sum of terms rounds differently from this product.
+        delta = model.delta
         return lambda p: 1.0 - products(p) * (1.0 - (1.0 - delta) * p)
-    if model.variant == "sis-ia":
-        return lambda p: (1.0 - delta) * p + (1.0 - p) * (1.0 - products(p))
-    variant = model.variant
+    k = model.k
+    law = _law(model)
 
     def step(v: np.ndarray) -> np.ndarray:
-        r, p = v[:n], v[n:]
-        Pi = products(p)
-        s = 1.0 - r - p
-        np.clip(s, 0.0, 1.0, out=s)
-        new_i_core = (1.0 - delta) * p
-        xi = 1.0 - Pi
-        if variant == "sirs":
-            new_r = (1.0 - gamma) * r + delta * p
-            new_i = new_i_core + xi * s
-        elif variant == "siv-id":
-            new_r = (1.0 - gamma) * r + delta * p + theta * Pi * s
-            new_i = new_i_core + xi * s
-        else:  # siv-vd
-            new_r = (1.0 - gamma) * r + delta * p + theta * s
-            new_i = new_i_core + (1.0 - theta) * xi * s
-        return np.concatenate([new_r, new_i])
+        x = _coordinates(v, n, k)
+        Pi = products(x[-2])
+        factors = (None, Pi, 1.0 - Pi)
+        new = [_sum(terms, factors, x) for terms in law]
+        return new[0] if k == 2 else np.concatenate(new)
     return step
 
 
@@ -284,6 +307,7 @@ def mf_linear_model(model: ModelSpec, graph: Graph) -> LinearModel:
     weight of the disease-free law times the infection factor. sirs is the
     theta = 0 case of the 3-compartment form.
     """
+    _check_contact(model, graph)
     n = graph.n
     A = graph.adjacency()
     base = siv_base_point(model, n)
@@ -302,15 +326,25 @@ def mf_linear_model(model: ModelSpec, graph: Graph) -> LinearModel:
     return LinearModel(np.vstack([top, bot]), base)
 
 
-def _sis_coefficients(model: ModelSpec, p: np.ndarray,
-                      Pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal d and row scale c of a 2-compartment rate Jacobian.
-
-    J_ii = d_i and J_ij = c_i * dPi_i/dx_j on every edge (i, j).
-    """
+def _derivatives(model: ModelSpec, x: MeanFieldPoint, Pi: np.ndarray):
+    """own[b][a] = dx'_b,i/dx_a,i = g[a,b] - g[S,b] for coordinate blocks a,
+    b (None: zero, float: constant, else an array), and scale[b] = sum over
+    a of x_a (B - A)[a,b], the c_i in dx'_b,i/dp_j = c_i dPi_i/dx_j."""
     if model.variant == "sis-nia":
-        return (1.0 - model.delta) * Pi, 1.0 - (1.0 - model.delta) * p
-    return (1.0 - model.delta) - (1.0 - Pi), 1.0 - p  # sis-ia
+        # The table's (1 - delta Pi) - (1 - Pi) rounds differently.
+        d = 1.0 - model.delta
+        return [[d * Pi]], [1.0 - d * x.p_i]
+    k = model.k
+    x = _coordinates(x.concat(), x.n, k)
+    factors = (None, Pi, 1.0 - Pi)
+    law = _law(model)
+    # S's terms times -1 (g[a,b] = 0 gives -g[S,b]); A's times -1 and x_a.
+    own = [[_sum([u for u in terms if u[0] in (a, k - 1)], factors,
+                 [None] * (k - 1) + [-1.0]) for a in range(k - 1)]
+           for terms in law]
+    scale = [_sum([u for u in terms if u[1]], (None, -1.0, None), x)
+             for terms in law]
+    return own, scale
 
 
 def mf_jacobian(model: ModelSpec, graph: Graph, x: MeanFieldPoint) -> np.ndarray:
@@ -321,8 +355,7 @@ def mf_jacobian(model: ModelSpec, graph: Graph, x: MeanFieldPoint) -> np.ndarray
     Neighbor derivative terms use leave-one-out escape products, which stay
     valid when some factor 1 - beta w_ij x_j is zero.
     """
-    if x.n != graph.n or x.k != model.k:
-        raise MeanFieldError("point does not match model/graph dimensions")
+    _check_point(model, graph, x)
     n = graph.n
     p = x.p_i
     if model.variant == "sis-general":
@@ -334,46 +367,23 @@ def mf_jacobian(model: ModelSpec, graph: Graph, x: MeanFieldPoint) -> np.ndarray
 
     A = graph.adjacency_sparse
     rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    cols = A.indices
     bw = model.beta * A.data
-    f = 1.0 - bw * p[cols]
+    f = 1.0 - bw * p[A.indices]
     Pi = _row_products(A.indptr, f)
     # d Pi_i / d x_j for every edge (i, j).
     dPi = bw * _leave_one_out(f, A.indptr, Pi)
-    diag = np.arange(n)
-
-    if model.k == 2:
-        J = np.zeros((n, n))
-        d, c = _sis_coefficients(model, p, Pi)
-        J[rows, cols] = dPi * c[rows]
-        J[diag, diag] = d
-        return J
-
-    r = x.p_r
-    s = np.clip(1.0 - r - p, 0.0, 1.0)
-    xi = 1.0 - Pi
-    J = np.zeros((2 * n, 2 * n))
-    R, I = slice(0, n), slice(n, 2 * n)
-    # Infected rows (same for sirs and siv-id; scaled by 1-theta for siv-vd).
-    scale = (1.0 - model.theta) if model.variant == "siv-vd" else 1.0
-    J[n + rows, n + cols] = scale * s[rows] * dPi
-    J[n + diag, n + diag] += (1.0 - model.delta) - scale * xi
-    J[n + diag, diag] = -scale * xi
-    # Recovered rows.
-    if model.variant == "sirs":
-        # Diagonal writes: a scaled np.eye(n) would add two n x n
-        # temporaries to the peak memory of a large Jacobian.
-        J[diag, diag] = 1.0 - model.gamma
-        J[diag, n + diag] = model.delta
-    elif model.variant == "siv-id":
-        J[diag, diag] = (1.0 - model.gamma) - model.theta * Pi
-        J[rows, n + cols] = -model.theta * s[rows] * dPi
-        J[diag, n + diag] += model.delta - model.theta * Pi
-    else:  # siv-vd
-        # These coefficients can be negative, and then the scaled identity
-        # writes -0.0 off the diagonal; diagonal writes would change bytes.
-        J[R, R] = (1.0 - model.gamma - model.theta) * np.eye(n)
-        J[R, I] = (model.delta - model.theta) * np.eye(n)
+    own, scale = _derivatives(model, x, Pi)
+    m = model.k - 1
+    J = np.zeros((m * n, m * n))
+    for b in range(m):
+        if scale[b] is not None:
+            J[b * n + rows, (m - 1) * n + A.indices] = scale[b][rows] * dPi
+        for a, d in enumerate(own[b]):
+            block = J[b * n:(b + 1) * n, a * n:(a + 1) * n]
+            if isinstance(d, float) and d < 0.0:
+                block[...] = d * 0.0  # d * np.eye(n)'s -0.0, no temporary
+            if d is not None:
+                np.fill_diagonal(block, d)
     return J
 
 
@@ -382,8 +392,8 @@ def jacobian_eigenvalues(model: ModelSpec, graph: Graph,
     """Eigenvalues of mf_jacobian(model, graph, x), in no fixed order.
 
     On an unweighted graph the sis-nia and sis-ia Jacobians are
-    diag(d) + diag(u) A diag(v) with u = beta Pi c >= 0 (c from
-    _sis_coefficients) and v = 1/(1 - beta p) > 0. They share their
+    diag(d) + diag(u) A diag(v) with u = beta Pi c >= 0 (d and c from
+    _derivatives) and v = 1/(1 - beta p) > 0. They share their
     spectrum with the symmetric diag(d) + diag(w) A diag(w), w = sqrt(u v):
     a diagonal similarity where u > 0, and a node with u_i = 0 splits off
     the eigenvalue d_i from both. eigvalsh solves that matrix, so the
@@ -391,8 +401,7 @@ def jacobian_eigenvalues(model: ModelSpec, graph: Graph,
     variants and any factor 1 - beta p_j <= 1e-12 take the general
     np.linalg.eigvals of the dense Jacobian, whose result is complex.
     """
-    if x.n != graph.n or x.k != model.k:
-        raise MeanFieldError("point does not match model/graph dimensions")
+    _check_point(model, graph, x)
     f = None
     if model.k == 2 and model.contact is None and not graph.is_weighted:
         f = 1.0 - model.beta * x.p_i
@@ -402,7 +411,8 @@ def jacobian_eigenvalues(model: ModelSpec, graph: Graph,
     A = graph.adjacency_sparse
     rows = np.repeat(np.arange(n), np.diff(A.indptr))
     Pi = _row_products(A.indptr, f[A.indices])
-    d, c = _sis_coefficients(model, x.p_i, Pi)
+    own, scale = _derivatives(model, x, Pi)
+    d, c = own[0][0], scale[0]
     w = np.sqrt(model.beta * Pi * c / f)
     S = np.zeros((n, n))
     S[rows, A.indices] = w[rows] * w[A.indices]
@@ -449,10 +459,8 @@ def mf_iterate(model: ModelSpec, graph: Graph, x0: MeanFieldPoint,
     if t < 0:
         raise MeanFieldError("t must be >= 0")
     traj = [x0]
-    x = x0
     for _ in range(t):
-        x = mf_step(model, graph, x)
-        traj.append(x)
+        traj.append(mf_step(model, graph, traj[-1]))
     return traj
 
 
@@ -461,9 +469,7 @@ def mf_iterate(model: ModelSpec, graph: Graph, x0: MeanFieldPoint,
 # ---------------------------------------------------------------------------
 
 def _upper_corner(model: ModelSpec, n: int) -> MeanFieldPoint:
-    if model.k == 2:
-        return MeanFieldPoint(np.ones(n))
-    return MeanFieldPoint(np.ones(n), np.zeros(n))
+    return MeanFieldPoint(np.ones(n), None if model.k == 2 else np.zeros(n))
 
 
 def _relation_defect(model: ModelSpec, pt: MeanFieldPoint) -> float | None:
@@ -675,6 +681,7 @@ def linear_bound_check(model: ModelSpec, graph: Graph,
     infection marginals: (1-delta) p + beta A p, with the contact row for
     sis-general and the extra (1-theta) for siv-vd.
     """
+    _check_point(model, graph, x)
     p = x.p_i
     if model.contact is not None:
         lin = np.asarray(model.contact, dtype=float) @ p

@@ -10,10 +10,11 @@ Implements:
   - ModelSpec: validated parameter set for the six epidemic variants
     (sis-nia, sis-ia, sis-general, sirs, siv-id, siv-vd).
   - _VARIANTS: the variant table. It is the one place where a variant's
-    rules live: compartment count, parameters, the per-node one-step law,
-    the disease-free law, the infection factor and two structural flags.
-    The exact chain, the Monte Carlo sampler and every per-variant scalar
-    read it instead of naming variants.
+    rules live: compartment count, parameters, the per-node one-step law
+    (whose tables also give the infection factor), the disease-free law and
+    two structural flags. The exact chain, the Monte Carlo sampler, the
+    mean-field map and Jacobian (all but sis-nia's and sis-general's own
+    formulas) and every per-variant scalar read it.
   - threshold_ratio: the variant's local-stability ratio (< 1 predicts
     extinction of the mean-field dynamics).
   - degree_stats, contact_from_rates.
@@ -346,11 +347,7 @@ def _power_iteration(matvec, n: int, tol: float, cap: int = POWER_ITERATION_CAP)
     it = 0
     for it in range(1, cap + 1):
         w = matvec(v) + v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # Zero matrix: (A+I)v = v, handled below; cannot happen here.
-            break
-        w /= nw
+        w /= np.linalg.norm(w)  # >= 1: (A + I) v >= v for v >= 0
         lam_new = float(w @ (matvec(w) + w))
         res_vec = (matvec(w) + w) - lam_new * w
         res = float(np.abs(res_vec).max())
@@ -421,13 +418,6 @@ def spectral_radius(graph: Graph, tol: float = 1e-10) -> SpectralReport:
     return SpectralReport(lam, it, res, v)
 
 
-def _matrix_spectral_radius(M: np.ndarray, tol: float = 1e-12) -> float:
-    """Perron root of a nonnegative square matrix (power iteration)."""
-    M = np.asarray(M, dtype=float)
-    lam, _, _ = _power_iteration(lambda x: M @ x, M.shape[0], tol)
-    return lam
-
-
 # ---------------------------------------------------------------------------
 # ModelSpec
 # ---------------------------------------------------------------------------
@@ -441,7 +431,8 @@ class _Variant:
         P(next = y | current = c) = C[c, y] + A[c, y] esc + B[c, y] (1 - esc),
     where esc is the probability that the node receives no infection this
     step. free_law(spec) is the single-node law of the disease-free chain,
-    and infection(spec) scales the infection pressure on a susceptible.
+    and infection(spec) = B[S, I] - A[S, I] scales the infection pressure on
+    a susceptible.
     order_preserving: the chain maps stochastically ordered laws to ordered
     laws, so the all-infected start is a worst case and the mean-field map
     decreases from the all-infected corner. ends_at_extinction: with zero
@@ -453,9 +444,12 @@ class _Variant:
     required: tuple[str, ...]
     tables: Callable[["ModelSpec"], np.ndarray]
     free_law: Callable[["ModelSpec"], tuple[float, ...]]
-    infection: Callable[["ModelSpec"], float] = lambda s: 1.0
     order_preserving: bool = False
     ends_at_extinction: bool = False
+
+    def infection(self, spec: "ModelSpec") -> float:
+        _, A, B = self.tables(spec)
+        return float(B[0, 1] - A[0, 1])
 
 
 def _tables(C, A, B) -> np.ndarray:
@@ -515,7 +509,7 @@ _VARIANTS: dict[str, _Variant] = {
         3, ("beta", "delta", "gamma", "theta"),
         lambda s: _sir_tables(s, [0, 0, s.theta], [1 - s.theta, 0, 0],
                               [0, 1 - s.theta, 0]),
-        _siv_law, infection=lambda s: 1.0 - s.theta),
+        _siv_law),
 }
 VARIANTS = tuple(_VARIANTS)
 
@@ -604,6 +598,12 @@ def contact_from_rates(graph: Graph, beta: float, delta: float) -> np.ndarray:
 # Threshold ratio and degree stats
 # ---------------------------------------------------------------------------
 
+def _check_contact(model: ModelSpec, graph: Graph) -> None:
+    if model.contact is not None and len(model.contact) != graph.n:
+        m = len(model.contact)
+        raise ModelError(f"contact matrix is {m}x{m} but graph has n={graph.n}")
+
+
 def threshold_ratio(model: ModelSpec, graph: Graph, tol: float = 1e-10) -> float:
     """Local-stability ratio of the disease-free point; < 1 predicts extinction.
 
@@ -613,13 +613,10 @@ def threshold_ratio(model: ModelSpec, graph: Graph, tol: float = 1e-10) -> float
     sis-general: lambda_max(contact).
     Returns +inf when delta = 0 with positive infection pressure.
     """
+    _check_contact(model, graph)
     if model.contact is not None:
         M = model.contact
-        if M.shape[0] != graph.n:
-            raise ModelError(
-                f"contact matrix is {M.shape[0]}x{M.shape[0]} but graph has n={graph.n}"
-            )
-        return _matrix_spectral_radius(M, tol)
+        return _power_iteration(lambda x: M @ x, graph.n, tol)[0]
     lam = spectral_radius(graph, tol).lambda_max
     rule = _VARIANTS[model.variant]
     pressure = model.beta * lam * rule.free_law(model)[0] * rule.infection(model)

@@ -343,6 +343,17 @@ class TestExact:
         assert res.exit_code == 2
         assert "cap" in res.output and "65536" in res.output
 
+    def test_contact_size_mismatch_exit_2(self, runner, path3_file,
+                                          tmp_path):
+        contact = tmp_path / "c4.csv"
+        contact.write_text("0.2,0.2,0.2,0.2\n" * 4)
+        res = runner.invoke(main, [
+            "exact", "--graph", path3_file, "--variant", "sis-general",
+            "--contact", str(contact), "-o", str(tmp_path / "x.json"),
+        ])
+        assert res.exit_code == 2
+        assert "contact matrix is 4x4 but graph has n=3" in res.output
+
     def test_memory_budget_exit_2(self, runner, tmp_path, monkeypatch):
         monkeypatch.setattr(epinet.exact_chain, "MEMORY_BUDGET_BYTES", 1024)
         res = runner.invoke(main, [

@@ -970,7 +970,8 @@ class TestLP:
 
     def test_contact_dimension_checked(self, path3):
         m = ModelSpec("sis-general", contact=np.full((4, 4), 0.2))
-        with pytest.raises(ModelError, match="dimension"):
+        with pytest.raises(ModelError,
+                           match="contact matrix is 4x4 but graph has n=3"):
             lp_marginal_max(m, path3, 0, MarginalVector(np.full(3, 0.1)))
 
     def test_never_builds_chain(self, rng, monkeypatch):

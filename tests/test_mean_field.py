@@ -131,8 +131,10 @@ class TestStep:
 
     def test_product_measure_one_step_identity(self, rng):
         """Exact chain marginals after one step from a product measure equal
-        the mean-field map output, for every variant. The two computations
-        share no code path."""
+        the mean-field map output, for every variant. Both read the variant
+        table's per-node law (sis-nia and sis-general excepted), so this
+        checks the product-measure average: the chain sums the law over
+        2^n or 3^n joint states, the map applies it to the marginals."""
         for variant in ALL_VARIANTS:
             g = random_connected_graph(rng, 4, weighted_prob=0.4)
             m = random_model(rng, variant, n=g.n)
@@ -375,6 +377,184 @@ class TestJacobianEigenvalues:
         with pytest.raises(MeanFieldError):
             jacobian_eigenvalues(m, path3, MeanFieldPoint(np.full(3, 0.2),
                                                           np.full(3, 0.1)))
+
+
+# ---------------------------------------------------------------------------
+# Hand-written map and Jacobian: the oracle of the table kernel
+# ---------------------------------------------------------------------------
+
+def reference_map(model, graph, v):
+    """Each variant's mean-field map written out by hand, on concat vectors."""
+    n = graph.n
+    products = mean_field._neighbor_products(graph, model.beta)
+    delta, gamma, theta = model.delta, model.gamma, model.theta
+    if model.variant == "sis-nia":
+        return 1.0 - products(v) * (1.0 - (1.0 - delta) * v)
+    if model.variant == "sis-ia":
+        return (1.0 - delta) * v + (1.0 - v) * (1.0 - products(v))
+    r, p = v[:n], v[n:]
+    Pi = products(p)
+    s = 1.0 - r - p
+    np.clip(s, 0.0, 1.0, out=s)
+    new_i_core = (1.0 - delta) * p
+    xi = 1.0 - Pi
+    if model.variant == "sirs":
+        new_r = (1.0 - gamma) * r + delta * p
+        new_i = new_i_core + xi * s
+    elif model.variant == "siv-id":
+        new_r = (1.0 - gamma) * r + delta * p + theta * Pi * s
+        new_i = new_i_core + xi * s
+    else:  # siv-vd
+        new_r = (1.0 - gamma) * r + delta * p + theta * s
+        new_i = new_i_core + (1.0 - theta) * xi * s
+    return np.concatenate([new_r, new_i])
+
+
+def reference_sis_coefficients(model, p, Pi):
+    """Diagonal d and row scale c of a 2-compartment rate Jacobian:
+    J_ii = d_i and J_ij = c_i * dPi_i/dx_j on every edge (i, j)."""
+    if model.variant == "sis-nia":
+        return (1.0 - model.delta) * Pi, 1.0 - (1.0 - model.delta) * p
+    return (1.0 - model.delta) - (1.0 - Pi), 1.0 - p  # sis-ia
+
+
+def reference_jacobian(model, graph, x):
+    """Each variant's rate Jacobian written out by hand."""
+    n = graph.n
+    p = x.p_i
+    A = graph.adjacency_sparse
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    cols = A.indices
+    bw = model.beta * A.data
+    f = 1.0 - bw * p[cols]
+    Pi = mean_field._row_products(A.indptr, f)
+    dPi = bw * mean_field._leave_one_out(f, A.indptr, Pi)
+    diag = np.arange(n)
+    if model.k == 2:
+        J = np.zeros((n, n))
+        d, c = reference_sis_coefficients(model, p, Pi)
+        J[rows, cols] = dPi * c[rows]
+        J[diag, diag] = d
+        return J
+    r = x.p_r
+    s = np.clip(1.0 - r - p, 0.0, 1.0)
+    xi = 1.0 - Pi
+    J = np.zeros((2 * n, 2 * n))
+    R, I = slice(0, n), slice(n, 2 * n)
+    scale = (1.0 - model.theta) if model.variant == "siv-vd" else 1.0
+    J[n + rows, n + cols] = scale * s[rows] * dPi
+    J[n + diag, n + diag] += (1.0 - model.delta) - scale * xi
+    J[n + diag, diag] = -scale * xi
+    if model.variant == "sirs":
+        J[diag, diag] = 1.0 - model.gamma
+        J[diag, n + diag] = model.delta
+    elif model.variant == "siv-id":
+        J[diag, diag] = (1.0 - model.gamma) - model.theta * Pi
+        J[rows, n + cols] = -model.theta * s[rows] * dPi
+        J[diag, n + diag] += model.delta - model.theta * Pi
+    else:  # siv-vd
+        J[R, R] = (1.0 - model.gamma - model.theta) * np.eye(n)
+        J[R, I] = (model.delta - model.theta) * np.eye(n)
+    return J
+
+
+def reference_eigenvalues(model, graph, x):
+    """The symmetric-form spectrum of an unweighted SIS Jacobian."""
+    n = graph.n
+    A = graph.adjacency_sparse
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    f = 1.0 - model.beta * x.p_i
+    Pi = mean_field._row_products(A.indptr, f[A.indices])
+    d, c = reference_sis_coefficients(model, x.p_i, Pi)
+    w = np.sqrt(model.beta * Pi * c / f)
+    S = np.zeros((n, n))
+    S[rows, A.indices] = w[rows] * w[A.indices]
+    np.fill_diagonal(S, d)
+    return np.linalg.eigvalsh(S)
+
+
+_ER40 = generate("er", n=40, p=0.15, seed=8)
+_TAIL = generate("er", n=16, p=0.3, seed=4)
+ORACLE_GRAPHS = {
+    # Per-edge products; the log-sum products (unweighted, n > 256); and
+    # per-edge products with isolated nodes, where Pi = 1.
+    "weighted": Graph(40, _ER40.edges, tuple(
+        np.random.default_rng(9).uniform(0.3, 1.0, _ER40.m))),
+    "er300": generate("er", n=300, p=0.02, seed=6),
+    "isolated-tail": Graph(20, _TAIL.edges),
+}
+TABLE_VARIANTS = ("sis-nia", "sis-ia", "sirs", "siv-id", "siv-vd")
+
+
+def oracle_models(rng, variant):
+    """Random rates, beta = 1, and every rate at 0 or 1 in turn."""
+    models = [random_model(rng, variant)]
+    rates = {name: getattr(models[0], name) for name in
+             ("beta", "delta", "gamma", "theta")
+             if getattr(models[0], name) is not None}
+    models.append(ModelSpec(variant, **{**rates, "beta": 1.0}))
+    for name in rates:
+        for value in (0.0, 1.0):
+            changed = {**rates, name: value}
+            if changed.get("gamma") == changed.get("theta") == 1.0:
+                continue
+            models.append(ModelSpec(variant, **changed))
+    return models
+
+
+def oracle_point(rng, model, n):
+    """A random point with p = 1 at nodes 1 and 3, p = 0 at node 2 and,
+    for three compartments, s = 0 at nodes 1, 3 and 4."""
+    p = rng.uniform(0.05, 0.9, n)
+    p[[1, 3]] = 1.0
+    p[2] = 0.0
+    if model.k == 2:
+        return MeanFieldPoint(p)
+    r = (1.0 - p) * rng.uniform(0.0, 1.0, n)
+    r[4] = 1.0 - p[4]
+    return MeanFieldPoint(p, r)
+
+
+class TestTableKernel:
+    """The map and Jacobian read from the variant table equal the
+    hand-written formulas bit for bit."""
+
+    @pytest.mark.parametrize("graph_name", sorted(ORACLE_GRAPHS))
+    @pytest.mark.parametrize("variant", TABLE_VARIANTS)
+    def test_map_and_jacobian_bytes(self, variant, graph_name):
+        g = ORACLE_GRAPHS[graph_name]
+        rng = np.random.default_rng([len(variant), g.n])
+        for m in oracle_models(rng, variant):
+            for x in (oracle_point(rng, m, g.n), random_point(rng, variant, g.n)):
+                v = x.concat()
+                assert (mean_field._mf_map(m, g)(v).tobytes()
+                        == reference_map(m, g, v).tobytes()), m.describe()
+                assert (mf_step(m, g, x).concat().tobytes()
+                        == MeanFieldPoint.from_concat(reference_map(m, g, v),
+                                                      m.k).concat().tobytes())
+                assert (mf_jacobian(m, g, x).tobytes()
+                        == reference_jacobian(m, g, x).tobytes()), m.describe()
+                if m.k == 2 and not g.is_weighted and m.beta < 1.0:
+                    assert (jacobian_eigenvalues(m, g, x).tobytes()
+                            == reference_eigenvalues(m, g, x).tobytes())
+
+    def test_signed_zeros_reproduced(self):
+        """-0.0 where the formulas give it: siv-id's -theta s at s = 0,
+        -(1 - Pi) at an isolated node, and siv-vd's negative constants off
+        the diagonal."""
+        g = ORACLE_GRAPHS["isolated-tail"]
+        n = g.n
+        x = oracle_point(np.random.default_rng(1), ModelSpec(
+            "sirs", beta=0.3, delta=0.4, gamma=0.3), n)
+        J = mf_jacobian(ModelSpec("siv-id", beta=0.3, delta=0.4, gamma=0.3,
+                                  theta=0.2), g, x)
+        edge = g.neighbors(1)[0]
+        assert J[1, n + edge] == 0.0 and np.signbit(J[1, n + edge])
+        assert np.signbit(J[n + n - 1, n - 1])  # isolated: -(1 - Pi) = -0.0
+        J = mf_jacobian(ModelSpec("siv-vd", beta=0.3, delta=0.1, gamma=0.9,
+                                  theta=0.2), g, x)
+        assert np.signbit(J[0, 1]) and np.signbit(J[0, n + 1])
+        assert not np.signbit(J[n, n + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -342,6 +342,17 @@ class TestModelSpec:
         with pytest.raises(ModelError):
             ModelSpec("siv-id", beta=0.5, delta=0.5, gamma=1.0, theta=1.0)
 
+    @pytest.mark.parametrize("variant", ("sis-nia", "sis-ia", "sirs",
+                                         "siv-id", "siv-vd"))
+    def test_infection_factor_from_tables(self, variant):
+        """infection(spec) = B[S, I] - A[S, I]: 1, or 1 - theta for siv-vd."""
+        rates = {"beta": 0.3, "delta": 0.4, "gamma": 0.3, "theta": 0.2}
+        names = model_core._VARIANTS[variant].required
+        m = ModelSpec(variant, **{k: rates[k] for k in names})
+        f = model_core._VARIANTS[variant].infection(m)
+        assert type(f) is float
+        assert f == (1.0 - 0.2 if variant == "siv-vd" else 1.0)
+
     def test_k_and_describe(self):
         assert ModelSpec("sirs", beta=0.1, delta=0.2, gamma=0.3).k == 3
         d = ModelSpec("siv-vd", beta=0.1, delta=0.2, gamma=0.3,
@@ -403,6 +414,36 @@ class TestThresholdRatio:
         m = ModelSpec("sis-general", contact=np.eye(2) * 0.5)
         with pytest.raises(ModelError):
             threshold_ratio(m, generate("path", n=3))
+
+    @pytest.mark.parametrize("size", (3, 5))
+    def test_contact_size_checked_everywhere(self, size):
+        """Every function that meets a contact matrix and a graph refuses a
+        size mismatch with the one ModelError."""
+        import epinet
+
+        g = generate("path", n=4)
+        m = ModelSpec("sis-general", contact=np.full((size, size), 0.2))
+        x = epinet.MeanFieldPoint(np.full(4, 0.3))
+        calls = {
+            "threshold_ratio": lambda: threshold_ratio(m, g),
+            "mf_step": lambda: epinet.mf_step(m, g, x),
+            "mf_jacobian": lambda: epinet.mf_jacobian(m, g, x),
+            "jacobian_eigenvalues":
+                lambda: epinet.jacobian_eigenvalues(m, g, x),
+            "linear_bound_check": lambda: epinet.linear_bound_check(m, g, x),
+            "mf_linear_model": lambda: epinet.mf_linear_model(m, g),
+            "find_fixed_point": lambda: find_fixed_point(m, g),
+            "perron_certificate": lambda: epinet.perron_certificate(m, g),
+            "build_transition_matrix":
+                lambda: epinet.build_transition_matrix(m, g),
+            "mixing_time_bound": lambda: epinet.mixing_time_bound(m, g, 0.25),
+            "lp_marginal_max": lambda: epinet.lp_marginal_max(
+                m, g, 0, epinet.MarginalVector(np.full(4, 0.1))),
+        }
+        message = f"contact matrix is {size}x{size} but graph has n=4"
+        for name, call in calls.items():
+            with pytest.raises(ModelError, match=message):
+                call()
 
     def test_delta_zero(self):
         g = generate("path", n=2)
