@@ -1,8 +1,13 @@
 """Command-line front end for graph generation, simulation, mean-field and
 exact-chain analysis, parameter sweeps, and the verification suites.
 
-Exit codes: 0 success, 1 I/O failure, 2 usage error, 3 mean-field
-non-convergence, 4 verification-suite failure. Structured reports are JSON
+Exit codes: 0 success, 1 a file that cannot be read or written, 2 usage
+error (bad flags, a malformed input file, or a model, graph or request that
+the library rejects), 3 mean-field non-convergence, 4 verification-suite
+failure. Every subcommand is an InputErrorCommand, the one place where the
+library's input errors become usage errors; its other errors
+(MeanFieldError, StationaryVerificationError, CertificateError) signal bugs
+and keep their tracebacks. Structured reports are JSON
 (sorted keys, 2-space indent); trajectories are CSV with header "t,s,i,r".
 Identical command lines and seeds produce byte-identical outputs. Output
 files are written atomically (temp file + rename).
@@ -115,12 +120,10 @@ def _load_graph(graph_path: str | None, generate_spec: str | None) -> Graph:
         raise click.UsageError(f"{graph_path}: {exc}")
 
 
-def _build_model(variant: str | None, beta: float | None = None,
+def _build_model(variant: str, beta: float | None = None,
                  delta: float | None = None, gamma: float | None = None,
                  theta: float | None = None,
                  contact_path: str | None = None) -> ModelSpec:
-    if variant is None:
-        raise click.UsageError("--variant is required")
     rates = {"beta": beta, "delta": delta, "gamma": gamma, "theta": theta}
     kwargs: dict = {k: v for k, v in rates.items() if v is not None}
     if contact_path is not None:
@@ -131,10 +134,7 @@ def _build_model(variant: str | None, beta: float | None = None,
             raise click.ClickException(f"cannot read {contact_path}: {exc}")
         except ValueError as exc:
             raise click.UsageError(f"malformed contact matrix CSV: {exc}")
-    try:
-        return ModelSpec(variant, **kwargs)
-    except ModelError as exc:
-        raise click.UsageError(str(exc))
+    return ModelSpec(variant, **kwargs)
 
 
 def _parse_init(text: str):
@@ -156,21 +156,107 @@ def _parse_init(text: str):
         f"(got {text!r})"
     )
 
-
-def _ratio_or_usage(model: ModelSpec, graph: Graph) -> float:
+def _parse_grid(text: str | None) -> list[float]:
+    if text is None or not text.strip():
+        raise click.UsageError("--beta-grid is required and must be nonempty")
+    text = text.strip()
     try:
-        return threshold_ratio(model, graph)
-    except ModelError as exc:
-        raise click.UsageError(str(exc))
+        if ":" in text:
+            parts = text.split(":")
+            if len(parts) != 3:
+                raise ValueError("range grids use start:stop:step")
+            start, stop, step = (float(v) for v in parts)
+            if step <= 0:
+                raise ValueError("step must be > 0")
+            count = int(math.floor((stop - start) / step + 1e-9)) + 1
+            if count < 1:
+                raise ValueError("grid is empty")
+            vals = [start + idx * step for idx in range(count)]
+        else:
+            vals = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise click.UsageError(f"invalid --beta-grid {text!r}: {exc}")
+    if not vals:
+        raise click.UsageError(f"--beta-grid {text!r} is empty")
+    for v in vals:
+        if not (0.0 <= v <= 1.0):
+            raise click.UsageError(f"grid beta {v} outside [0,1]")
+    return vals
+
+
+def _graph_options(fn):
+    fn = click.option("--graph", "graph_path", type=str, default=None,
+                      help="Edge-list file.")(fn)
+    fn = click.option("--generate", "generate_spec", type=str, default=None,
+                      help="Generator spec, e.g. er:n=100,p=0.05,seed=1.")(fn)
+    return fn
+
+
+def _model_options(fn):
+    fn = click.option("--variant", type=click.Choice(VARIANTS),
+                      required=True)(fn)
+    fn = click.option("--beta", type=float, default=None)(fn)
+    fn = click.option("--delta", type=float, default=None)(fn)
+    fn = click.option("--gamma", type=float, default=None)(fn)
+    fn = click.option("--theta", type=float, default=None)(fn)
+    fn = click.option("--contact", "contact_path", type=str, default=None,
+                      help="CSV file with the contact matrix "
+                           "(sis-general).")(fn)
+    return fn
+
+
+def _check_tol(ctx, param, value: float) -> float:
+    if not 0.0 < value < math.inf:
+        raise click.BadParameter(f"{value} is not a finite number > 0")
+    return value
+
+
+def _check_damping(ctx, param, value: float | None) -> float | None:
+    if value is not None and not 0.0 < value <= 1.0:
+        raise click.BadParameter(f"{value} is not in (0, 1]")
+    return value
 
 
 # ---------------------------------------------------------------------------
-# Command bodies (click-independent except for the error types)
+# Commands
 # ---------------------------------------------------------------------------
 
-def cmd_gen(*, kind, n, p, radius, seed, out) -> int:
-    if n is None:
-        raise click.UsageError("--n is required")
+INPUT_ERRORS = (GraphError, ModelError, ExactChainError, MonteCarloError,
+                VerifyError)
+
+
+class InputErrorCommand(click.Command):
+    """A subcommand that reports the library's input errors as usage errors
+    (exit 2), with its own usage line."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except INPUT_ERRORS as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+
+
+@click.group()
+@click.version_option(version=__version__, prog_name="epinet")
+def main() -> None:
+    """Exact chains, mean-field maps, and verification for network epidemics."""
+
+
+main.command_class = InputErrorCommand
+
+
+@main.command("gen")
+@click.option("--kind",
+              type=click.Choice(("er", "geometric", "complete", "star",
+                                 "path")),
+              required=True)
+@click.option("--n", type=int, required=True)
+@click.option("--p", type=float, default=None)
+@click.option("--radius", type=float, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
+@click.option("-o", "--out", type=str, required=True)
+def gen(kind, n, p, radius, seed, out):
+    """Generate a graph and write its edge list."""
     params: dict = {"n": n}
     if kind == "er":
         if p is None:
@@ -180,27 +266,29 @@ def cmd_gen(*, kind, n, p, radius, seed, out) -> int:
         if radius is None:
             raise click.UsageError("generator 'geometric' requires --radius")
         params["r"] = radius
-    try:
-        g = generate(kind, seed=seed, **params)
-    except GraphError as exc:
-        raise click.UsageError(str(exc))
+    g = generate(kind, seed=seed, **params)
     lam = spectral_radius(g).lambda_max
     _atomic_write(out, format_edge_list(g))
     click.echo(f"n={g.n} edges={g.m} lambda_max={lam:.10g}")
-    return 0
 
 
-def cmd_simulate(*, graph_path, generate_spec, variant, beta, delta, gamma,
-                 theta, contact_path, t_max, reps, seed, init, out) -> int:
+@main.command("simulate")
+@_graph_options
+@_model_options
+@click.option("--t", "t_max", type=click.IntRange(min=1), default=1000)
+@click.option("--reps", type=click.IntRange(min=1), default=1)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
+@click.option("--init", type=str, default="all-infected")
+@click.option("-o", "--out", type=str, required=True)
+def simulate(graph_path, generate_spec, variant, beta, delta, gamma, theta,
+             contact_path, t_max, reps, seed, init, out):
+    """Run a Monte Carlo ensemble and write mean trajectory CSV."""
     g = _load_graph(graph_path, generate_spec)
     model = _build_model(variant, beta, delta, gamma, theta, contact_path)
     init = _parse_init(init)
-    ratio = _ratio_or_usage(model, g)
-    try:
-        rep = mc_ensemble(model, g, init=init, t_max=t_max, n_reps=reps,
-                          master_seed=seed)
-    except MonteCarloError as exc:
-        raise click.UsageError(str(exc))
+    ratio = threshold_ratio(model, g)
+    rep = mc_ensemble(model, g, init=init, t_max=t_max, n_reps=reps,
+                      master_seed=seed)
     _atomic_write(out, ensemble_to_csv(rep))
     ext = [a for a in rep.absorbed_steps if a is not None]
     med = float(np.median(ext)) if ext else math.nan
@@ -209,15 +297,28 @@ def cmd_simulate(*, graph_path, generate_spec, variant, beta, delta, gamma,
         f"median_extinction={med:.10g} "
         f"final_i_mean={float(rep.i_mean[-1]):.10g}"
     )
-    return 0
 
 
-def cmd_meanfield(*, graph_path, generate_spec, variant, beta, delta, gamma,
-                  theta, contact_path, tol, cap, damping, raw_iteration,
-                  traj_out, traj_steps, out) -> int:
+@main.command("meanfield")
+@_graph_options
+@_model_options
+@click.option("--tol", type=float, default=1e-10, callback=_check_tol,
+              help="Residual tolerance, a finite number > 0.")
+@click.option("--cap", type=click.IntRange(min=1), default=100000)
+@click.option("--damping", type=float, default=None, callback=_check_damping,
+              help="Damping factor in (0, 1].")
+@click.option("--raw-iteration", is_flag=True, default=False,
+              help="Iterate the undamped map (reproduces cycles).")
+@click.option("--traj-out", type=str, default=None)
+@click.option("--traj-steps", type=click.IntRange(min=0), default=50)
+@click.option("-o", "--out", type=str, required=True)
+def meanfield(graph_path, generate_spec, variant, beta, delta, gamma, theta,
+              contact_path, tol, cap, damping, raw_iteration, traj_out,
+              traj_steps, out):
+    """Find the mean-field fixed point and write the report JSON."""
     g = _load_graph(graph_path, generate_spec)
     model = _build_model(variant, beta, delta, gamma, theta, contact_path)
-    ratio = _ratio_or_usage(model, g)
+    ratio = threshold_ratio(model, g)
     damping = 1.0 if raw_iteration else damping
     rep = find_fixed_point(model, g, tol=tol, cap=cap, damping=damping)
     spectrum = rep.jacobian_spectrum
@@ -258,35 +359,39 @@ def cmd_meanfield(*, graph_path, generate_spec, variant, beta, delta, gamma,
         f"classification={rep.classification} residual={rep.residual:.6e} "
         f"ratio={ratio:.10g}"
     )
-    return 3 if rep.classification == "non-converged" else 0
+    if rep.classification == "non-converged":
+        # Not ctx.exit: under main(standalone_mode=False) click would return
+        # its code instead of raising it.
+        sys.exit(3)
 
 
-def cmd_exact(*, graph_path, generate_spec, variant, beta, delta, gamma,
-              theta, contact_path, epsilon, cap, out) -> int:
+@main.command("exact")
+@_graph_options
+@_model_options
+@click.option("--epsilon", type=click.FloatRange(min=0.0, max=1.0,
+                                                 min_open=True,
+                                                 max_open=True),
+              default=0.25)
+@click.option("--cap", type=click.IntRange(min=1), default=100000,
+              help="Mixing-time step cap.")
+@click.option("-o", "--out", type=str, required=True)
+def exact(graph_path, generate_spec, variant, beta, delta, gamma, theta,
+          contact_path, epsilon, cap, out):
+    """Exact-chain mixing report (state space permitting)."""
     g = _load_graph(graph_path, generate_spec)
     model = _build_model(variant, beta, delta, gamma, theta, contact_path)
-    try:
-        law = _VARIANTS[variant].free_law(model)
-    except ModelError as exc:
-        raise click.UsageError(str(exc))
-    try:
-        # A stationary law that is no point mass takes the dense mixing
-        # scan: refuse it before S is built.
-        if max(law) ** g.n < 1.0 - 1e-12:
-            _check_dense_scan(model.k, g.n)
-        S = build_transition_matrix(model, g)
-    except (ExactChainError, ModelError) as exc:
-        raise click.UsageError(str(exc))
+    # A stationary law that is no point mass takes the dense mixing scan:
+    # refuse it before S is built.
+    if max(_VARIANTS[variant].free_law(model)) ** g.n < 1.0 - 1e-12:
+        _check_dense_scan(model.k, g.n)
+    S = build_transition_matrix(model, g)
     pi = stationary(S)
     defect = float(np.abs(pi.entries @ S.entries - pi.entries).max())
-    try:
-        mrep = mixing_time_exact(S, pi, epsilon, cap=cap)
-    except ExactChainError as exc:
-        raise click.UsageError(str(exc))
+    mrep = mixing_time_exact(S, pi, epsilon, cap=cap)
     worst = None
     if mrep.worst_initial is not None:
         worst = "".join(str(int(d)) for d in mrep.worst_initial.digits)
-    ratio = _ratio_or_usage(model, g)
+    ratio = threshold_ratio(model, g)
     payload = {
         "variant": model.variant,
         "n": g.n,
@@ -304,19 +409,23 @@ def cmd_exact(*, graph_path, generate_spec, variant, beta, delta, gamma,
         f"t_mix={mrep.t_mix} bound={mrep.bound:.10g} "
         f"stationary_defect={defect:.3e} ratio={ratio:.10g}"
     )
-    return 0
 
 
-def cmd_verify(*, suites, n_max, trials, seed, out) -> int:
+@main.command("verify")
+@click.option("--suite", "suites", type=str, multiple=True,
+              help="Suite name or 'all' (repeatable).")
+@click.option("--n-max", type=click.IntRange(min=2), default=5)
+@click.option("--trials", type=click.IntRange(min=1), default=50)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
+@click.option("-o", "--out", type=str, default=None)
+def verify(suites, n_max, trials, seed, out):
+    """Run analytic-guarantee verification suites; exit 4 on any failure."""
     names = list(suites) or ["all"]
     if "none" in names:
         raise click.UsageError(
             f"suite 'none' is not runnable; choose from: {', '.join(SUITES)}"
         )
-    try:
-        results = run_suites(names, n_max=n_max, trials=trials, seed=seed)
-    except VerifyError as exc:
-        raise click.UsageError(str(exc))
+    results = run_suites(names, n_max=n_max, trials=trials, seed=seed)
     all_passed = all(r.passed for r in results)
     payload = {
         "passed": all_passed,
@@ -329,191 +438,8 @@ def cmd_verify(*, suites, n_max, trials, seed, out) -> int:
                    f"({r.checks} checks)")
         if not r.passed:
             click.echo(_dump_json({"replay": r.failures[:5]}).rstrip())
-    return 0 if all_passed else 4
-
-
-def _parse_grid(text: str | None) -> list[float]:
-    if text is None or not text.strip():
-        raise click.UsageError("--beta-grid is required and must be nonempty")
-    text = text.strip()
-    try:
-        if ":" in text:
-            parts = text.split(":")
-            if len(parts) != 3:
-                raise ValueError("range grids use start:stop:step")
-            start, stop, step = (float(v) for v in parts)
-            if step <= 0:
-                raise ValueError("step must be > 0")
-            count = int(math.floor((stop - start) / step + 1e-9)) + 1
-            if count < 1:
-                raise ValueError("grid is empty")
-            vals = [start + idx * step for idx in range(count)]
-        else:
-            vals = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise click.UsageError(f"invalid --beta-grid {text!r}: {exc}")
-    if not vals:
-        raise click.UsageError(f"--beta-grid {text!r} is empty")
-    for v in vals:
-        if not (0.0 <= v <= 1.0):
-            raise click.UsageError(f"grid beta {v} outside [0,1]")
-    return vals
-
-
-def cmd_sweep(*, graph_path, generate_spec, variant, beta, delta, gamma,
-              theta, contact_path, beta_grid, t_max, reps, seed, init, tol,
-              cap, out) -> int:
-    g = _load_graph(graph_path, generate_spec)
-    if variant == "sis-general":
-        raise click.UsageError(
-            "sweep varies beta and requires a rate-based variant"
-        )
-    betas = _parse_grid(beta_grid)
-    init = _parse_init(init)
-    lines = ["beta,ratio,outcome,extinct_count,reps,median_extinction,fp_norm"]
-    for idx, b in enumerate(betas):
-        model = _build_model(variant, b, delta, gamma, theta)
-        ratio = _ratio_or_usage(model, g)
-        try:
-            rep = mc_ensemble(model, g, init=init, t_max=t_max, n_reps=reps,
-                              master_seed=seed + idx)
-        except MonteCarloError as exc:
-            raise click.UsageError(str(exc))
-        outcome = "extinct" if 2 * rep.extinct_count > rep.n_reps \
-            else "persistent"
-        ext = [a for a in rep.absorbed_steps if a is not None]
-        med = float(np.median(ext)) if ext else math.nan
-        fp = find_fixed_point(model, g, tol=max(tol, 1e-10), cap=cap,
-                              compute_spectrum=False)
-        fp_norm = float(np.abs(fp.point.p_i).max())
-        lines.append(
-            f"{float(b)!s},{float(ratio)!s},{outcome},{rep.extinct_count},"
-            f"{rep.n_reps},{med!s},{fp_norm!s}"
-        )
-    _atomic_write(out, "\n".join(lines) + "\n")
-    click.echo(f"rows={len(betas)}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# Click wiring
-# ---------------------------------------------------------------------------
-
-def _graph_options(fn):
-    fn = click.option("--graph", "graph_path", type=str, default=None,
-                      help="Edge-list file.")(fn)
-    fn = click.option("--generate", "generate_spec", type=str, default=None,
-                      help="Generator spec, e.g. er:n=100,p=0.05,seed=1.")(fn)
-    return fn
-
-
-def _model_options(fn):
-    fn = click.option("--variant", type=click.Choice(VARIANTS),
-                      required=True)(fn)
-    fn = click.option("--beta", type=float, default=None)(fn)
-    fn = click.option("--delta", type=float, default=None)(fn)
-    fn = click.option("--gamma", type=float, default=None)(fn)
-    fn = click.option("--theta", type=float, default=None)(fn)
-    fn = click.option("--contact", "contact_path", type=str, default=None,
-                      help="CSV file with the contact matrix "
-                           "(sis-general).")(fn)
-    return fn
-
-
-def _check_tol(ctx, param, value: float) -> float:
-    if not 0.0 < value < math.inf:
-        raise click.BadParameter(f"{value} is not a finite number > 0")
-    return value
-
-
-def _check_damping(ctx, param, value: float | None) -> float | None:
-    if value is not None and not 0.0 < value <= 1.0:
-        raise click.BadParameter(f"{value} is not in (0, 1]")
-    return value
-
-
-def _exit(code: int) -> None:
-    if code:
-        sys.exit(code)
-
-
-@click.group()
-@click.version_option(version=__version__, prog_name="epinet")
-def main() -> None:
-    """Exact chains, mean-field maps, and verification for network epidemics."""
-
-
-@main.command("gen")
-@click.option("--kind",
-              type=click.Choice(("er", "geometric", "complete", "star",
-                                 "path")),
-              required=True)
-@click.option("--n", type=int, required=True)
-@click.option("--p", type=float, default=None)
-@click.option("--radius", type=float, default=None)
-@click.option("--seed", type=click.IntRange(min=0), default=0)
-@click.option("-o", "--out", type=str, required=True)
-def gen_command(**params):
-    """Generate a graph and write its edge list."""
-    _exit(cmd_gen(**params))
-
-
-@main.command("simulate")
-@_graph_options
-@_model_options
-@click.option("--t", "t_max", type=click.IntRange(min=1), default=1000)
-@click.option("--reps", type=click.IntRange(min=1), default=1)
-@click.option("--seed", type=click.IntRange(min=0), default=0)
-@click.option("--init", type=str, default="all-infected")
-@click.option("-o", "--out", type=str, required=True)
-def simulate_command(**params):
-    """Run a Monte Carlo ensemble and write mean trajectory CSV."""
-    _exit(cmd_simulate(**params))
-
-
-@main.command("meanfield")
-@_graph_options
-@_model_options
-@click.option("--tol", type=float, default=1e-10, callback=_check_tol,
-              help="Residual tolerance, a finite number > 0.")
-@click.option("--cap", type=click.IntRange(min=1), default=100000)
-@click.option("--damping", type=float, default=None, callback=_check_damping,
-              help="Damping factor in (0, 1].")
-@click.option("--raw-iteration", is_flag=True, default=False,
-              help="Iterate the undamped map (reproduces cycles).")
-@click.option("--traj-out", type=str, default=None)
-@click.option("--traj-steps", type=click.IntRange(min=0), default=50)
-@click.option("-o", "--out", type=str, required=True)
-def meanfield_command(**params):
-    """Find the mean-field fixed point and write the report JSON."""
-    _exit(cmd_meanfield(**params))
-
-
-@main.command("exact")
-@_graph_options
-@_model_options
-@click.option("--epsilon", type=click.FloatRange(min=0.0, max=1.0,
-                                                 min_open=True,
-                                                 max_open=True),
-              default=0.25)
-@click.option("--cap", type=click.IntRange(min=1), default=100000,
-              help="Mixing-time step cap.")
-@click.option("-o", "--out", type=str, required=True)
-def exact_command(**params):
-    """Exact-chain mixing report (state space permitting)."""
-    _exit(cmd_exact(**params))
-
-
-@main.command("verify")
-@click.option("--suite", "suites", type=str, multiple=True,
-              help="Suite name or 'all' (repeatable).")
-@click.option("--n-max", type=click.IntRange(min=2), default=5)
-@click.option("--trials", type=click.IntRange(min=1), default=50)
-@click.option("--seed", type=click.IntRange(min=0), default=0)
-@click.option("-o", "--out", type=str, default=None)
-def verify_command(**params):
-    """Run analytic-guarantee verification suites; exit 4 on any failure."""
-    _exit(cmd_verify(**params))
+    if not all_passed:
+        sys.exit(4)
 
 
 @main.command("sweep")
@@ -529,9 +455,35 @@ def verify_command(**params):
               help="Residual tolerance, a finite number > 0.")
 @click.option("--cap", type=click.IntRange(min=1), default=100000)
 @click.option("-o", "--out", type=str, required=True)
-def sweep_command(**params):
+def sweep(graph_path, generate_spec, variant, beta, delta, gamma, theta,
+          contact_path, beta_grid, t_max, reps, seed, init, tol, cap, out):
     """Sweep beta over a grid; one CSV row per grid point."""
-    _exit(cmd_sweep(**params))
+    g = _load_graph(graph_path, generate_spec)
+    if "beta" not in _VARIANTS[variant].required:
+        raise click.UsageError(
+            "sweep varies beta and requires a rate-based variant"
+        )
+    betas = _parse_grid(beta_grid)
+    init = _parse_init(init)
+    lines = ["beta,ratio,outcome,extinct_count,reps,median_extinction,fp_norm"]
+    for idx, b in enumerate(betas):
+        model = _build_model(variant, b, delta, gamma, theta)
+        ratio = threshold_ratio(model, g)
+        rep = mc_ensemble(model, g, init=init, t_max=t_max, n_reps=reps,
+                          master_seed=seed + idx)
+        outcome = "extinct" if 2 * rep.extinct_count > rep.n_reps \
+            else "persistent"
+        ext = [a for a in rep.absorbed_steps if a is not None]
+        med = float(np.median(ext)) if ext else math.nan
+        fp = find_fixed_point(model, g, tol=max(tol, 1e-10), cap=cap,
+                              compute_spectrum=False)
+        fp_norm = float(np.abs(fp.point.p_i).max())
+        lines.append(
+            f"{float(b)!s},{float(ratio)!s},{outcome},{rep.extinct_count},"
+            f"{rep.n_reps},{med!s},{fp_norm!s}"
+        )
+    _atomic_write(out, "\n".join(lines) + "\n")
+    click.echo(f"rows={len(betas)}")
 
 
 if __name__ == "__main__":

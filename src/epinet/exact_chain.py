@@ -39,6 +39,7 @@ from .model_core import (
     contact_from_rates,
     spectral_radius,
 )
+from .mean_field import MeanFieldPoint, mf_iterate, mf_step
 
 logger = logging.getLogger(__name__)
 
@@ -761,8 +762,6 @@ def check_u_bound(S: TransitionMatrix, r: np.ndarray) -> float:
     """
     if S.model.variant != "sis-nia":
         raise ExactChainError("u-bound comparison is defined for sis-nia")
-    from .mean_field import MeanFieldPoint, mf_step
-
     r = np.asarray(r, dtype=float)
     lhs = S.entries @ u_vector(r)
     phi_r = mf_step(S.model, S.graph, MeanFieldPoint(r)).p_i
@@ -969,14 +968,10 @@ def non_absorption_check(S: TransitionMatrix, X0: ChainState | int,
     model, graph, n = S.model, S.graph, S.n
     if model.variant != "sis-nia":
         raise ExactChainError("non-absorption bound is defined for sis-nia")
-    from .mean_field import MeanFieldPoint, mf_step
-
     code = X0.code if isinstance(X0, ChainState) else int(X0)
     mu = propagate(DistVector.point_mass(code, S.size), S, t)
     exact = 1.0 - float(mu.entries[0])
-    x = np.ones(n)
-    for _ in range(t):
-        x = mf_step(model, graph, MeanFieldPoint(x)).p_i
+    x = mf_iterate(model, graph, MeanFieldPoint(np.ones(n)), t)[-1].p_i
     support = states_table(n, 2)[code] == 1
     bound = 1.0 - float(np.prod(1.0 - x[support]))
     return NonAbsorptionReport(exact, bound, bound - exact)

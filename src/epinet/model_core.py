@@ -272,6 +272,10 @@ def _pairs_where(n: int, keep) -> np.ndarray:
     return np.concatenate(parts)
 
 
+_GENERATOR_PARAMS = {"er": ("n", "p"), "geometric": ("n", "r"),
+                     "complete": ("n",), "star": ("n",), "path": ("n",)}
+
+
 def generate(kind: str, seed: int = 0, **params) -> Graph:
     """Generate a graph deterministically from (kind, params, seed).
 
@@ -280,7 +284,12 @@ def generate(kind: str, seed: int = 0, **params) -> Graph:
       - geometric: n, r — uniform points in the unit square, edge iff
         Euclidean distance < r.
       - complete / star / path: n. Star hub is node 0.
+    Any other parameter is an error.
     """
+    extra = sorted(set(params) - set(_GENERATOR_PARAMS.get(kind, params)))
+    if extra:
+        raise GraphError(f"generator {kind!r} does not accept "
+                         f"{', '.join(extra)}")
     if "n" not in params:
         raise GraphError(f"generator {kind!r} requires n")
     n = int(params["n"])
@@ -332,7 +341,7 @@ class SpectralReport:
     eigvec: np.ndarray
 
 
-def _power_iteration(matvec, n: int, tol: float, cap: int = POWER_ITERATION_CAP):
+def _power_iteration(matvec, n: int, tol: float):
     """Power iteration on a nonnegative matrix given by its matvec.
 
     Iterates on (A + I) so that bipartite structures (where the raw adjacency
@@ -345,7 +354,7 @@ def _power_iteration(matvec, n: int, tol: float, cap: int = POWER_ITERATION_CAP)
     v /= np.linalg.norm(v)
     lam_shift = 0.0
     it = 0
-    for it in range(1, cap + 1):
+    for it in range(1, POWER_ITERATION_CAP + 1):
         w = matvec(v) + v
         w /= np.linalg.norm(w)  # >= 1: (A + I) v >= v for v >= 0
         lam_new = float(w @ (matvec(w) + w))

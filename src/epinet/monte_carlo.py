@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .model_core import _VARIANTS, Graph, ModelSpec
+from .model_core import _VARIANTS, Graph, ModelSpec, _check_contact
 
 _LOG_FLOOR = -745.0  # exp() underflows to 0 below this; avoids -inf * 0 = nan
 # Upper bound on the doubles in one float temporary of a step: replicates are
@@ -81,13 +81,11 @@ class TrajectoryRecord:
     """Per-step compartment counts for one replicate.
 
     rows: (t, s_count, i_count, r_count), starting at t=0. absorbed_at is
-    the first step with zero infected (None if never observed). marginals
-    optionally carries ensemble per-node estimates attached by mc_ensemble.
+    the first step with zero infected (None if never observed).
     """
 
     rows: list[tuple[int, int, int, int]]
     absorbed_at: int | None = None
-    marginals: dict[int, tuple[np.ndarray, np.ndarray | None]] | None = None
 
     def to_csv(self) -> str:
         lines = ["t,s,i,r"]
@@ -232,6 +230,7 @@ def _sampler(model: ModelSpec, graph: Graph):
 
 def mc_step(model: ModelSpec, graph: Graph, state: SimState) -> SimState:
     """Sample the next full state; each node uses its own substream draw."""
+    _check_contact(model, graph)
     if len(state.states) != graph.n:
         raise MonteCarloError("state length does not match graph")
     if model.k == 2 and state.states.max(initial=0) > 1:
@@ -290,6 +289,7 @@ def _run(model: ModelSpec, graph: Graph, init, t_max: int, seed: int,
     work bound R * n * t_max exceeds _FORK_MIN_WORK is then split into
     contiguous shares of its replicates, one per usable CPU (_split).
     """
+    _check_contact(model, graph)
     if t_max < 1:
         raise MonteCarloError("t_max must be >= 1")
     fill = _philox(seed)

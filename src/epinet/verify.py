@@ -111,10 +111,6 @@ def _random_graph(rng: np.random.Generator, n_max: int, n_min: int = 2,
     return g
 
 
-def _graph_payload(g: Graph) -> str:
-    return format_edge_list(g)
-
-
 def _random_contact(rng: np.random.Generator, n: int) -> np.ndarray:
     M = rng.uniform(0.0, 1.0, (n, n))
     M[rng.random((n, n)) < 0.3] = 0.0
@@ -200,15 +196,15 @@ def _suite_ordering(n_max: int, trials: int, seed: int) -> SuiteResult:
             identity_defect = max(identity_defect, rep.identity_defect)
         if rep.min_entry < -1e-12:
             _fail(failures, check="conjugation-nonnegative",
-                  variant=model.variant, graph=_graph_payload(g),
+                  variant=model.variant, graph=format_edge_list(g),
                   beta=model.beta, delta=model.delta,
                   contact=model.contact, min_entry=rep.min_entry)
         if rep.pair_min < -1e-12:
             _fail(failures, check="ordered-pair", variant=model.variant,
-                  graph=_graph_payload(g), pair_min=rep.pair_min)
+                  graph=format_edge_list(g), pair_min=rep.pair_min)
         if not math.isnan(rep.identity_defect) and rep.identity_defect > 1e-12:
             _fail(failures, check="transpose-identity", variant=model.variant,
-                  graph=_graph_payload(g), defect=rep.identity_defect)
+                  graph=format_edge_list(g), defect=rep.identity_defect)
     return SuiteResult("ordering", not failures, checks, failures, {
         "min_conjugated_entry": min_entry,
         "min_ordered_pair_value": pair_min,
@@ -231,7 +227,7 @@ def _suite_u_bound(n_max: int, trials: int, seed: int) -> SuiteResult:
             checks += 1
             worst = min(worst, slack)
             if slack < -1e-12:
-                _fail(failures, check="u-bound", graph=_graph_payload(g),
+                _fail(failures, check="u-bound", graph=format_edge_list(g),
                       beta=model.beta, delta=model.delta, r=r, slack=slack)
     return SuiteResult("u-bound", not failures, checks, failures,
                        {"worst_slack": worst})
@@ -281,13 +277,13 @@ def _suite_lp(n_max: int, trials: int, seed: int) -> SuiteResult:
                 max_gap = max(max_gap, gap)
                 if gap > 1e-9:
                     _fail(failures, check="lp-bound", variant=model.variant,
-                          graph=_graph_payload(g), node=i, lp=rep.lp_max,
+                          graph=format_edge_list(g), node=i, lp=rep.lp_max,
                           closed_form=cf, p_i=p.p_i, p_r=p.p_r)
                 if expect_eq:
                     worst_eq = max(worst_eq, abs(gap))
                     if abs(gap) > 1e-6:
                         _fail(failures, check="lp-attainment",
-                              variant=model.variant, graph=_graph_payload(g),
+                              variant=model.variant, graph=format_edge_list(g),
                               node=i, gap=gap, p_i=p.p_i, p_r=p.p_r)
     return SuiteResult("lp", not failures, checks, failures, {
         "max_gap_over_bound": max_gap,
@@ -309,7 +305,7 @@ def _suite_non_absorption(n_max: int, trials: int, seed: int) -> SuiteResult:
         checks += 1
         worst = min(worst, rep.slack)
         if rep.slack < -1e-10:
-            _fail(failures, check="non-absorption", graph=_graph_payload(g),
+            _fail(failures, check="non-absorption", graph=format_edge_list(g),
                   beta=model.beta, delta=model.delta, X0=X0, t=t,
                   exact=rep.exact, bound=rep.bound)
     return SuiteResult("non-absorption", not failures, checks, failures,
@@ -339,7 +335,7 @@ def _suite_linear(n_max: int, trials: int, seed: int) -> SuiteResult:
             worst = min(worst, slack)
             if slack < -1e-10:
                 _fail(failures, check="linear-domination",
-                      variant=model.variant, graph=_graph_payload(g),
+                      variant=model.variant, graph=format_edge_list(g),
                       slack=slack, p_i=x.p_i,
                       p_r=x.p_r if x.p_r is not None else None)
     return SuiteResult("linear", not failures, checks, failures,
@@ -364,7 +360,7 @@ def _suite_jacobian(n_max: int, trials: int, seed: int) -> SuiteResult:
             worst = max(worst, err)
             if err > 1e-6:
                 _fail(failures, check="jacobian-fd", variant=variant,
-                      graph=_graph_payload(g), error=err, p_i=x.p_i,
+                      graph=format_edge_list(g), error=err, p_i=x.p_i,
                       p_r=x.p_r if x.p_r is not None else None)
     return SuiteResult("jacobian", not failures, checks, failures,
                        {"max_fd_error": worst})
@@ -456,7 +452,7 @@ def _suite_mixing(n_max: int, trials: int, seed: int) -> SuiteResult:
         bound = mixing_time_bound(model, g, 0.25)
         if ratio >= 1.0 or not math.isfinite(bound):
             _fail(failures, check="roster-instance", variant=model.variant,
-                  graph=_graph_payload(g), ratio=ratio, bound=bound)
+                  graph=format_edge_list(g), ratio=ratio, bound=bound)
             continue
         S = build_transition_matrix(model, g)
         rep = mixing_time_exact(S, stationary(S), 0.25)
@@ -465,7 +461,7 @@ def _suite_mixing(n_max: int, trials: int, seed: int) -> SuiteResult:
                      "t_mix": rep.t_mix, "bound": bound})
         if rep.censored or rep.t_mix is None or rep.t_mix > math.ceil(bound):
             _fail(failures, check="mixing-bound", variant=model.variant,
-                  graph=_graph_payload(g), t_mix=rep.t_mix, bound=bound,
+                  graph=format_edge_list(g), t_mix=rep.t_mix, bound=bound,
                   model=model.describe())
     return SuiteResult("mixing", not failures, checks, failures,
                        {"instances": rows})
@@ -489,7 +485,7 @@ def _suite_stationary(n_max: int, trials: int, seed: int) -> SuiteResult:
                 worst = max(worst, defect)
                 if defect > 1e-10:
                     _fail(failures, check="stationary", variant=variant,
-                          graph=_graph_payload(g), defect=defect,
+                          graph=format_edge_list(g), defect=defect,
                           model=model.describe())
     return SuiteResult("stationary", not failures, checks, failures,
                        {"max_defect": worst})
@@ -523,13 +519,13 @@ def _suite_fixed_point(n_max: int, trials: int, seed: int) -> SuiteResult:
             checks += 1
             if rep.classification != "endemic":
                 _fail(failures, check="endemic-classification",
-                      variant=variant, graph=_graph_payload(g),
+                      variant=variant, graph=format_edge_list(g),
                       model=model.describe(),
                       classification=rep.classification)
                 continue
             if rep.relation_defect is None or rep.relation_defect > 1e-8:
                 _fail(failures, check="fixed-point-relation", variant=variant,
-                      graph=_graph_payload(g), model=model.describe(),
+                      graph=format_edge_list(g), model=model.describe(),
                       defect=rep.relation_defect)
             else:
                 worst = max(worst, rep.relation_defect)

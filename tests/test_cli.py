@@ -76,6 +76,16 @@ class TestGen:
         assert res.exit_code == 2
         assert "--seed" in res.output
 
+    def test_generate_spec_unknown_param_exit_2(self, runner, tmp_path):
+        res = runner.invoke(main, [
+            "meanfield", "--generate", "path:n=3,p=0.5,q=2", "--variant",
+            "sis-ia", "--beta", "0.5", "--delta", "0.5",
+            "-o", str(tmp_path / "mf.json"),
+        ])
+        assert res.exit_code == 2
+        assert ("Error: invalid --generate spec 'path:n=3,p=0.5,q=2': "
+                "generator 'path' does not accept p, q") in res.output
+
 
 class TestSimulate:
     def test_runs_and_writes_csv(self, runner, path3_file, tmp_path):
@@ -598,6 +608,87 @@ class TestSweep:
         assert runner.invoke(main, args + ["-o", a]).exit_code == 0
         assert runner.invoke(main, args + ["-o", b]).exit_code == 0
         assert open(a, "rb").read() == open(b, "rb").read()
+
+
+# Per subcommand: an engine call it makes (an alias in epinet.cli) and a
+# command line that reaches that call.
+_MODEL = ["--generate", "path:n=3", "--variant", "sis-nia", "--beta", "0.2",
+          "--delta", "0.5"]
+ENGINE_CALLS = {
+    "gen": ("generate", ["gen", "--kind", "star", "--n", "3"]),
+    "simulate": ("mc_ensemble", ["simulate", *_MODEL, "--t", "5"]),
+    "meanfield": ("find_fixed_point", ["meanfield", *_MODEL]),
+    "exact": ("mixing_time_exact", ["exact", *_MODEL]),
+    "verify": ("run_suites", ["verify", "--suite", "linear"]),
+    "sweep": ("find_fixed_point", ["sweep", *_MODEL[:4], "--delta", "0.5",
+                                   "--beta-grid", "0.1", "--t", "5",
+                                   "--reps", "2"]),
+}
+
+
+def _raise(exc: Exception):
+    def engine(*args, **kwargs):
+        raise exc
+    return engine
+
+
+class TestInputErrorBoundary:
+    """Every subcommand reports the library's input errors as usage errors
+    with its own usage line; the library's bug signals stay tracebacks."""
+
+    @pytest.mark.parametrize("error", [
+        epinet.GraphError, epinet.ModelError, epinet.ExactChainError,
+        epinet.StateSpaceCapError, epinet.LPInfeasibleError,
+        epinet.MonteCarloError, epinet.VerifyError,
+    ], ids=lambda e: e.__name__)
+    @pytest.mark.parametrize("command", list(ENGINE_CALLS))
+    def test_input_error_exit_2(self, runner, tmp_path, monkeypatch,
+                                command, error):
+        target, argv = ENGINE_CALLS[command]
+        message = f"forced {error.__name__} in {target}"
+        monkeypatch.setattr(cli_module, target, _raise(error(message)))
+        res = runner.invoke(main, [*argv, "-o", str(tmp_path / "out")],
+                            prog_name="epinet")
+        assert res.exit_code == 2, res.output
+        assert f"Usage: epinet {command} [OPTIONS]" in res.output
+        assert f"Error: {message}\n" in res.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("error", [
+        epinet.MeanFieldError, epinet.StationaryVerificationError,
+        epinet.CertificateError,
+    ], ids=lambda e: e.__name__)
+    @pytest.mark.parametrize("command", list(ENGINE_CALLS))
+    def test_bug_signal_exit_1(self, runner, tmp_path, monkeypatch, command,
+                               error):
+        target, argv = ENGINE_CALLS[command]
+        monkeypatch.setattr(cli_module, target, _raise(error("bug")))
+        res = runner.invoke(main, [*argv, "-o", str(tmp_path / "out")],
+                            prog_name="epinet")
+        assert res.exit_code == 1
+        assert isinstance(res.exception, error)
+        assert "Usage:" not in res.output
+
+    def test_exit_3_and_4_without_standalone_mode(self, star3_file,
+                                                  tmp_path, monkeypatch):
+        """Embedded callers (main(standalone_mode=False)) see the same exit
+        codes: click returns a ctx.exit code, but sys.exit raises."""
+        with pytest.raises(SystemExit) as exc:
+            main.main([
+                "meanfield", "--graph", star3_file, "--variant", "sis-nia",
+                "--beta", "0.9", "--delta", "0.3", "--cap", "2",
+                "--tol", "1e-14", "-o", str(tmp_path / "mf.json"),
+            ], prog_name="epinet", standalone_mode=False)
+        assert exc.value.code == 3
+
+        from epinet.verify import SuiteResult
+        fake = SuiteResult(suite="linear", passed=False, checks=1,
+                           failures=[], details={})
+        monkeypatch.setattr(cli_module, "run_suites", lambda *a, **k: [fake])
+        with pytest.raises(SystemExit) as exc:
+            main.main(["verify", "--suite", "linear"], prog_name="epinet",
+                      standalone_mode=False)
+        assert exc.value.code == 4
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -243,6 +243,18 @@ class TestGenerate:
         with pytest.raises(GraphError):
             generate("geometric", n=5)
 
+    @pytest.mark.parametrize("kind, params, extra", [
+        ("er", {"n": 5, "p": 0.5, "r": 0.3}, "r"),
+        ("geometric", {"n": 5, "r": 0.3, "p": 0.5}, "p"),
+        ("complete", {"n": 5, "p": 0.5}, "p"),
+        ("star", {"n": 5, "r": 0.3}, "r"),
+        ("path", {"n": 3, "p": 0.5, "q": 2.0}, "p, q"),
+    ])
+    def test_unknown_params_rejected(self, kind, params, extra):
+        with pytest.raises(GraphError,
+                           match=f"generator '{kind}' does not accept {extra}$"):
+            generate(kind, **params)
+
 
 # ---------------------------------------------------------------------------
 # Spectral radius

@@ -19,6 +19,7 @@ from epinet import (
     DistVector,
     EnsembleReport,
     Graph,
+    ModelError,
     ModelSpec,
     MonteCarloError,
     SimState,
@@ -78,6 +79,22 @@ class TestDeterminism:
         # ensemble extends absorbed SIS trajectories with zeros
         assert np.array_equal(rep.i_mean[: len(t_run)], t_run)
         assert np.all(rep.i_mean[len(t_run):] == 0)
+
+
+@pytest.mark.parametrize("size", [3, 5])
+@pytest.mark.parametrize("engine", [
+    lambda m, g: mc_ensemble(m, g, t_max=5, n_reps=2, master_seed=1),
+    lambda m, g: mc_step(m, g, SimState(np.ones(g.n), 0, 1)),
+    lambda m, g: extinction_time(m, g, seed=1),
+], ids=["mc_ensemble", "mc_step", "extinction_time"])
+def test_contact_size_mismatch_is_model_error(engine, size):
+    """A contact matrix sized for another graph is a ModelError, as in the
+    exact chain and the mean-field map, not a numpy shape error."""
+    m = ModelSpec("sis-general", contact=np.full((size, size), 0.2))
+    with pytest.raises(ModelError,
+                       match=f"contact matrix is {size}x{size} but graph "
+                             "has n=4"):
+        engine(m, generate("path", n=4))
 
 
 class TestAbsorptionEdgeCases:

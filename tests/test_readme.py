@@ -1,8 +1,13 @@
-"""The README's library quickstart runs as written."""
+"""The README's library quickstart and command lines run as written."""
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
+
+from click.testing import CliRunner
+
+from epinet.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,3 +20,38 @@ def test_library_quickstart_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 5
     assert lines[-1].endswith("replicates went extinct")
+
+
+def readme_commands() -> list[tuple[str, list[str] | None]]:
+    """Each `epinet ...` line of the README's text and sh blocks, with its
+    `\\` continuations joined. A `$ epinet ...` prompt line comes with the
+    output lines shown under it; a bare command line shows none (None)."""
+    blocks = re.findall(r"```(?:text|sh)\n(.*?)```",
+                        README.read_text(encoding="utf-8"), re.S)
+    commands: list[tuple[str, list[str] | None]] = []
+    for block in blocks:
+        shown = None
+        for line in re.sub(r"\\\n\s*", "", block).splitlines():
+            if line.startswith(("epinet ", "$ epinet ")):
+                shown = [] if line.startswith("$ ") else None
+                commands.append((line.removeprefix("$ "), shown))
+            elif not line.strip():
+                shown = None
+            elif shown is not None:
+                shown.append(line)
+    return commands
+
+
+def test_command_lines_run(tmp_path, monkeypatch):
+    """Every README command exits 0 and prints exactly the lines shown."""
+    commands = readme_commands()
+    assert [shlex.split(c)[1] for c, _ in commands] == [
+        "gen", "meanfield", "exact", "simulate", "sweep", "verify"]
+    monkeypatch.chdir(tmp_path)
+    runner = CliRunner()
+    for command, shown in commands:
+        res = runner.invoke(main, shlex.split(command)[1:],
+                            prog_name="epinet")
+        assert res.exit_code == 0, (command, res.output)
+        if shown is not None:
+            assert res.output.splitlines() == shown, command
