@@ -21,7 +21,6 @@ from .model_core import (
     SpectralReport,
     VARIANTS,
     contact_from_rates,
-    degree_stats,
     format_edge_list,
     generate,
     parse_edge_list,
@@ -54,17 +53,13 @@ from .exact_chain import (
     propagate,
     states_table,
     stationary,
-    tv_distance,
     u_vector,
 )
 from .mean_field import (
-    CertificateError,
     FixedPointReport,
     LinearModel,
     MeanFieldError,
     MeanFieldPoint,
-    StabilityReport,
-    classify_stability,
     find_fixed_point,
     jacobian_contracts,
     jacobian_eigenvalues,
@@ -73,20 +68,13 @@ from .mean_field import (
     mf_jacobian,
     mf_linear_model,
     mf_step,
-    perron_certificate,
     siv_base_point,
 )
 from .monte_carlo import (
     EnsembleReport,
     MonteCarloError,
-    SimState,
-    TrajectoryRecord,
     ensemble_to_csv,
-    extinction_time,
     mc_ensemble,
-    mc_run,
-    mc_step,
-    parse_ensemble_csv,
 )
 from .verify import SUITES, SuiteResult, VerifyError, fd_jacobian, run_suite, \
     run_suites

@@ -6,9 +6,9 @@ error (bad flags, a malformed input file, or a model, graph or request that
 the library rejects), 3 mean-field non-convergence, 4 verification-suite
 failure. Every subcommand is an InputErrorCommand, the one place where the
 library's input errors become usage errors; its other errors
-(MeanFieldError, StationaryVerificationError, CertificateError) signal bugs
-and keep their tracebacks. Structured reports are JSON
-(sorted keys, 2-space indent); trajectories are CSV with header "t,s,i,r".
+(MeanFieldError, StationaryVerificationError) signal bugs and keep their
+tracebacks. Structured reports are JSON (sorted keys, 2-space indent);
+trajectories are CSV with header "t,s,i,r".
 Identical command lines and seeds produce byte-identical outputs. Output
 files are written atomically (temp file + rename).
 """
@@ -24,7 +24,9 @@ import click
 import numpy as np
 
 from .model_core import (
+    _GENERATOR_PARAMS,
     _VARIANTS,
+    _rate_ratio,
     Graph,
     GraphError,
     ModelError,
@@ -257,16 +259,13 @@ main.command_class = InputErrorCommand
 @click.option("-o", "--out", type=str, required=True)
 def gen(kind, n, p, radius, seed, out):
     """Generate a graph and write its edge list."""
-    params: dict = {"n": n}
-    if kind == "er":
-        if p is None:
-            raise click.UsageError("generator 'er' requires --p")
-        params["p"] = p
-    elif kind == "geometric":
-        if radius is None:
-            raise click.UsageError("generator 'geometric' requires --radius")
-        params["r"] = radius
-    g = generate(kind, seed=seed, **params)
+    params = {"n": n, "p": p, "r": radius}
+    for key in _GENERATOR_PARAMS[kind]:
+        if params[key] is None:
+            flag = "radius" if key == "r" else key
+            raise click.UsageError(f"generator {kind!r} requires --{flag}")
+    g = generate(kind, seed=seed,
+                 **{key: v for key, v in params.items() if v is not None})
     lam = spectral_radius(g).lambda_max
     _atomic_write(out, format_edge_list(g))
     click.echo(f"n={g.n} edges={g.m} lambda_max={lam:.10g}")
@@ -465,10 +464,11 @@ def sweep(graph_path, generate_spec, variant, beta, delta, gamma, theta,
         )
     betas = _parse_grid(beta_grid)
     init = _parse_init(init)
+    models = [_build_model(variant, b, delta, gamma, theta) for b in betas]
+    lam = spectral_radius(g).lambda_max
     lines = ["beta,ratio,outcome,extinct_count,reps,median_extinction,fp_norm"]
-    for idx, b in enumerate(betas):
-        model = _build_model(variant, b, delta, gamma, theta)
-        ratio = threshold_ratio(model, g)
+    for idx, (b, model) in enumerate(zip(betas, models)):
+        ratio = _rate_ratio(model, lam)
         rep = mc_ensemble(model, g, init=init, t_max=t_max, n_reps=reps,
                           master_seed=seed + idx)
         outcome = "extinct" if 2 * rep.extinct_count > rep.n_reps \

@@ -4,7 +4,7 @@ Implements:
   - ChainState / DistVector / TransitionMatrix / MarginalVector / MixingReport.
   - build_transition_matrix: the full product-form transition matrix S, as
     CSR. S carries its model and graph; every analysis of the chain takes S.
-  - propagate, marginals, stationary, tv_distance.
+  - propagate, marginals, stationary.
   - mixing_time_exact / mixing_time_bound: exact worst-case mixing time and
     the contraction-norm analytic upper bound.
   - build_R_pair / check_order_preservation: upper-set indicator matrix of
@@ -418,13 +418,6 @@ def stationary(S: TransitionMatrix) -> DistVector:
             f"pi S = pi fails with defect {defect:.3e}"
         )
     return DistVector(pi)
-
-
-def tv_distance(a: DistVector, b: DistVector) -> float:
-    """Total variation distance: half the L1 distance."""
-    if len(a) != len(b):
-        raise ExactChainError("distributions have different lengths")
-    return 0.5 * float(np.abs(a.entries - b.entries).sum())
 
 
 # ---------------------------------------------------------------------------

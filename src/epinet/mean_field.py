@@ -11,8 +11,8 @@ and its Jacobian comes from the same tables. sis-nia keeps its factored
 1 - Pi (1 - (1-delta) x), which rounds differently from that sum, and
 sis-general its 1 - prod_j (1 - m_ij x_j), which holds the node's own
 factor 1 - m_ii. Implements mf_step, mf_linear_model, mf_jacobian,
-jacobian_eigenvalues, jacobian_contracts, mf_iterate, find_fixed_point,
-classify_stability, perron_certificate, and linear_bound_check.
+jacobian_eigenvalues, jacobian_contracts, mf_iterate, find_fixed_point and
+linear_bound_check.
 """
 from __future__ import annotations
 
@@ -27,18 +27,11 @@ from .model_core import (
     Graph,
     ModelSpec,
     _check_contact,
-    _power_iteration,
-    spectral_radius,
-    threshold_ratio,
 )
 
 
 class MeanFieldError(ValueError):
     """Invalid mean-field request."""
-
-
-class CertificateError(RuntimeError):
-    """A spectral certificate failed its componentwise check."""
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +127,6 @@ class FixedPointReport:
     classification: str
     jacobian_spectrum: np.ndarray | None = None
     relation_defect: float | None = None
-
-
-@dataclass
-class StabilityReport:
-    spectral_radius: float
-    stable: bool
-    largest_real_eigenvalue: float
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +444,12 @@ def mf_iterate(model: ModelSpec, graph: Graph, x0: MeanFieldPoint,
     """Deterministic trajectory [x0, F(x0), ..., F^t(x0)]."""
     if t < 0:
         raise MeanFieldError("t must be >= 0")
+    _check_point(model, graph, x0)
+    image = _mf_map(model, graph)
     traj = [x0]
     for _ in range(t):
-        traj.append(mf_step(model, graph, traj[-1]))
+        traj.append(MeanFieldPoint.from_concat(image(traj[-1].concat()),
+                                               model.k))
     return traj
 
 
@@ -617,59 +606,6 @@ def find_fixed_point(model: ModelSpec, graph: Graph, tol: float = 1e-10,
         spectrum = jacobian_eigenvalues(model, graph, x)
     defect = _relation_defect(model, x) if classification == "endemic" else None
     return FixedPointReport(x, residual, it, classification, spectrum, defect)
-
-
-def classify_stability(model: ModelSpec, graph: Graph, point: MeanFieldPoint,
-                       fixed_tol: float = 1e-6) -> StabilityReport:
-    """Spectral stability of the map at a fixed point.
-
-    Asserts the point is fixed within fixed_tol first. stable means the
-    Jacobian spectral radius is < 1. largest_real_eigenvalue is the largest
-    eigenvalue with negligible imaginary part (-inf when the spectrum has
-    no real eigenvalue).
-    """
-    res = float(np.abs(mf_step(model, graph, point).concat()
-                       - point.concat()).max())
-    if res > fixed_tol:
-        raise MeanFieldError(
-            f"point is not fixed (residual {res:.3e} > {fixed_tol:.1e})"
-        )
-    eigs = jacobian_eigenvalues(model, graph, point)
-    rho = float(np.abs(eigs).max()) if len(eigs) else 0.0
-    real = eigs[np.abs(eigs.imag) <= 1e-9].real
-    largest_real = float(real.max()) if len(real) else -math.inf
-    return StabilityReport(rho, rho < 1.0, largest_real)
-
-
-def perron_certificate(model: ModelSpec, graph: Graph) -> np.ndarray | None:
-    """Above-threshold instability certificate, or None below threshold.
-
-    When the threshold ratio exceeds 1, returns the Perron vector v of the
-    effective linearized infection matrix and asserts the componentwise
-    growth condition (c beta A - delta I) v > 0, where c is the variant's
-    susceptible-depletion factor (1 for SIS/SIRS, gamma/(gamma+theta) for
-    siv-id, with another (1-theta) for siv-vd). For sis-general the
-    condition is (M - I) v > 0.
-    """
-    ratio = threshold_ratio(model, graph)
-    if ratio <= 1.0:
-        return None
-    if model.contact is not None:
-        M = np.asarray(model.contact, dtype=float)
-        _, _, v = _power_iteration(lambda y: M @ y, M.shape[0], 1e-13)
-        growth = M @ v - v
-    else:
-        rep = spectral_radius(graph, 1e-13)
-        v = rep.eigvec
-        rule = _VARIANTS[model.variant]
-        c = rule.free_law(model)[0] * rule.infection(model)
-        A = graph.adjacency() if graph.n <= 400 else graph.adjacency_sparse
-        growth = c * model.beta * (A @ v) - model.delta * v
-    if growth.min() <= 1e-12:
-        raise CertificateError(
-            f"growth certificate failed: min component {growth.min():.3e}"
-        )
-    return v
 
 
 def linear_bound_check(model: ModelSpec, graph: Graph,

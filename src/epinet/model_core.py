@@ -17,18 +17,20 @@ Implements:
     formulas) and every per-variant scalar read it.
   - threshold_ratio: the variant's local-stability ratio (< 1 predicts
     extinction of the mean-field dynamics).
-  - degree_stats, contact_from_rates.
+  - contact_from_rates.
 """
 from __future__ import annotations
 
+import logging
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+
+logger = logging.getLogger(__name__)
 
 # Iteration cap for power iteration.
 POWER_ITERATION_CAP = 10 ** 6
@@ -392,11 +394,11 @@ def _connected_radius(graph: Graph, tol: float):
 def spectral_radius(graph: Graph, tol: float = 1e-10) -> SpectralReport:
     """Dominant adjacency eigenvalue and Perron vector by power iteration.
 
-    Weights are applied. On a disconnected graph a warning is issued, the
+    Weights are applied. On a disconnected graph a warning is logged, the
     eigenvalue is the largest over the components (the first, i.e. largest,
     component wins ties), and the returned eigenvector has zeros outside
     the component that attains it. Non-convergence after the iteration cap
-    issues a warning and reports the achieved residual.
+    logs a warning and reports the achieved residual.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -404,11 +406,8 @@ def spectral_radius(graph: Graph, tol: float = 1e-10) -> SpectralReport:
     if len(comps) == 1:
         lam, it, res, v = _connected_radius(graph, tol)
     else:
-        warnings.warn(
-            f"graph is disconnected ({len(comps)} components); "
-            "using the component with the largest eigenvalue",
-            stacklevel=2,
-        )
+        logger.warning("graph is disconnected (%d components); using the "
+                       "component with the largest eigenvalue", len(comps))
         best = None
         for comp in comps:
             # An isolated node (eigenvalue 0) never beats an earlier component.
@@ -420,10 +419,8 @@ def spectral_radius(graph: Graph, tol: float = 1e-10) -> SpectralReport:
         v = np.zeros(graph.n)
         v[np.asarray(comp)] = sub
     if res > tol * max(1.0, abs(lam)) and it >= POWER_ITERATION_CAP:
-        warnings.warn(
-            f"power iteration did not converge (residual {res:.3e})",
-            stacklevel=2,
-        )
+        logger.warning("power iteration did not converge (residual %.3e)",
+                       res)
     return SpectralReport(lam, it, res, v)
 
 
@@ -604,7 +601,7 @@ def contact_from_rates(graph: Graph, beta: float, delta: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Threshold ratio and degree stats
+# Threshold ratio
 # ---------------------------------------------------------------------------
 
 def _check_contact(model: ModelSpec, graph: Graph) -> None:
@@ -626,15 +623,13 @@ def threshold_ratio(model: ModelSpec, graph: Graph, tol: float = 1e-10) -> float
     if model.contact is not None:
         M = model.contact
         return _power_iteration(lambda x: M @ x, graph.n, tol)[0]
-    lam = spectral_radius(graph, tol).lambda_max
+    return _rate_ratio(model, spectral_radius(graph, tol).lambda_max)
+
+
+def _rate_ratio(model: ModelSpec, lam: float) -> float:
+    """threshold_ratio of a rate-based model on a graph with lambda_max lam."""
     rule = _VARIANTS[model.variant]
     pressure = model.beta * lam * rule.free_law(model)[0] * rule.infection(model)
     if model.delta == 0.0:
         return math.inf if pressure > 0 else 0.0
     return pressure / model.delta
-
-
-def degree_stats(graph: Graph) -> tuple[int, int, float]:
-    """(min degree, max degree, mean degree); degrees are unweighted counts."""
-    d = graph.degrees
-    return int(d.min()), int(d.max()), float(2.0 * graph.m / graph.n)

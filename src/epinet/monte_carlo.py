@@ -56,58 +56,6 @@ class MonteCarloError(ValueError):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SimState:
-    """Full agent state: per-node digits plus the substream coordinates."""
-
-    states: np.ndarray
-    t: int
-    rng_seed: int
-    replicate: int = 0
-
-    def __post_init__(self) -> None:
-        self.states = np.asarray(self.states, dtype=np.int8)
-        if self.states.ndim != 1:
-            raise MonteCarloError("states must be a 1-D digit vector")
-        if self.states.min(initial=0) < 0 or self.states.max(initial=0) > 2:
-            raise MonteCarloError("state digits must be 0, 1, or 2")
-
-    @property
-    def i_count(self) -> int:
-        return int(np.count_nonzero(self.states == 1))
-
-
-@dataclass
-class TrajectoryRecord:
-    """Per-step compartment counts for one replicate.
-
-    rows: (t, s_count, i_count, r_count), starting at t=0. absorbed_at is
-    the first step with zero infected (None if never observed).
-    """
-
-    rows: list[tuple[int, int, int, int]]
-    absorbed_at: int | None = None
-
-    def to_csv(self) -> str:
-        lines = ["t,s,i,r"]
-        lines += [f"{t},{s},{i},{r}" for t, s, i, r in self.rows]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "TrajectoryRecord":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if not lines or lines[0].strip() != "t,s,i,r":
-            raise MonteCarloError("trajectory CSV must start with 't,s,i,r'")
-        rows = []
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != 4:
-                raise MonteCarloError(f"malformed trajectory row: {ln!r}")
-            rows.append(tuple(int(p) for p in parts))
-        absorbed = next((t for t, _, i, _ in rows if i == 0), None)
-        return cls(rows, absorbed)
-
-
-@dataclass
 class EnsembleReport:
     """Order-independent aggregate over replicates.
 
@@ -228,19 +176,6 @@ def _sampler(model: ModelSpec, graph: Graph):
     return advance
 
 
-def mc_step(model: ModelSpec, graph: Graph, state: SimState) -> SimState:
-    """Sample the next full state; each node uses its own substream draw."""
-    _check_contact(model, graph)
-    if len(state.states) != graph.n:
-        raise MonteCarloError("state length does not match graph")
-    if model.k == 2 and state.states.max(initial=0) > 1:
-        raise MonteCarloError(f"digit 2 invalid for variant {model.variant}")
-    u = np.empty((1, graph.n))
-    _philox(state.rng_seed)(u[0], state.t, state.replicate)
-    nxt = _sampler(model, graph)(state.states[None, :], u)[0]
-    return SimState(nxt, state.t + 1, state.rng_seed, state.replicate)
-
-
 def _init_states(graph: Graph, init, fill, replicates: list[int]
                  ) -> np.ndarray:
     """Initial digit matrix, one row per replicate."""
@@ -267,8 +202,7 @@ def _init_states(graph: Graph, init, fill, replicates: list[int]
 
 
 def _run(model: ModelSpec, graph: Graph, init, t_max: int, seed: int,
-         replicates: list[int], snapshot_times: tuple[int, ...] = (),
-         until_extinct: bool = False):
+         replicates: list[int], snapshot_times: tuple[int, ...] = ()):
     """Core loop: all replicates stepped to absorption/t_max.
 
     Returns (i_mat, s_mat, r_mat, absorbed, snap_i, snap_r). Row j of the
@@ -282,8 +216,7 @@ def _run(model: ModelSpec, graph: Graph, init, t_max: int, seed: int,
     Snapshot times past a SIS/SIRS absorption are still exact: a frozen
     all-susceptible state contributes nothing, and a SIRS state with zero
     infected keeps evolving through the same update (its escape vector is
-    1) until the last requested snapshot. until_extinct ends SIV replicates
-    there too, for callers that need only absorbed.
+    1) until the last requested snapshot.
 
     The request is validated here, before any process is forked. A run whose
     work bound R * n * t_max exceeds _FORK_MIN_WORK is then split into
@@ -298,7 +231,7 @@ def _run(model: ModelSpec, graph: Graph, init, t_max: int, seed: int,
     if need and (need[0] < 0 or need[-1] > t_max):
         raise MonteCarloError("snapshot times must lie in [0, t_max]")
     reps = np.asarray(replicates, dtype=np.int64)
-    ends = until_extinct or _VARIANTS[model.variant].ends_at_extinction
+    ends = _VARIANTS[model.variant].ends_at_extinction
 
     def core(rows: slice):
         return _simulate(model, graph, states[rows], reps[rows], t_max, fill,
@@ -464,36 +397,6 @@ def _worker(core, share: slice, cpu: int, conn) -> None:
     conn.close()
 
 
-def mc_run(model: ModelSpec, graph: Graph, init="all-infected",
-           t_max: int = 1000, seed: int = 0, replicate: int = 0
-           ) -> TrajectoryRecord:
-    """One replicate's trajectory of compartment counts.
-
-    init is "all-infected", a float infection fraction (sampled i.i.d. from
-    the replicate's init substream), or an explicit iterable of node ids.
-    """
-    i_mat, s_mat, r_mat, absorbed, _, _ = _run(model, graph, init, t_max,
-                                               seed, [replicate])
-    ab = int(absorbed[0])
-    end = ab if ab >= 0 and _VARIANTS[model.variant].ends_at_extinction \
-        else t_max
-    rows = list(zip(range(end + 1),
-                    s_mat[0, :end + 1].astype(int).tolist(),
-                    i_mat[0, :end + 1].tolist(),
-                    r_mat[0, :end + 1].astype(int).tolist()))
-    return TrajectoryRecord(rows, ab if ab >= 0 else None)
-
-
-def extinction_time(model: ModelSpec, graph: Graph, init="all-infected",
-                    seed: int = 0, cap: int = 10000,
-                    replicate: int = 0) -> int | None:
-    """First step with zero infected, or None when censored at cap; the
-    replicate is simulated only up to that step, whatever the variant."""
-    absorbed = _run(model, graph, init, cap, seed, [replicate],
-                    until_extinct=True)[3]
-    return int(absorbed[0]) if absorbed[0] >= 0 else None
-
-
 def mc_ensemble(model: ModelSpec, graph: Graph, init="all-infected",
                 t_max: int = 1000, n_reps: int = 1, master_seed: int = 0,
                 marginals_at: tuple[int, ...] = ()) -> EnsembleReport:
@@ -544,25 +447,3 @@ def ensemble_to_csv(report: EnsembleReport) -> str:
             f"{float(report.i_mean[idx])!s},{float(report.r_mean[idx])!s}"
         )
     return "\n".join(lines) + "\n"
-
-
-def parse_ensemble_csv(text: str) -> dict[str, np.ndarray]:
-    """Inverse of ensemble_to_csv: arrays keyed t, s, i, r."""
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "t,s,i,r":
-        raise MonteCarloError("ensemble CSV must start with 't,s,i,r'")
-    cols = {"t": [], "s": [], "i": [], "r": []}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise MonteCarloError(f"malformed ensemble row: {ln!r}")
-        cols["t"].append(int(parts[0]))
-        cols["s"].append(float(parts[1]))
-        cols["i"].append(float(parts[2]))
-        cols["r"].append(float(parts[3]))
-    return {
-        "t": np.asarray(cols["t"], dtype=np.int64),
-        "s": np.asarray(cols["s"]),
-        "i": np.asarray(cols["i"]),
-        "r": np.asarray(cols["r"]),
-    }

@@ -16,8 +16,6 @@ from epinet import (
     MeanFieldPoint,
     ModelSpec,
     build_R_pair,
-    classify_stability,
-    extinction_time,
     find_fixed_point,
     generate,
     marginals,
@@ -141,8 +139,8 @@ def test_criterion_03_mixing_bound_and_extinction_scaling():
         g = generate("complete", n=int(n))
         m = ModelSpec("sis-nia", beta=0.5 * 0.9 / (n - 1), delta=0.9)
         assert threshold_ratio(m, g) == pytest.approx(0.5, abs=1e-9)
-        times = [extinction_time(m, g, seed=97, cap=3000, replicate=r)
-                 for r in range(200)]
+        times = mc_ensemble(m, g, t_max=3000, n_reps=200,
+                            master_seed=97).absorbed_steps
         assert all(t is not None for t in times)
         medians.append(float(np.median(times)))
     medians = np.array(medians)

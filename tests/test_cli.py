@@ -24,6 +24,14 @@ def runner():
     return CliRunner()
 
 
+def source_env() -> dict:
+    """The environment of a child Python that imports epinet from this
+    source tree."""
+    src = str(Path(epinet.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 @pytest.fixture
 def star3_file(tmp_path):
     path = tmp_path / "star3.txt"
@@ -86,6 +94,19 @@ class TestGen:
         assert ("Error: invalid --generate spec 'path:n=3,p=0.5,q=2': "
                 "generator 'path' does not accept p, q") in res.output
 
+    @pytest.mark.parametrize("kind", ["path", "star", "complete"])
+    def test_flag_the_kind_does_not_take_exit_2(self, runner, tmp_path,
+                                                 kind):
+        out = tmp_path / "g.txt"
+        res = runner.invoke(main, ["gen", "--kind", kind, "--n", "3",
+                                   "--p", "0.5", "--radius", "2",
+                                   "-o", str(out)], prog_name="epinet")
+        assert res.exit_code == 2
+        assert "Usage: epinet gen [OPTIONS]" in res.output
+        assert (f"Error: generator {kind!r} does not accept p, r\n"
+                in res.output)
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_runs_and_writes_csv(self, runner, path3_file, tmp_path):
@@ -100,6 +121,20 @@ class TestSimulate:
         text = open(out).read()
         assert text.startswith("t,s,i,r\n")
         assert len(text.strip().splitlines()) == 52
+
+    def test_disconnected_graph_warning_on_stderr(self, tmp_path):
+        """A library warning reaches stderr as its message alone, with no
+        source path or line number. The CLI runs as a process: under pytest
+        the log records go to pytest's own handlers."""
+        proc = subprocess.run([
+            sys.executable, "-m", "epinet.cli", "simulate",
+            "--generate", "er:n=50,p=0.1,seed=3", "--variant", "sis-nia",
+            "--beta", "0.2", "--delta", "0.3", "--t", "20",
+            "-o", str(tmp_path / "sim.csv"),
+        ], capture_output=True, text=True, env=source_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ("graph is disconnected (2 components); using "
+                               "the component with the largest eigenvalue\n")
 
     def test_t_zero_rejected(self, runner, path3_file, tmp_path):
         res = runner.invoke(main, [
@@ -656,7 +691,6 @@ class TestInputErrorBoundary:
 
     @pytest.mark.parametrize("error", [
         epinet.MeanFieldError, epinet.StationaryVerificationError,
-        epinet.CertificateError,
     ], ids=lambda e: e.__name__)
     @pytest.mark.parametrize("command", list(ENGINE_CALLS))
     def test_bug_signal_exit_1(self, runner, tmp_path, monkeypatch, command,
@@ -729,11 +763,9 @@ class TestEntryPoint:
                    f"from {module} import {func.split('.')[0]}\n"
                    "sys.argv[0] = 'epinet'\n"
                    f"sys.exit({func}())")
-        src = str(Path(epinet.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run([sys.executable, "-c", wrapper, "--version"],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True,
+                              env=source_env())
         assert proc.returncode == 0, proc.stderr
         assert project["version"] in proc.stdout
 
@@ -744,11 +776,9 @@ class TestEntryPoint:
                  "scipy.optimize", "scipy.linalg")
         code = ("import sys, epinet.cli\n"
                 f"print([m for m in {heavy!r} if m in sys.modules])")
-        src = str(Path(epinet.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True,
+                              env=source_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 

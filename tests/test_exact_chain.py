@@ -40,7 +40,6 @@ from epinet import (
     propagate,
     states_table,
     stationary,
-    tv_distance,
     u_vector,
 )
 
@@ -389,12 +388,22 @@ class TestPropagate:
         assert out.entries.min() >= 0.0
 
 
+def tv_distance(a: DistVector, b: DistVector) -> float:
+    """Total variation distance: half the L1 distance."""
+    return 0.5 * float(np.abs(a.entries - b.entries).sum())
+
+
+def tv(a: DistVector, b: DistVector) -> float:
+    """Total variation distance by the mixing scan's _tv_rows."""
+    return float(exact_chain._tv_rows(a.entries[None, :], b.entries)[0])
+
+
 class TestTV:
     def test_values(self):
         a = DistVector(np.array([1.0, 0.0]))
         b = DistVector(np.array([0.0, 1.0]))
-        assert tv_distance(a, b) == 1.0
-        assert tv_distance(a, a) == 0.0
+        assert tv(a, b) == 1.0
+        assert tv(a, a) == 0.0
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=25, deadline=None)
@@ -405,9 +414,22 @@ class TestTV:
             raw = rng.random(16)
             dists.append(DistVector(raw / raw.sum()))
         a, b, c = dists
-        assert tv_distance(a, b) == pytest.approx(tv_distance(b, a))
-        assert tv_distance(a, c) <= tv_distance(a, b) + tv_distance(b, c) + 1e-12
-        assert 0.0 <= tv_distance(a, b) <= 1.0
+        assert tv(a, b) == pytest.approx(tv(b, a))
+        assert tv(a, c) <= tv(a, b) + tv(b, c) + 1e-12
+        assert 0.0 <= tv(a, b) <= 1.0
+        assert tv(a, b) == pytest.approx(tv_distance(a, b), abs=1e-15)
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 7])
+    def test_rows_in_blocks(self, monkeypatch, block_rows):
+        rng = np.random.default_rng(3)
+        P = rng.random((7, 16))
+        P /= P.sum(axis=1, keepdims=True)
+        pi = DistVector(P[0][::-1].copy())
+        want = [tv_distance(DistVector(row), pi) for row in P]
+        monkeypatch.setattr(exact_chain, "_SCAN_BLOCK_DOUBLES",
+                            block_rows * 16)
+        assert exact_chain._tv_rows(P, pi.entries) == pytest.approx(
+            want, rel=0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epinet import (
-    CertificateError,
     DistVector,
     Graph,
     LinearModel,
@@ -20,7 +19,6 @@ from epinet import (
     MeanFieldPoint,
     ModelSpec,
     build_transition_matrix,
-    classify_stability,
     contact_from_rates,
     fd_jacobian,
     find_fixed_point,
@@ -41,6 +39,7 @@ from epinet import (
 )
 
 from epinet import mean_field
+from epinet.model_core import _VARIANTS, _power_iteration
 from conftest import ALL_VARIANTS, random_connected_graph, random_model
 
 
@@ -625,13 +624,24 @@ class TestFixedPoint:
             assert rep.relation_defect is not None
             assert rep.relation_defect <= 1e-8, variant
 
-    def test_iterate_trajectory(self, path3):
-        m = ModelSpec("sis-nia", beta=0.3, delta=0.7)
-        x0 = MeanFieldPoint(np.ones(3))
-        traj = mf_iterate(m, path3, x0, 5)
-        assert len(traj) == 6
-        step1 = mf_step(m, path3, x0)
-        assert np.array_equal(traj[1].p_i, step1.p_i)
+    def test_iterate_trajectory(self, rng):
+        """Every point of the trajectory equals repeated mf_step, bit for
+        bit, on unweighted and weighted graphs."""
+        for variant in ALL_VARIANTS:
+            for weighted_prob in (0.0, 1.0):
+                g = random_connected_graph(rng, 8, n_min=3,
+                                           weighted_prob=weighted_prob)
+                m = random_model(rng, variant, n=g.n)
+                x = random_point(rng, variant, g.n)
+                traj = mf_iterate(m, g, x, 12)
+                assert len(traj) == 13 and traj[0] is x
+                for got in traj[1:]:
+                    x = mf_step(m, g, x)
+                    assert np.array_equal(got.p_i, x.p_i), variant
+                    if m.k == 3:
+                        assert np.array_equal(got.p_r, x.p_r), variant
+                    else:
+                        assert got.p_r is None
 
     def test_tol_validation(self, path3):
         m = ModelSpec("sis-nia", beta=0.3, delta=0.7)
@@ -854,53 +864,65 @@ class TestCycleDetector:
 # Stability and certificates
 # ---------------------------------------------------------------------------
 
+def perron_growth(m, g):
+    """The Perron vector v of the linearized infection matrix and its growth
+    under that matrix less the identity: (M - I) v for sis-general, from
+    the contact power iteration, else (c beta A - delta I) v with v from
+    spectral_radius and c the susceptible-depletion factor."""
+    if m.contact is not None:
+        M = np.asarray(m.contact, dtype=float)
+        v = _power_iteration(lambda y: M @ y, M.shape[0], 1e-13)[2]
+        return v, M @ v - v
+    v = spectral_radius(g, 1e-13).eigvec
+    rule = _VARIANTS[m.variant]
+    c = rule.free_law(m)[0] * rule.infection(m)
+    return v, c * m.beta * (g.adjacency() @ v) - m.delta * v
+
+
 class TestStability:
+    """Stability as the program decides it: the fixed point's Jacobian
+    spectrum and jacobian_contracts, and the Perron vector's growth."""
+
     def test_disease_free_stable_below_threshold(self, rng):
         g = random_connected_graph(rng, 6)
         lam = spectral_radius(g).lambda_max
         m = ModelSpec("sis-nia", beta=round(0.7 * 0.6 / lam, 6), delta=0.6)
         rep = find_fixed_point(m, g)
-        st_rep = classify_stability(m, g, rep.point)
-        assert st_rep.stable
-        assert st_rep.spectral_radius < 1.0
+        assert np.abs(rep.jacobian_spectrum).max() < 1.0
+        assert jacobian_contracts(m, g, rep.point)
 
     def test_star3_endemic_unstable(self, star3):
         m = ModelSpec("sis-ia", beta=0.9, delta=0.9)
         rep = find_fixed_point(m, star3)
-        st_rep = classify_stability(m, star3, rep.point)
-        assert not st_rep.stable
-        assert st_rep.spectral_radius == pytest.approx(1.0587, abs=1e-3)
-
-    def test_rejects_non_fixed_point(self, path3):
-        m = ModelSpec("sis-nia", beta=0.9, delta=0.1)
-        with pytest.raises(MeanFieldError, match="not fixed"):
-            classify_stability(m, path3, MeanFieldPoint(np.full(3, 0.37)))
+        rho = np.abs(rep.jacobian_spectrum).max()
+        assert rho == pytest.approx(1.0587, abs=1e-3)
+        assert not jacobian_contracts(m, star3, rep.point)
 
     def test_perron_certificate_above_threshold(self, rng):
         g = random_connected_graph(rng, 8)
         lam = spectral_radius(g).lambda_max
         m = ModelSpec("sis-nia", beta=min(0.95, round(1.4 * 0.5 / lam, 6)),
                       delta=0.5)
-        v = perron_certificate_checked(m, g)
-        assert v is not None
+        assert threshold_ratio(m, g) > 1.0
+        v, growth = perron_growth(m, g)
         assert v.min() > 0.0
-        A = g.adjacency()
-        growth = m.beta * (A @ v) - m.delta * v
-        assert growth.min() > 0.0
+        assert growth.min() > 1e-12
 
     def test_perron_none_below_threshold(self, rng):
         g = random_connected_graph(rng, 6)
         lam = spectral_radius(g).lambda_max
         m = ModelSpec("sis-nia", beta=round(0.5 * 0.5 / lam, 6), delta=0.5)
-        assert perron_certificate_checked(m, g) is None
+        assert threshold_ratio(m, g) <= 1.0
+        _, growth = perron_growth(m, g)
+        assert growth.max() <= 0.0
 
     def test_perron_general_variant(self, rng):
         g = random_connected_graph(rng, 5)
         M = contact_from_rates(g, 0.9, 0.1)
         m = ModelSpec("sis-general", contact=M)
-        v = perron_certificate_checked(m, g)
-        assert v is not None
-        assert np.all(M @ v - v > 0.0)
+        assert threshold_ratio(m, g) > 1.0
+        _, growth = perron_growth(m, g)
+        assert growth.min() > 1e-12
 
     def test_linear_bound_dominates(self, rng):
         for variant in ALL_VARIANTS:
@@ -1014,9 +1036,3 @@ class TestJacobianContracts:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
-
-
-def perron_certificate_checked(m, g):
-    from epinet import perron_certificate
-
-    return perron_certificate(m, g)

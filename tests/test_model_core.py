@@ -1,6 +1,7 @@
 """Graph handling, generators, spectral radius, and model parameters."""
 from __future__ import annotations
 
+import logging
 import math
 import tracemalloc
 
@@ -14,7 +15,6 @@ from epinet import (
     ModelError,
     ModelSpec,
     contact_from_rates,
-    degree_stats,
     format_edge_list,
     find_fixed_point,
     generate,
@@ -67,7 +67,6 @@ class TestGraph:
         g = generate("star", n=4)
         assert set(g.neighbors(0)) == {1, 2, 3}
         assert g.degrees.tolist() == [3, 1, 1, 1]
-        assert degree_stats(g) == (1, 3, 1.5)
 
     def test_adjacency_weighted(self):
         g = Graph(2, ((0, 1),), (0.25,))
@@ -297,17 +296,19 @@ class TestSpectralRadius:
             oracle = float(np.max(np.abs(np.linalg.eigvalsh(g.adjacency()))))
             assert lam == pytest.approx(oracle, abs=1e-8)
 
-    def test_disconnected_warns_and_uses_largest_component(self):
+    def test_disconnected_warns_and_uses_largest_component(self, caplog):
         g = Graph(5, ((0, 1), (1, 2), (3, 4)))
-        with pytest.warns(UserWarning, match="disconnected"):
+        with caplog.at_level(logging.WARNING, logger="epinet.model_core"):
             rep = spectral_radius(g)
+        assert "disconnected" in caplog.text
         assert rep.lambda_max == pytest.approx(math.sqrt(2.0), abs=1e-8)
         # Eigenvector is zero outside the largest component.
         assert rep.eigvec[3] == rep.eigvec[4] == 0.0
 
-    def test_edgeless(self):
-        with pytest.warns(UserWarning):
+    def test_edgeless(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="epinet.model_core"):
             assert spectral_radius(Graph(4, ())).lambda_max == 0.0
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +446,6 @@ class TestThresholdRatio:
             "linear_bound_check": lambda: epinet.linear_bound_check(m, g, x),
             "mf_linear_model": lambda: epinet.mf_linear_model(m, g),
             "find_fixed_point": lambda: find_fixed_point(m, g),
-            "perron_certificate": lambda: epinet.perron_certificate(m, g),
             "build_transition_matrix":
                 lambda: epinet.build_transition_matrix(m, g),
             "mixing_time_bound": lambda: epinet.mixing_time_bound(m, g, 0.25),
@@ -470,17 +470,19 @@ class TestThresholdRatio:
         with pytest.raises(ModelError):
             threshold_ratio(m, g)
 
-    def test_disconnected_uses_component_with_largest_eigenvalue(self):
+    def test_disconnected_uses_component_with_largest_eigenvalue(self,
+                                                                 caplog):
         # A 20-node path (lambda ~ 1.98, the largest component) plus a
         # disjoint K5 (lambda = 4): the K5 sets the threshold.
         path = [(i, i + 1) for i in range(19)]
         k5 = [(20 + i, 20 + j) for i in range(5) for j in range(i + 1, 5)]
         g = Graph(25, tuple(path + k5))
         m = ModelSpec("sis-nia", beta=0.2, delta=0.7)
-        with pytest.warns(UserWarning, match="disconnected"):
+        with caplog.at_level(logging.WARNING, logger="epinet.model_core"):
             ratio = threshold_ratio(m, g)
             rep = spectral_radius(g)
             fp = find_fixed_point(m, g, compute_spectrum=False)
+        assert "disconnected" in caplog.text
         assert ratio == pytest.approx(0.8 / 0.7)
         assert rep.lambda_max == pytest.approx(4.0)
         assert np.all(rep.eigvec[:20] == 0.0)

@@ -2,6 +2,7 @@
 and the batched core against the per-replicate loop it replaced."""
 from __future__ import annotations
 
+import io
 import math
 import multiprocessing
 import os
@@ -22,17 +23,11 @@ from epinet import (
     ModelError,
     ModelSpec,
     MonteCarloError,
-    SimState,
-    TrajectoryRecord,
     build_transition_matrix,
     ensemble_to_csv,
-    extinction_time,
     generate,
     marginals,
     mc_ensemble,
-    mc_run,
-    mc_step,
-    parse_ensemble_csv,
     propagate,
 )
 from epinet import monte_carlo
@@ -41,16 +36,30 @@ from epinet.model_core import _VARIANTS
 from conftest import ALL_VARIANTS, random_connected_graph, random_model
 
 
-class TestSimState:
-    def test_digit_validation(self):
-        st_bad = np.array([0, 3], dtype=np.int8)
-        with pytest.raises(MonteCarloError):
-            SimState(st_bad, t=0, rng_seed=0, replicate=0)
+def run_replicate(model, graph, init="all-infected", t_max=1000, seed=0,
+                  replicate=0):
+    """One replicate through monte_carlo._run, as (rows, absorbed) in the
+    form reference_simulate gives them: (t, s, i, r) rows up to the end of
+    the record (the absorption step for SIS/SIRS, else t_max), and the first
+    step with zero infected or None."""
+    i_mat, s_mat, r_mat, absorbed, _, _ = monte_carlo._run(
+        model, graph, init, t_max, seed, [replicate])
+    ab = int(absorbed[0]) if absorbed[0] >= 0 else None
+    end = t_max
+    if ab is not None and _VARIANTS[model.variant].ends_at_extinction:
+        end = ab
+    rows = [(t, int(s_mat[0, t]), int(i_mat[0, t]), int(r_mat[0, t]))
+            for t in range(end + 1)]
+    return rows, ab
 
-    def test_i_count(self):
-        s = SimState(np.array([0, 1, 1, 2], dtype=np.int8), t=0, rng_seed=0,
-                     replicate=0)
-        assert s.i_count == 2
+
+def sampler_step(model, graph, states, t, seed, replicate):
+    """Step t of one replicate: monte_carlo._sampler fed that replicate's
+    _philox draws."""
+    u = np.empty((1, graph.n))
+    monte_carlo._philox(seed)(u[0], t, replicate)
+    states = np.asarray(states, dtype=np.int8)[None, :]
+    return monte_carlo._sampler(model, graph)(states, u)[0]
 
 
 class TestDeterminism:
@@ -58,24 +67,23 @@ class TestDeterminism:
         for variant in ALL_VARIANTS:
             g = random_connected_graph(rng, 12, weighted_prob=0.3)
             m = random_model(rng, variant, n=g.n)
-            a = mc_run(m, g, t_max=40, seed=11, replicate=3)
-            b = mc_run(m, g, t_max=40, seed=11, replicate=3)
-            assert a.rows == b.rows
-            assert a.absorbed_at == b.absorbed_at
+            a = run_replicate(m, g, t_max=40, seed=11, replicate=3)
+            b = run_replicate(m, g, t_max=40, seed=11, replicate=3)
+            assert a == b
 
     def test_different_replicates_decorrelated(self):
         g = generate("er", n=30, p=0.2, seed=4)
         m = ModelSpec("sis-nia", beta=0.3, delta=0.4)
-        a = mc_run(m, g, t_max=30, seed=11, replicate=0)
-        b = mc_run(m, g, t_max=30, seed=11, replicate=1)
-        assert a.rows != b.rows
+        a, _ = run_replicate(m, g, t_max=30, seed=11, replicate=0)
+        b, _ = run_replicate(m, g, t_max=30, seed=11, replicate=1)
+        assert a != b
 
     def test_single_replicate_matches_mc_run(self):
         g = generate("er", n=15, p=0.3, seed=2)
         m = ModelSpec("sis-ia", beta=0.35, delta=0.45)
         rep = mc_ensemble(m, g, t_max=30, n_reps=1, master_seed=7)
-        run = mc_run(m, g, t_max=30, seed=7, replicate=0)
-        t_run = np.array([r[2] for r in run.rows])
+        rows, _, _, _ = reference_simulate(m, g, "all-infected", 30, 7, 0)
+        t_run = np.array([r[2] for r in rows])
         # ensemble extends absorbed SIS trajectories with zeros
         assert np.array_equal(rep.i_mean[: len(t_run)], t_run)
         assert np.all(rep.i_mean[len(t_run):] == 0)
@@ -84,9 +92,7 @@ class TestDeterminism:
 @pytest.mark.parametrize("size", [3, 5])
 @pytest.mark.parametrize("engine", [
     lambda m, g: mc_ensemble(m, g, t_max=5, n_reps=2, master_seed=1),
-    lambda m, g: mc_step(m, g, SimState(np.ones(g.n), 0, 1)),
-    lambda m, g: extinction_time(m, g, seed=1),
-], ids=["mc_ensemble", "mc_step", "extinction_time"])
+], ids=["mc_ensemble"])
 def test_contact_size_mismatch_is_model_error(engine, size):
     """A contact matrix sized for another graph is a ModelError, as in the
     exact chain and the mean-field map, not a numpy shape error."""
@@ -101,43 +107,42 @@ class TestAbsorptionEdgeCases:
     def test_beta_zero_never_infects(self):
         g = generate("complete", n=6)
         m = ModelSpec("sis-nia", beta=0.0, delta=1.0)
-        rec = mc_run(m, g, t_max=10, seed=0)
-        assert rec.rows[0][2] == 6
-        assert rec.rows[1][2] == 0
-        assert rec.absorbed_at == 1
-        assert extinction_time(m, g, seed=0) == 1
+        rows, absorbed = run_replicate(m, g, t_max=10, seed=0)
+        assert rows[0][2] == 6
+        assert rows[1][2] == 0
+        assert absorbed == 1
 
     def test_all_susceptible_is_absorbing(self):
         g = generate("complete", n=5)
         m = ModelSpec("sis-nia", beta=0.9, delta=0.1)
-        rec = mc_run(m, g, init=(), t_max=20, seed=3)
-        assert all(r[2] == 0 for r in rec.rows)
-        assert all(r[1] == 5 for r in rec.rows)
-        assert rec.absorbed_at == 0
+        rows, absorbed = run_replicate(m, g, init=(), t_max=20, seed=3)
+        assert all(r[2] == 0 for r in rows)
+        assert all(r[1] == 5 for r in rows)
+        assert absorbed == 0
 
     def test_saturated_edge_never_absorbs(self):
         # both rates 1 on a single edge with recovery annulled by reinfection
         g = generate("complete", n=2)
         m = ModelSpec("sis-nia", beta=1.0, delta=1.0)
-        rec = mc_run(m, g, t_max=50, seed=1)
-        assert all(r[2] == 2 for r in rec.rows)
-        assert rec.absorbed_at is None
+        rows, absorbed = run_replicate(m, g, t_max=50, seed=1)
+        assert all(r[2] == 2 for r in rows)
+        assert absorbed is None
 
     def test_recovery_independent_two_step_extinction(self):
         # with independent recovery at delta = 1 both nodes recover at once
         g = generate("complete", n=2)
         m = ModelSpec("sis-ia", beta=1.0, delta=1.0)
-        rec = mc_run(m, g, t_max=50, seed=1)
-        assert rec.rows[0][2] == 2
-        assert rec.rows[1][2] == 0
-        assert rec.absorbed_at == 1
+        rows, absorbed = run_replicate(m, g, t_max=50, seed=1)
+        assert rows[0][2] == 2
+        assert rows[1][2] == 0
+        assert absorbed == 1
 
     def test_sis_rows_end_at_absorption_ensemble_extends(self):
         g = generate("path", n=4)
         m = ModelSpec("sis-nia", beta=0.1, delta=0.9)
-        rec = mc_run(m, g, t_max=500, seed=5)
-        assert rec.absorbed_at is not None
-        assert rec.rows[-1][0] == rec.absorbed_at
+        rows, absorbed = run_replicate(m, g, t_max=500, seed=5)
+        assert absorbed is not None
+        assert rows[-1][0] == absorbed
         rep = mc_ensemble(m, g, t_max=50, n_reps=4, master_seed=5)
         assert len(rep.i_mean) == 51
         assert rep.i_mean[-1] == 0.0
@@ -157,16 +162,16 @@ class TestAbsorptionEdgeCases:
     def test_siv_runs_to_t_max(self):
         g = generate("path", n=4)
         m = ModelSpec("siv-id", beta=0.05, delta=0.9, gamma=0.3, theta=0.4)
-        rec = mc_run(m, g, t_max=60, seed=2)
-        assert rec.rows[-1][0] == 60  # no early exit: S<->R keeps moving
-        assert rec.absorbed_at is not None
+        rows, absorbed = run_replicate(m, g, t_max=60, seed=2)
+        assert rows[-1][0] == 60  # no early exit: S<->R keeps moving
+        assert absorbed is not None
 
     def test_no_reinfection_after_siv_absorption(self):
         g = generate("complete", n=5)
         m = ModelSpec("siv-vd", beta=0.9, delta=0.8, gamma=0.5, theta=0.5)
-        rec = mc_run(m, g, t_max=400, seed=6)
-        if rec.absorbed_at is not None:
-            post = [r for r in rec.rows if r[0] >= rec.absorbed_at]
+        rows, absorbed = run_replicate(m, g, t_max=400, seed=6)
+        if absorbed is not None:
+            post = [r for r in rows if r[0] >= absorbed]
             assert all(r[2] == 0 for r in post)
 
 
@@ -174,30 +179,30 @@ class TestInit:
     def test_fraction_init_deterministic(self):
         g = generate("er", n=40, p=0.2, seed=3)
         m = ModelSpec("sis-nia", beta=0.3, delta=0.4)
-        a = mc_run(m, g, init=0.25, t_max=5, seed=9)
-        b = mc_run(m, g, init=0.25, t_max=5, seed=9)
-        assert a.rows == b.rows
-        assert 0 < a.rows[0][2] < 40
+        a, _ = run_replicate(m, g, init=0.25, t_max=5, seed=9)
+        b, _ = run_replicate(m, g, init=0.25, t_max=5, seed=9)
+        assert a == b
+        assert 0 < a[0][2] < 40
 
     def test_explicit_nodes(self):
         g = generate("path", n=6)
         m = ModelSpec("sis-nia", beta=0.5, delta=0.5)
-        rec = mc_run(m, g, init=(0, 3), t_max=3, seed=0)
-        assert rec.rows[0][2] == 2
+        rows, _ = run_replicate(m, g, init=(0, 3), t_max=3, seed=0)
+        assert rows[0][2] == 2
 
     def test_bad_inits(self):
         g = generate("path", n=4)
         m = ModelSpec("sis-nia", beta=0.5, delta=0.5)
         with pytest.raises(MonteCarloError):
-            mc_run(m, g, init=(0, 9), t_max=3)
+            run_replicate(m, g, init=(0, 9), t_max=3)
         with pytest.raises(MonteCarloError):
-            mc_run(m, g, init=1.7, t_max=3)
+            run_replicate(m, g, init=1.7, t_max=3)
 
     def test_t_max_validation(self):
         g = generate("path", n=4)
         m = ModelSpec("sis-nia", beta=0.5, delta=0.5)
         with pytest.raises(MonteCarloError):
-            mc_run(m, g, t_max=0)
+            run_replicate(m, g, t_max=0)
 
 
 class TestStepInvariants:
@@ -207,28 +212,26 @@ class TestStepInvariants:
         rng = np.random.default_rng(seed)
         g = random_connected_graph(rng, 10, weighted_prob=0.4)
         m = random_model(rng, variant, n=g.n)
-        rec = mc_run(m, g, init=0.5, t_max=15, seed=seed)
-        for t, s, i, r in rec.rows:
+        rows, _ = run_replicate(m, g, init=0.5, t_max=15, seed=seed)
+        for t, s, i, r in rows:
             assert s + i + r == g.n
             assert r == 0 or m.k == 3
 
     def test_mc_step_advances_one(self):
         g = generate("path", n=5)
         m = ModelSpec("sirs", beta=0.6, delta=0.2, gamma=0.3)
-        s0 = SimState(np.ones(5, dtype=np.int8), t=0, rng_seed=4, replicate=0)
-        s1 = mc_step(m, g, s0)
-        assert s1.t == 1
-        assert s1.states.shape == (5,)
+        s1 = sampler_step(m, g, np.ones(5), t=0, seed=4, replicate=0)
+        assert s1.shape == (5,)
         # infected nodes can only stay infected or move to recovered
-        assert np.all(np.isin(s1.states, [1, 2]))
+        assert np.all(np.isin(s1, [1, 2]))
 
     def test_sis_infected_neighbors_only(self):
         # an isolated-by-distance susceptible node cannot become infected
         g = generate("path", n=5)
         m = ModelSpec("sis-nia", beta=1.0, delta=0.0)
-        rec = mc_run(m, g, init=(0,), t_max=1, seed=0)
+        rows, _ = run_replicate(m, g, init=(0,), t_max=1, seed=0)
         # after one step only nodes 0 and 1 can be infected
-        assert rec.rows[1][2] <= 2
+        assert rows[1][2] <= 2
 
 
 class TestAgainstExactChain:
@@ -278,19 +281,19 @@ class TestExtinction:
     def test_census_and_cap(self):
         g = generate("complete", n=2)
         m = ModelSpec("sis-nia", beta=1.0, delta=1.0)
-        assert extinction_time(m, g, seed=0, cap=40) is None
+        assert run_replicate(m, g, t_max=40, seed=0)[1] is None
 
     def test_below_threshold_distribution(self):
         g = generate("complete", n=8)
         m = ModelSpec("sis-nia", beta=0.5 * 0.9 / 7, delta=0.9)
-        times = [extinction_time(m, g, seed=17, cap=2000, replicate=r)
-                 for r in range(50)]
+        times = mc_ensemble(m, g, t_max=2000, n_reps=50,
+                            master_seed=17).absorbed_steps
         assert all(t is not None for t in times)
         assert np.median(times) <= 12
 
-    @staticmethod
-    def _count_steps(monkeypatch) -> list[int]:
-        """Count the replicate-steps every later run simulates."""
+    def test_siv_censored_runs_to_cap(self, monkeypatch):
+        """A SIV replicate that has not died out is stepped exactly to
+        t_max."""
         steps = [0]
         sampler = monte_carlo._sampler
 
@@ -303,55 +306,23 @@ class TestExtinction:
             return counted
 
         monkeypatch.setattr(monte_carlo, "_sampler", counting_sampler)
-        return steps
-
-    @pytest.mark.parametrize("variant", ["siv-id", "siv-vd"])
-    @pytest.mark.parametrize("rates, expected", [
-        (dict(beta=0.05, delta=0.9, gamma=0.5, theta=0.5), 2),
-        (dict(beta=0.3, delta=0.3, gamma=0.5, theta=0.2), 8),
-    ])
-    def test_siv_stops_at_extinction(self, monkeypatch, variant, rates,
-                                     expected):
-        # SIV trajectories run on past extinction, but extinction_time
-        # simulates only up to the step it returns.
-        g = generate("path", n=8)
-        m = ModelSpec(variant, **rates)
-        full = mc_run(m, g, t_max=expected + 20, seed=1)
-        assert full.absorbed_at == expected
-        steps = self._count_steps(monkeypatch)
-        assert extinction_time(m, g, seed=1) == expected
-        assert steps[0] == expected
-
-    def test_siv_censored_runs_to_cap(self, monkeypatch):
         g = generate("path", n=8)
         m = ModelSpec("siv-vd", beta=0.3, delta=0.3, gamma=0.5, theta=0.2)
-        steps = self._count_steps(monkeypatch)
-        assert extinction_time(m, g, seed=1, cap=5) is None
+        assert run_replicate(m, g, t_max=5, seed=1)[1] is None
         assert steps[0] == 5
 
 
 class TestCsv:
-    def test_trajectory_roundtrip(self):
-        g = generate("er", n=10, p=0.3, seed=1)
-        m = ModelSpec("sirs", beta=0.5, delta=0.3, gamma=0.4)
-        rec = mc_run(m, g, t_max=20, seed=5)
-        back = TrajectoryRecord.from_csv(rec.to_csv())
-        assert back.rows == rec.rows
-        assert back.absorbed_at == rec.absorbed_at
-
-    def test_trajectory_rejects_bad_header(self):
-        with pytest.raises(MonteCarloError):
-            TrajectoryRecord.from_csv("time,s,i,r\n0,1,2,3\n")
-
     def test_ensemble_roundtrip(self):
         g = generate("er", n=10, p=0.3, seed=1)
         m = ModelSpec("siv-id", beta=0.4, delta=0.3, gamma=0.4, theta=0.2)
         rep = mc_ensemble(m, g, t_max=15, n_reps=8, master_seed=2)
-        cols = parse_ensemble_csv(ensemble_to_csv(rep))
-        assert np.array_equal(cols["t"], rep.t)
-        assert np.allclose(cols["i"], rep.i_mean, equal_nan=True)
-        assert np.allclose(cols["s"], rep.s_mean, equal_nan=True)
-        assert np.allclose(cols["r"], rep.r_mean, equal_nan=True)
+        text = ensemble_to_csv(rep)
+        assert text.startswith("t,s,i,r\n")
+        cols = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1)
+        assert np.array_equal(cols[:, 0], rep.t)
+        for j, mean in ((1, rep.s_mean), (2, rep.i_mean), (3, rep.r_mean)):
+            assert np.array_equal(cols[:, j], mean, equal_nan=True)
 
 
 class TestSivLongRun:
@@ -428,7 +399,7 @@ def _reference_init(graph, init, seed, replicate):
 
 def reference_simulate(model, graph, init, t_max, seed, replicate,
                        snapshot_times=()):
-    """One replicate at a time, as mc_run/mc_ensemble ran it before the
+    """One replicate at a time, as mc_ensemble ran it before the
     replicates were batched: (rows, absorbed, snapshots, steps simulated)."""
     advance = _reference_sampler(model, graph)
     states = _reference_init(graph, init, seed, replicate)
@@ -610,11 +581,8 @@ class TestBatchedOracle:
         m = _oracle_model(variant, g.n, beta=0.1)
         for rep in (0, 3, 17):
             rows, ab, _, _ = reference_simulate(m, g, 0.4, 30, 21, rep)
-            got = mc_run(m, g, init=0.4, t_max=30, seed=21, replicate=rep)
-            assert got.rows == rows
-            assert got.absorbed_at == ab
-            assert extinction_time(m, g, init=0.4, seed=21, cap=30,
-                                   replicate=rep) == ab
+            assert run_replicate(m, g, init=0.4, t_max=30, seed=21,
+                                 replicate=rep) == (rows, ab)
 
     @staticmethod
     def assert_draws_stop(monkeypatch, log):
@@ -663,10 +631,9 @@ class TestBatchedOracle:
         for variant in ALL_VARIANTS:
             m = _oracle_model(variant, g.n)
             states = np.random.default_rng(4).integers(0, m.k, g.n)
-            got = mc_step(m, g, SimState(states, t=7, rng_seed=12,
-                                         replicate=5))
+            got = sampler_step(m, g, states, t=7, seed=12, replicate=5)
             ref = _reference_sampler(m, g)(states.astype(np.int8), 7, 12, 5)
-            assert np.array_equal(got.states, ref)
+            assert np.array_equal(got, ref)
 
 
 class TestStepShortcuts:
