@@ -260,12 +260,17 @@ main.command_class = InputErrorCommand
 def gen(kind, n, p, radius, seed, out):
     """Generate a graph and write its edge list."""
     params = {"n": n, "p": p, "r": radius}
-    for key in _GENERATOR_PARAMS[kind]:
+    flags = {"n": "--n", "p": "--p", "r": "--radius"}
+    taken = _GENERATOR_PARAMS[kind]
+    for key in taken:
         if params[key] is None:
-            flag = "radius" if key == "r" else key
-            raise click.UsageError(f"generator {kind!r} requires --{flag}")
-    g = generate(kind, seed=seed,
-                 **{key: v for key, v in params.items() if v is not None})
+            raise click.UsageError(f"generator {kind!r} requires {flags[key]}")
+    extra = [flags[key] for key, v in params.items()
+             if v is not None and key not in taken]
+    if extra:
+        raise click.UsageError(
+            f"generator {kind!r} does not accept {', '.join(extra)}")
+    g = generate(kind, seed=seed, **{key: params[key] for key in taken})
     lam = spectral_radius(g).lambda_max
     _atomic_write(out, format_edge_list(g))
     click.echo(f"n={g.n} edges={g.m} lambda_max={lam:.10g}")

@@ -57,6 +57,9 @@ _BUILD_BYTES_PER_NNZ = 48
 
 # Row blocks of the dense mixing scan hold at most this many doubles.
 _SCAN_BLOCK_DOUBLES = 1 << 18
+# Row blocks of the in-place step S^(t+1) = S^t S: smaller blocks slow the
+# GEMM (blocks of 2^18 doubles took 1.3x the whole product at K = 3^7).
+_STEP_BLOCK_DOUBLES = 1 << 20
 
 # LP caps: the largest n at which one marginal LP on a complete graph
 # solves in about 0.5 s. Measured on 2 shared cores with general marginals,
@@ -308,10 +311,10 @@ def _check_memory(nbytes: int, what: str) -> None:
 
 def _check_dense_scan(k: int, n: int) -> None:
     """Refuse the non-point-mass mixing scan on k^n states before it runs:
-    at most three dense K x K arrays (S, S^t and the next power built)."""
+    at most two dense K x K arrays (S^t, and S or the square being built)."""
     _check_cap(k, n)
     K = k ** n
-    _check_memory(3 * K * K * 8, f"the dense {K}x{K} mixing scan")
+    _check_memory(2 * K * K * 8, f"the dense {K}x{K} mixing scan")
 
 
 def build_transition_matrix(model: ModelSpec, graph: Graph) -> TransitionMatrix:
@@ -491,26 +494,35 @@ def _worst_state(values: np.ndarray, extremum: float,
     return ChainState(code, S.n, S.k)
 
 
-def _product(A: np.ndarray, rows, B: np.ndarray) -> np.ndarray:
-    """Rows `rows` of A @ B: the dense mixing scan's only K^3 work."""
+def _product(A, rows, B):
+    """Rows `rows` of A @ B: the dense mixing scan's only K^3-class work.
+    Either factor may be the CSR S; S[rows] @ S is a sparse product."""
     return A[rows] @ B
 
 
-def _tv_rows(P: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Total-variation distance of each row of P from pi, by row blocks."""
-    block = max(1, _SCAN_BLOCK_DOUBLES // P.shape[1])
-    tv = np.empty(len(P))
-    for a in range(0, len(P), block):
-        dev = P[a:a + block] - pi
-        tv[a:a + block] = 0.5 * np.abs(dev, out=dev).sum(axis=1)
+def _row_blocks(K: int, doubles: int):
+    """Slices of at most doubles // K rows covering 0..K-1."""
+    block = max(1, doubles // K)
+    return (slice(a, a + block) for a in range(0, K, block))
+
+
+def _tv_rows(P, pi: np.ndarray) -> np.ndarray:
+    """Total-variation distance of each row of P (dense or CSR) from pi,
+    by row blocks."""
+    tv = np.empty(P.shape[0])
+    for rows in _row_blocks(P.shape[1], _SCAN_BLOCK_DOUBLES):
+        dev = (P[rows].toarray() if sp.issparse(P) else P[rows]) - pi
+        tv[rows] = 0.5 * np.abs(dev, out=dev).sum(axis=1)
     return tv
 
 
-def _check_rows(A: np.ndarray, B: np.ndarray, tv: np.ndarray,
-                pi: np.ndarray, epsilon: float):
+def _check_rows(A: np.ndarray, B, tv: np.ndarray, pi: np.ndarray,
+                epsilon: float, rest=None):
     """TV of every row of A @ B if all are <= epsilon, else None at the
     first row above it; A @ B is never stored. Rows go worst-first by tv in
-    blocks of 1, 2, 4, ... rows (at most _SCAN_BLOCK_DOUBLES doubles)."""
+    blocks of 1, 2, 4, ... rows (at most _SCAN_BLOCK_DOUBLES doubles). Once
+    the worst row passes, rest() (when given) is B in the form to use for
+    the other rows."""
     most = max(1, _SCAN_BLOCK_DOUBLES // len(tv))
     order = np.argsort(-tv, kind="stable")
     out = np.empty_like(tv)
@@ -520,6 +532,8 @@ def _check_rows(A: np.ndarray, B: np.ndarray, tv: np.ndarray,
         out[rows] = _tv_rows(_product(A, rows, B), pi)
         if out[rows].max() > epsilon:
             return None
+        if a == 0 and rest is not None:
+            B = rest()
         a += len(rows)
         size = min(2 * size, most)
     return out
@@ -551,9 +565,14 @@ def mixing_time_exact(S: TransitionMatrix, pi: DistVector, epsilon: float,
     and builds S^(2t) only if it fails; once S^(2t) passes, it steps S^t S,
     S^(t+1) S, ... toward it, probing each next power. Probes and checks
     take rows worst-first, stop at the first row above epsilon, and store
-    nothing, and no square goes past cap. The scan holds S and S^t as dense
-    K x K arrays, and a third while it builds the next power; it raises
-    StateSpaceCapError when three would exceed MEMORY_BUDGET_BYTES.
+    nothing, and no square goes past cap. S stays sparse until a product
+    with it is needed whole: S^2 is built from CSR row blocks, and a probe's
+    worst row is taken against the CSR. Only when that row passes, or a step
+    to S^(t+1) is due, is S made dense, and S^(t+1) is written over S^t by
+    row blocks; a square is built with S sparse again. So the scan holds at
+    most two dense K x K arrays, S^t and either dense S or the square being
+    built, and it raises StateSpaceCapError when two would exceed
+    MEMORY_BUDGET_BYTES.
     """
     if not (0.0 < epsilon < 1.0):
         raise ExactChainError("epsilon must be in (0,1)")
@@ -588,32 +607,48 @@ def mixing_time_exact(S: TransitionMatrix, pi: DistVector, epsilon: float,
         return MixingReport(None if top > epsilon else t, epsilon, bound,
                             _worst_state(tv, top, S), top > epsilon)
 
-    # Dense BLAS powers beat dense @ CSR here.
     _check_dense_scan(S.k, S.n)
-    M = S.entries.toarray()
+    A = S.entries
     p = pi.entries
-    # D = S^t. S^1 is M itself; D is rebound, never written in place.
-    t, D, tv = 1, M, _tv_rows(M, p)
+    tv = _tv_rows(A, p)
+    if tv.max() <= epsilon or cap == 1:
+        return report(1, tv)
+    # D = S^t, from S^2 = S S by sparse row blocks.
+    D = np.zeros((K, K))
+    for rows in _row_blocks(K, _SCAN_BLOCK_DOUBLES):
+        _product(A, rows, A).toarray(out=D[rows])
+    t, tv = 2, _tv_rows(D, p)
+    M = None  # dense S: BLAS beats dense @ CSR once whole products are due
+
+    def dense_S() -> np.ndarray:
+        nonlocal M
+        if M is None:
+            M = A.toarray()
+        return M
+
     ahead = None  # (2t', TV at 2t') once a checked square passes
     while True:
         if tv.max() <= epsilon or t == cap:
             return report(t, tv)
-        if t > 1:
-            nxt = _check_rows(D, M, tv, p, epsilon)
-            if nxt is not None:
-                return report(t + 1, nxt)
-        # S^(t+1) fails, or t = 1 and S^(t+1) is the square.
-        B = M
+        nxt = _check_rows(D, A if M is None else M, tv, p, epsilon, dense_S)
+        if nxt is not None:
+            return report(t + 1, nxt)
+        square = False
         if ahead is None and 2 * t <= cap:
-            sq = None if t == 1 else _check_rows(D, D, tv, p, epsilon)
+            sq = _check_rows(D, D, tv, p, epsilon)
             if sq is None:
-                B = D
+                square = True
             else:
                 ahead = (2 * t, sq)
         if ahead and ahead[0] == t + 2:
             return report(*ahead)
-        t = 2 * t if B is D else t + 1
-        D = _product(D, slice(None), B)
+        if square:
+            M = None  # so that D and its square are the only K x K arrays
+            t, D = 2 * t, _product(D, slice(None), D)
+        else:
+            t += 1
+            for rows in _row_blocks(K, _STEP_BLOCK_DOUBLES):
+                D[rows] = _product(D, rows, dense_S())
         tv = _tv_rows(D, p)
 
 

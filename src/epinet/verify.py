@@ -45,11 +45,12 @@ from .exact_chain import (
 )
 from .mean_field import (
     MeanFieldPoint,
+    _check_point,
+    _mf_map,
     find_fixed_point,
     jacobian_contracts,
     linear_bound_check,
     mf_jacobian,
-    mf_step,
 )
 
 SUITES = (
@@ -150,7 +151,18 @@ def _fail(failures: list, **info) -> None:
 
 def fd_jacobian(model: ModelSpec, graph: Graph, x: MeanFieldPoint,
                 h: float = 1e-6) -> np.ndarray:
-    """Central finite-difference Jacobian of the mean-field map at x."""
+    """Central finite-difference Jacobian of the mean-field map at x.
+
+    Each perturbed point and its image go through MeanFieldPoint's checks
+    and clip, as mf_step's would; the map is built once."""
+    _check_point(model, graph, x)
+    image = _mf_map(model, graph)
+    k = model.k
+
+    def step(v: np.ndarray) -> np.ndarray:
+        point = MeanFieldPoint.from_concat(v, k)
+        return MeanFieldPoint.from_concat(image(point.concat()), k).concat()
+
     v0 = x.concat()
     d = len(v0)
     J = np.empty((d, d))
@@ -159,9 +171,7 @@ def fd_jacobian(model: ModelSpec, graph: Graph, x: MeanFieldPoint,
         vm = v0.copy()
         vp[j] += h
         vm[j] -= h
-        fp = mf_step(model, graph, MeanFieldPoint.from_concat(vp, model.k))
-        fm = mf_step(model, graph, MeanFieldPoint.from_concat(vm, model.k))
-        J[:, j] = (fp.concat() - fm.concat()) / (2.0 * h)
+        J[:, j] = (step(vp) - step(vm)) / (2.0 * h)
     return J
 
 

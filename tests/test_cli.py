@@ -103,9 +103,31 @@ class TestGen:
                                    "-o", str(out)], prog_name="epinet")
         assert res.exit_code == 2
         assert "Usage: epinet gen [OPTIONS]" in res.output
-        assert (f"Error: generator {kind!r} does not accept p, r\n"
+        assert (f"Error: generator {kind!r} does not accept --p, --radius\n"
                 in res.output)
         assert not out.exists()
+
+    @pytest.mark.parametrize("args, flag", [
+        (["--kind", "er", "--p", "0.5", "--radius", "2"], "--radius"),
+        (["--kind", "geometric", "--radius", "0.5", "--p", "0.5"], "--p"),
+        (["--kind", "path", "--p", "0.5"], "--p"),
+    ])
+    def test_error_names_the_flag(self, runner, tmp_path, args, flag):
+        res = runner.invoke(main, ["gen", "--n", "3", *args,
+                                   "-o", str(tmp_path / "g.txt")])
+        assert res.exit_code == 2
+        kind = args[1]
+        assert (f"Error: generator {kind!r} does not accept {flag}\n"
+                in res.output)
+
+    def test_generate_spec_names_the_parameter(self, runner, tmp_path):
+        res = runner.invoke(main, [
+            "meanfield", "--generate", "er:n=3,p=0.5,r=2", "--variant",
+            "sis-ia", "--beta", "0.5", "--delta", "0.5",
+            "-o", str(tmp_path / "mf.json"),
+        ])
+        assert res.exit_code == 2
+        assert "generator 'er' does not accept r\n" in res.output
 
 
 class TestSimulate:
@@ -413,13 +435,13 @@ class TestExact:
     def test_dense_scan_budget_checked_before_build(self, runner, tmp_path,
                                                     monkeypatch):
         # siv-id has a non-point stationary law, so its mixing scan is
-        # dense: 3 * 27^2 * 8 bytes on path:n=3. Above the budget the
+        # dense: 2 * 27^2 * 8 bytes on path:n=3. Above the budget the
         # command must exit 2 without building S.
         def no_build(*args):
             raise AssertionError("S was built")
 
         monkeypatch.setattr(epinet.exact_chain, "MEMORY_BUDGET_BYTES",
-                            3 * 27 * 27 * 8 - 1)
+                            2 * 27 * 27 * 8 - 1)
         monkeypatch.setattr(cli_module, "build_transition_matrix", no_build)
         monkeypatch.setattr(epinet.exact_chain, "build_transition_matrix",
                             no_build)
@@ -484,7 +506,7 @@ class TestExact:
 
     def test_dense_scan_over_budget_exit_2(self, runner, tmp_path,
                                            monkeypatch):
-        # siv-id on path:n=9 needs 3 * (3^9)^2 * 8 bytes, above 2 GiB.
+        # siv-id on path:n=9 needs 2 * (3^9)^2 * 8 bytes, above 2 GiB.
         def no_build(*args):
             raise AssertionError("S was built")
 
@@ -495,7 +517,7 @@ class TestExact:
             "--theta", "0.5", "-o", str(tmp_path / "x.json"),
         ])
         assert res.exit_code == 2, res.output
-        assert "8.66 GiB" in res.output and "memory budget" in res.output
+        assert "5.77 GiB" in res.output and "memory budget" in res.output
 
     def test_siv_nonpoint_stationary(self, runner, tmp_path):
         out = str(tmp_path / "exact.json")

@@ -430,6 +430,9 @@ class TestTV:
                             block_rows * 16)
         assert exact_chain._tv_rows(P, pi.entries) == pytest.approx(
             want, rel=0, abs=1e-15)
+        P[P < 0.02] = 0.0
+        sparse = exact_chain._tv_rows(sp.csr_array(P), pi.entries)
+        assert np.array_equal(sparse, exact_chain._tv_rows(P, pi.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +606,7 @@ class TestMixing:
 
         def counting(A, r, B):
             out = product(A, r, B)
-            rows.append(len(out))
+            rows.append(out.shape[0])
             return out
 
         monkeypatch.setattr(exact_chain, "_product", counting)
@@ -639,27 +642,99 @@ class TestMixing:
                     linear = (cap if rep.censored else rep.t_mix) - 1
                     assert sum(rows) // S.size <= linear, (eps, cap)
 
+    @staticmethod
+    def traced_scan(S, pi, epsilon, cap=100000):
+        """The scan's report and its tracemalloc peak in bytes."""
+        tracemalloc.start()
+        try:
+            rep = mixing_time_exact(S, pi, epsilon, cap=cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return rep, peak
+
     def test_dense_scan_products_and_memory_path7(self, monkeypatch):
-        """siv-id on path:n=7 (t_mix = 4): the scan builds S^2, probes S^3
-        with its worst row and checks S^4 row block by row block. That is
-        two K^3 products and one row, with S and S^2 the only dense K x K
-        arrays: S^4 passes, so it is never stored."""
+        """siv-id on path:n=7 (t_mix = 4): the scan builds S^2 from sparse
+        row blocks of S, probes S^3 with its worst row against the CSR and
+        checks S^4 row block by row block. That is two K^3-class products
+        and one row, with S^2 the only dense K x K array: the probe's worst
+        row fails, so S is never made dense, and S^4 passes, so it is never
+        stored."""
         g = generate("path", n=7)
         m = ModelSpec("siv-id", beta=0.1, delta=0.6, gamma=0.5, theta=0.5)
         S = build_transition_matrix(m, g)
         pi = stationary(S)
         K = S.size
         rows = self.count_product_rows(monkeypatch)
-        tracemalloc.start()
-        try:
-            rep = mixing_time_exact(S, pi, 0.25)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rep, peak = self.traced_scan(S, pi, 0.25)
         assert (rep.t_mix, rep.censored) == (4, False)
         assert rep == self.reference_dense_scan(S, pi, 0.25, 100000)
         assert sum(rows) == 2 * K + 1
-        assert 2 * K * K * 8 < peak < 2.5 * K * K * 8
+        assert K * K * 8 < peak < 1.3 * K * K * 8
+
+    @pytest.mark.parametrize("variant", ["siv-id", "siv-vd"])
+    def test_slow_dense_scan_memory_path7(self, variant):
+        """The slow-mixing scans on path:n=7 (t_mix 9 and 15) build squares,
+        make S dense for their steps and probes, and drop it for a square:
+        never more than two dense K x K arrays at once."""
+        g = generate("path", n=7)
+        S = build_transition_matrix(ModelSpec(variant, **self.SLOW[variant]),
+                                    g)
+        pi = stationary(S)
+        K = S.size
+        rep, peak = self.traced_scan(S, pi, 0.25)
+        assert rep.t_mix == {"siv-id": 9, "siv-vd": 15}[variant]
+        assert peak < 2.3 * K * K * 8
+        assert rep == self.reference_dense_scan(S, pi, 0.25, 100000)
+
+    @pytest.mark.parametrize("epsilon, cap, t_mix, extra", [
+        # S^3's worst row fails; S^4 passes its check of K rows.
+        (0.25, 100000, 4, 0),
+        # S^3's worst row fails; S^4 fails its first row and is built.
+        (1e-6, 4, None, 1),
+    ])
+    def test_failing_worst_probe_row_keeps_S_sparse(self, monkeypatch,
+                                                    epsilon, cap, t_mix,
+                                                    extra):
+        g = generate("path", n=5)
+        m = ModelSpec("siv-id", beta=0.1, delta=0.6, gamma=0.5, theta=0.5)
+        S = build_transition_matrix(m, g)
+        pi = stationary(S)
+        expected = self.reference_dense_scan(S, pi, epsilon, cap)
+
+        def no_dense(*args, **kwargs):
+            raise AssertionError("S was made dense")
+
+        monkeypatch.setattr(S.entries, "toarray", no_dense)
+        rows = self.count_product_rows(monkeypatch)
+        rep = mixing_time_exact(S, pi, epsilon, cap=cap)
+        assert rep == expected and rep.t_mix == t_mix
+        assert rows[:2] == [S.size, 1]
+        assert sum(rows) == 2 * S.size + 1 + extra
+
+    @pytest.mark.parametrize("epsilon, t_mix", [(0.5, 5), (0.3, 7)])
+    def test_dense_S_dropped_for_a_square(self, monkeypatch, epsilon,
+                                          t_mix):
+        """On this fast chain the worst row of S^3 passes, so S is made
+        dense, but another row fails and so does S^4: dense S is dropped
+        while S^4 is built, and made again for the steps after it."""
+        g = generate("complete", n=4)
+        m = ModelSpec("siv-id", beta=0.87, delta=0.87, gamma=0.74,
+                      theta=0.15)
+        S = build_transition_matrix(m, g)
+        pi = stationary(S)
+        expected = self.reference_dense_scan(S, pi, epsilon, 100000)
+        builds = []
+        to_dense = S.entries.toarray
+
+        def counting(*args, **kwargs):
+            builds.append(1)
+            return to_dense(*args, **kwargs)
+
+        monkeypatch.setattr(S.entries, "toarray", counting)
+        rep = mixing_time_exact(S, pi, epsilon)
+        assert rep == expected and rep.t_mix == t_mix
+        assert len(builds) == 2
 
     def test_cap_below_one_point_mass(self):
         g = generate("path", n=2)
@@ -684,7 +759,7 @@ class TestMixing:
         S_siv = build_transition_matrix(siv, path3)
         S_sirs = build_transition_matrix(sirs, path3)
         monkeypatch.setattr(exact_chain, "MEMORY_BUDGET_BYTES",
-                            3 * 27 * 27 * 8 - 1)
+                            2 * 27 * 27 * 8 - 1)
         with pytest.raises(StateSpaceCapError, match="memory budget"):
             mixing_time_exact(S_siv, stationary(S_siv), 0.25)
         # The point-mass scan holds no dense K x K array.

@@ -310,6 +310,45 @@ class TestJacobian:
                 J_fd = fd_jacobian(m, g, pt)
                 assert np.abs(J - J_fd).max() < 1e-6, variant
 
+    @staticmethod
+    def fd_jacobian_by_mf_step(model, graph, x, h=1e-6):
+        """The finite-difference Jacobian as two mf_step calls per
+        column."""
+        v0 = x.concat()
+        J = np.empty((len(v0), len(v0)))
+        for j in range(len(v0)):
+            vp, vm = v0.copy(), v0.copy()
+            vp[j] += h
+            vm[j] -= h
+            fp = mf_step(model, graph, MeanFieldPoint.from_concat(vp, model.k))
+            fm = mf_step(model, graph, MeanFieldPoint.from_concat(vm, model.k))
+            J[:, j] = (fp.concat() - fm.concat()) / (2.0 * h)
+        return J
+
+    def test_fd_jacobian_builds_the_map_once(self, rng, monkeypatch):
+        import epinet.verify as verify
+
+        builds = []
+        build = verify._mf_map
+
+        def counting(model, graph):
+            builds.append(model.variant)
+            return build(model, graph)
+
+        monkeypatch.setattr(verify, "_mf_map", counting)
+        for variant in ALL_VARIANTS:
+            g = random_connected_graph(rng, 6, weighted_prob=0.3)
+            m = random_model(rng, variant, n=g.n)
+            pt = random_point(rng, variant, g.n)
+            pt = MeanFieldPoint(
+                0.1 + 0.6 * pt.p_i,
+                None if pt.p_r is None else 0.05 + 0.2 * pt.p_r,
+            )
+            builds.clear()
+            J_fd = fd_jacobian(m, g, pt)
+            assert builds == [variant]
+            assert np.array_equal(J_fd, self.fd_jacobian_by_mf_step(m, g, pt))
+
     def test_zero_escape_factor_leave_one_out(self):
         """A saturated edge (beta w = 1 onto an infected neighbor) zeroes one
         escape factor; the leave-one-out derivative must stay finite and
