@@ -33,7 +33,6 @@ from .exact_chain import (
     ExactChainError,
     LPInfeasibleError,
     LPReport,
-    MarginalVector,
     MixingReport,
     NonAbsorptionReport,
     OrderReport,

@@ -40,8 +40,8 @@ from .model_core import (
 )
 from .exact_chain import (
     ExactChainError,
-    _check_dense_scan,
     build_transition_matrix,
+    dense_mixing_scan,
     mixing_time_exact,
     stationary,
 )
@@ -384,10 +384,8 @@ def exact(graph_path, generate_spec, variant, beta, delta, gamma, theta,
     """Exact-chain mixing report (state space permitting)."""
     g = _load_graph(graph_path, generate_spec)
     model = _build_model(variant, beta, delta, gamma, theta, contact_path)
-    # A stationary law that is no point mass takes the dense mixing scan:
-    # refuse it before S is built.
-    if max(_VARIANTS[variant].free_law(model)) ** g.n < 1.0 - 1e-12:
-        _check_dense_scan(model.k, g.n)
+    # Refuse a dense mixing scan over the memory budget before S is built.
+    dense_mixing_scan(model, g.n)
     S = build_transition_matrix(model, g)
     pi = stationary(S)
     defect = float(np.abs(pi.entries @ S.entries - pi.entries).max())

@@ -1,12 +1,14 @@
 """Exact k^n-state Markov chains for the six epidemic variants.
 
 Implements:
-  - ChainState / DistVector / TransitionMatrix / MarginalVector / MixingReport.
+  - ChainState / DistVector / TransitionMatrix / MixingReport; marginals
+    are mean_field.MeanFieldPoint.
   - build_transition_matrix: the full product-form transition matrix S, as
     CSR. S carries its model and graph; every analysis of the chain takes S.
   - propagate, marginals, stationary.
-  - mixing_time_exact / mixing_time_bound: exact worst-case mixing time and
-    the contraction-norm analytic upper bound.
+  - dense_mixing_scan / mixing_time_exact / mixing_time_bound: exact
+    worst-case mixing time, its memory check, and the contraction-norm
+    analytic upper bound.
   - build_R_pair / check_order_preservation: upper-set indicator matrix of
     the componentwise partial order on {0,1}^n, its integer inverse, and the
     order-preservation certificate min(R^-1 S R) >= 0.
@@ -39,7 +41,7 @@ from .model_core import (
     contact_from_rates,
     spectral_radius,
 )
-from .mean_field import MeanFieldPoint, mf_iterate, mf_step
+from .mean_field import MeanFieldPoint, _linear_bound, mf_iterate, mf_step
 
 logger = logging.getLogger(__name__)
 
@@ -67,7 +69,7 @@ _STEP_BLOCK_DOUBLES = 1 << 20
 LP_N_CAP_K2 = 12
 LP_N_CAP_K3 = 8
 # Simplex tolerances. A Phase-1 optimum (total constraint violation) above
-# _LP_FEAS_TOL raises LPInfeasibleError: MarginalVector admits p_i + p_r up
+# _LP_FEAS_TOL raises LPInfeasibleError: MeanFieldPoint admits p_i + p_r up
 # to 1 + 1e-9, and requests beyond 1 + 1e-10 have no joint distribution.
 # Pivot entries and reduced costs within _LP_TOL of zero count as zero.
 _LP_FEAS_TOL = 1e-10
@@ -179,29 +181,6 @@ class DistVector:
         return len(self.entries)
 
 
-@dataclass
-class MarginalVector:
-    """Per-node occupation probabilities.
-
-    p_i holds P(node infected); p_r holds P(node recovered/vaccinated) and
-    is None for 2-compartment variants.
-    """
-
-    p_i: np.ndarray
-    p_r: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.p_i = np.asarray(self.p_i, dtype=float)
-        if np.any(self.p_i < -1e-12) or np.any(self.p_i > 1 + 1e-12):
-            raise ExactChainError("infection marginals outside [0,1]")
-        if self.p_r is not None:
-            self.p_r = np.asarray(self.p_r, dtype=float)
-            if np.any(self.p_r < -1e-12) or np.any(self.p_r > 1 + 1e-12):
-                raise ExactChainError("recovered marginals outside [0,1]")
-            if np.any(self.p_i + self.p_r > 1 + 1e-9):
-                raise ExactChainError("p_i + p_r exceeds 1")
-
-
 class _CSR(sp.csr_array):
     """csr_array whose `nbytes` and `np.count_nonzero` report what it stores.
 
@@ -309,12 +288,19 @@ def _check_memory(nbytes: int, what: str) -> None:
         )
 
 
-def _check_dense_scan(k: int, n: int) -> None:
-    """Refuse the non-point-mass mixing scan on k^n states before it runs:
-    at most two dense K x K arrays (S^t, and S or the square being built)."""
-    _check_cap(k, n)
-    K = k ** n
+def dense_mixing_scan(model: ModelSpec, n: int) -> bool:
+    """Whether mixing_time_exact scans dense powers of S for model on n
+    nodes: its stationary law, the n-fold product of the single-node
+    disease-free law, is no point mass. A dense scan is checked here
+    against the caps and MEMORY_BUDGET_BYTES (at most two dense K x K
+    arrays: S^t, and S or the square being built), so a caller can refuse
+    it before S is built."""
+    if max(_VARIANTS[model.variant].free_law(model)) ** n >= 1.0 - 1e-12:
+        return False
+    _check_cap(model.k, n)
+    K = model.k ** n
     _check_memory(2 * K * K * 8, f"the dense {K}x{K} mixing scan")
+    return True
 
 
 def build_transition_matrix(model: ModelSpec, graph: Graph) -> TransitionMatrix:
@@ -388,7 +374,7 @@ def propagate(mu: DistVector, S: TransitionMatrix, t: int) -> DistVector:
     return DistVector(v)
 
 
-def marginals(mu: DistVector, model: ModelSpec) -> MarginalVector:
+def marginals(mu: DistVector, model: ModelSpec) -> MeanFieldPoint:
     """Per-node occupation probabilities of a joint distribution."""
     k = model.k
     K = len(mu)
@@ -396,11 +382,9 @@ def marginals(mu: DistVector, model: ModelSpec) -> MarginalVector:
     if k ** n != K:
         raise ExactChainError(f"length {K} is not a power of k={k}")
     D = states_table(n, k)
-    p_i = mu.entries @ (D == 1)
-    if k == 2:
-        return MarginalVector(np.clip(p_i, 0.0, 1.0))
-    p_r = mu.entries @ (D == 2)
-    return MarginalVector(np.clip(p_i, 0.0, 1.0), np.clip(p_r, 0.0, 1.0))
+    # MeanFieldPoint clips the sums' rounding into [0,1].
+    return MeanFieldPoint(mu.entries @ (D == 1),
+                          None if k == 2 else mu.entries @ (D == 2))
 
 
 def stationary(S: TransitionMatrix) -> DistVector:
@@ -447,35 +431,36 @@ def mixing_time_bound(model: ModelSpec, graph: Graph, epsilon: float) -> float:
 
     The numerator constant c is k - 1: 1 for 2-compartment variants and 2
     for 3-compartment variants (both marginal blocks must contract). The
-    norm is the variant's one-step marginal contraction factor:
-      sis-general: largest singular value of the contact matrix
-      sirs: largest singular value of the block matrix
-        [[(1-gamma)I, delta*I], [0, (1-delta)I + beta*A]]
-      otherwise: (1-delta) + f*beta*lambda_max(A), with the infection
-        factor f (1-theta for siv-vd, else 1); for sis-nia / sis-ia this is
-        the exact 2-norm of the symmetric matrix (1-delta)I + beta*A, since
-        |1-delta+beta*lambda_min| <= 1-delta+beta*lambda_max for adjacency
-        spectra
+    norm is the 2-norm of the linear marginal bound p(t+1) <= L p(t)
+    (mean_field._linear_bound):
+      sis-general: the largest singular value of the contact matrix
+      otherwise: (1-delta) + beta*f*lambda_max(A), with the infection
+        factor f (1-theta for siv-vd, else 1). This is the exact 2-norm of
+        the symmetric L = (1-delta)I + beta*f*A, since
+        |1-delta+beta*f*lambda_min| <= 1-delta+beta*f*lambda_max for
+        adjacency spectra.
+    For sirs the recovered marginals join in, and the norm is that of
+    B = [[(1-gamma)I, delta*I], [0, L]]. Conjugating by the eigenvectors of
+    L and reordering coordinates is an orthogonal similarity that splits B
+    into the 2 x 2 blocks [[1-gamma, delta], [0, mu_j]] over L's eigenvalues
+    mu_j. A block's norm grows with |mu_j|, and the largest |mu_j| is
+    ||L||_2, so ||B||_2 is the 2-norm of [[1-gamma, delta], [0, ||L||_2]]
+    and no 2n x 2n matrix is formed.
     Returns +inf when the norm is >= 1.
     """
     if not (0.0 < epsilon < 1.0):
         raise ExactChainError("epsilon must be in (0,1)")
     _check_contact(model, graph)
-    n = graph.n
-    num = (model.k - 1) * n
+    num = (model.k - 1) * graph.n
     if model.contact is not None:
         norm = float(np.linalg.norm(model.contact, 2))
-    elif model.variant == "sirs":
-        A = graph.adjacency()
-        block = np.block([
-            [(1.0 - model.gamma) * np.eye(n), model.delta * np.eye(n)],
-            [np.zeros((n, n)), (1.0 - model.delta) * np.eye(n) + model.beta * A],
-        ])
-        norm = float(np.linalg.norm(block, 2))
     else:
         lam = spectral_radius(graph, 1e-12).lambda_max
         eff = model.beta * _VARIANTS[model.variant].infection(model)
         norm = (1.0 - model.delta) + eff * lam
+    if model.variant == "sirs":
+        norm = float(np.linalg.norm([[1.0 - model.gamma, model.delta],
+                                     [0.0, norm]], 2))
     if norm >= 1.0:
         return math.inf
     if norm == 0.0:
@@ -550,8 +535,9 @@ def mixing_time_exact(S: TransitionMatrix, pi: DistVector, epsilon: float,
     worst initial is the smallest state code within 1e-12 of the worst
     value, at t_mix or, censored, at t = cap (the step limit, >= 1).
 
-    When pi is a point mass, TV(e_X S^t, pi) = 1 - (S^t)_{X,s0} and a single
-    absorption-probability column is iterated through the sparse S. For the
+    When pi is a point mass (dense_mixing_scan is False for S's model),
+    TV(e_X S^t, pi) = 1 - (S^t)_{X,s0} and a single absorption-probability
+    column is iterated through the sparse S. For the
     order-preserving SIS variants (sis-nia, sis-general) the all-infected
     state is checked to be a worst-case initial at every step; a violation
     raises, since it would contradict the monotone-coupling structure of
@@ -571,8 +557,8 @@ def mixing_time_exact(S: TransitionMatrix, pi: DistVector, epsilon: float,
     to S^(t+1) is due, is S made dense, and S^(t+1) is written over S^t by
     row blocks; a square is built with S sparse again. So the scan holds at
     most two dense K x K arrays, S^t and either dense S or the square being
-    built, and it raises StateSpaceCapError when two would exceed
-    MEMORY_BUDGET_BYTES.
+    built, and dense_mixing_scan raises StateSpaceCapError when two would
+    exceed MEMORY_BUDGET_BYTES.
     """
     if not (0.0 < epsilon < 1.0):
         raise ExactChainError("epsilon must be in (0,1)")
@@ -586,7 +572,7 @@ def mixing_time_exact(S: TransitionMatrix, pi: DistVector, epsilon: float,
         return MixingReport(0, epsilon, bound, ChainState(0, S.n, S.k)
                             if S.n > 0 else None)
     check_top = _VARIANTS[S.model.variant].order_preserving
-    if float(pi.entries.max()) >= 1.0 - 1e-12:
+    if not dense_mixing_scan(S.model, S.n):
         c = DistVector.point_mass(int(pi.entries.argmax()), K).entries
         for t in range(1, cap + 1):
             c = S.entries @ c
@@ -607,7 +593,6 @@ def mixing_time_exact(S: TransitionMatrix, pi: DistVector, epsilon: float,
         return MixingReport(None if top > epsilon else t, epsilon, bound,
                             _worst_state(tv, top, S), top > epsilon)
 
-    _check_dense_scan(S.k, S.n)
     A = S.entries
     p = pi.entries
     tv = _tv_rows(A, p)
@@ -825,23 +810,24 @@ def _marginal_constraint_matrix(n: int, k: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def closed_form_marginal_bound(model: ModelSpec, graph: Graph, i: int,
-                               p: MarginalVector) -> float:
-    """Linear next-step bound on node i's infection marginal.
+def _check_marginals(model: ModelSpec, graph: Graph, i: int,
+                     p: MeanFieldPoint) -> None:
+    _check_contact(model, graph)
+    if not (0 <= i < graph.n):
+        raise ExactChainError(f"node {i} out of range")
+    if (p.n, p.k) != (graph.n, model.k):
+        raise ExactChainError(
+            f"marginals have n={p.n} and {p.k} compartments; {model.variant} "
+            f"on this graph needs n={graph.n} and {model.k}")
 
-    (1-delta) p_i + sum over neighbors of beta w_ij p_j, with the extra
-    (1-theta) infection factor for siv-vd, and the contact-matrix row for
-    sis-general.
-    """
-    pi_vec = np.asarray(p.p_i, dtype=float)
-    if model.contact is not None:
-        return float(model.contact[i] @ pi_vec)
-    nbrs, wts = _neighbor_row(graph, i)
-    inf_factor = model.beta * _VARIANTS[model.variant].infection(model)
-    acc = (1.0 - model.delta) * pi_vec[i]
-    if len(nbrs):
-        acc += float((inf_factor * wts) @ pi_vec[nbrs])
-    return float(acc)
+
+def closed_form_marginal_bound(model: ModelSpec, graph: Graph, i: int,
+                               p: MeanFieldPoint) -> float:
+    """Linear next-step bound on node i's infection marginal: row i of
+    L p (mean_field._linear_bound), that is (1-delta) p_i + beta f
+    sum_j w_ij p_j, or the contact-matrix row for sis-general."""
+    _check_marginals(model, graph, i, p)
+    return float(_linear_bound(model, graph, p.p_i)[i])
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
@@ -933,7 +919,7 @@ def _simplex_max(c: np.ndarray, A_eq: np.ndarray,
 
 
 def lp_marginal_max(model: ModelSpec, graph: Graph, i: int,
-                    p: MarginalVector) -> LPReport:
+                    p: MeanFieldPoint) -> LPReport:
     """Exact maximum of node i's next-step infection marginal over all joint
     distributions mu with the prescribed per-node marginals.
 
@@ -944,7 +930,8 @@ def lp_marginal_max(model: ModelSpec, graph: Graph, i: int,
     S), so S itself is never built.
 
     Raises LPInfeasibleError when the marginals admit no joint distribution
-    (beyond a total violation of 1e-10).
+    (beyond a total violation of 1e-10), and ExactChainError when p's size
+    or compartment count does not fit the model on the graph.
     """
     n = graph.n
     k = model.k
@@ -953,19 +940,11 @@ def lp_marginal_max(model: ModelSpec, graph: Graph, i: int,
         raise ExactChainError(
             f"marginal LP capped at n <= {cap} for k={k} (got n={n})"
         )
-    if not (0 <= i < n):
-        raise ExactChainError(f"node {i} out of range")
-    _check_contact(model, graph)
+    _check_marginals(model, graph, i, p)
     D = states_table(n, k)
     B = _marginal_constraint_matrix(n, k)
-    if k == 2:
-        beq = np.concatenate(([1.0], np.asarray(p.p_i, dtype=float)))
-    else:
-        if p.p_r is None:
-            raise ExactChainError("k=3 LP requires recovered marginals")
-        beq = np.concatenate(
-            ([1.0], np.asarray(p.p_r, dtype=float), np.asarray(p.p_i, dtype=float))
-        )
+    # concat is (p_r, p_i), the order of B's columns.
+    beq = np.concatenate(([1.0], p.concat()))
     tables = _VARIANTS[model.variant].tables(model)
     c = _node_digit_probs(model, graph, D, i, tables)[:, 1]
     best, pivots = _simplex_max(c, B.T, beq)

@@ -12,7 +12,7 @@ and its Jacobian comes from the same tables. sis-nia keeps its factored
 sis-general its 1 - prod_j (1 - m_ij x_j), which holds the node's own
 factor 1 - m_ii. Implements mf_step, mf_linear_model, mf_jacobian,
 jacobian_eigenvalues, jacobian_contracts, mf_iterate, find_fixed_point and
-linear_bound_check.
+linear_bound_check, with the linear marginal bound L p in _linear_bound.
 """
 from __future__ import annotations
 
@@ -42,7 +42,9 @@ class MeanFieldError(ValueError):
 class MeanFieldPoint:
     """Per-node probabilities: p_i infection, p_r recovered (3-compartment).
 
-    p_r is None for 2-compartment variants. Values are validated to [0,1]
+    A mean-field state, or the marginals of a joint law over the exact
+    chain's states (exact_chain.marginals, lp_marginal_max). p_r is None
+    for 2-compartment variants. Values are validated to [0,1]
     (1e-9 slop for accumulated rounding, then clipped) and p_i + p_r <= 1.
     """
 
@@ -608,22 +610,27 @@ def find_fixed_point(model: ModelSpec, graph: Graph, tol: float = 1e-10,
     return FixedPointReport(x, residual, it, classification, spectrum, defect)
 
 
+def _linear_bound(model: ModelSpec, graph: Graph, p: np.ndarray) -> np.ndarray:
+    """L p, for the linear bound p(t+1) <= L p(t) on infection marginals.
+
+    L is the contact matrix for sis-general and otherwise
+    (1-delta) I + beta f A on the CSR adjacency, with the infection factor
+    f (1-theta for siv-vd, else 1). It is the tightest upper bound on the
+    next infection marginals that uses only the current marginals.
+    """
+    if model.contact is not None:
+        return model.contact @ p
+    eff = model.beta * _VARIANTS[model.variant].infection(model)
+    return (1.0 - model.delta) * p + eff * (graph.adjacency_sparse @ p)
+
+
 def linear_bound_check(model: ModelSpec, graph: Graph,
                        x: MeanFieldPoint) -> float:
-    """min over nodes of (linear map - nonlinear map) on infection coords.
+    """min over nodes of (L p - nonlinear map) on infection coords.
 
-    The linearized infection update dominates the nonlinear one on [0,1]^n;
-    the returned slack must be >= -1e-12. The linear form uses only the
-    infection marginals: (1-delta) p + beta A p, with the contact row for
-    sis-general and the extra (1-theta) for siv-vd.
+    The linear bound L p (_linear_bound) dominates the nonlinear infection
+    update on [0,1]^n; the returned slack must be >= -1e-12.
     """
     _check_point(model, graph, x)
-    p = x.p_i
-    if model.contact is not None:
-        lin = np.asarray(model.contact, dtype=float) @ p
-    else:
-        A = graph.adjacency()
-        eff = model.beta * _VARIANTS[model.variant].infection(model)
-        lin = (1.0 - model.delta) * p + eff * (A @ p)
-    nonlin = mf_step(model, graph, x).p_i
-    return float((lin - nonlin).min())
+    lin = _linear_bound(model, graph, x.p_i)
+    return float((lin - mf_step(model, graph, x).p_i).min())

@@ -53,9 +53,10 @@ class Graph:
     """Immutable undirected graph on nodes 0..n-1 with optional edge weights.
 
     Edges may be given as any sequence of (i, j) pairs or an (m, 2) integer
-    array, and weights as any sequence or array (empty: all 1.0). They are
-    stored as a tuple of (i, j) pairs with i < j, sorted and without
-    duplicates, and a parallel tuple ``weights``. No self-loops. The
+    array (a node index that is not integral raises GraphError), and
+    weights as any sequence or array (empty: all 1.0). They are stored as
+    a tuple of (i, j) pairs with i < j, sorted and without duplicates, and
+    a parallel tuple ``weights``. No self-loops. The
     symmetric CSR adjacency ``adjacency_sparse`` (sorted indices) is built
     once here; every neighbor view is a slice of it.
     """
@@ -70,10 +71,16 @@ class Graph:
         n = self.n
         if n < 1:
             raise GraphError(f"node count must be >= 1, got {n}")
-        ij = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        ij = np.asarray(self.edges).reshape(-1, 2)
         if len(ij) != len(self.edges):
             raise GraphError("edges must be (i, j) pairs")
-        a, b = ij.T
+        if ij.dtype.kind not in "biu":
+            x = ij.astype(float)
+            whole = (np.isfinite(x) & (x == np.trunc(x))).all(axis=1)
+            if not whole.all():
+                raise GraphError(f"edge {tuple(x[~whole][0].tolist())} has "
+                                 "a non-integer node index")
+        a, b = ij.astype(np.int64, copy=False).T
         i, j = np.minimum(a, b), np.maximum(a, b)
         bad = (i == j) | (i < 0) | (j >= n)
         if bad.any():
@@ -561,8 +568,9 @@ class ModelSpec:
             M = np.array(self.contact, dtype=float)
             if M.ndim != 2 or M.shape[0] != M.shape[1]:
                 raise ModelError("contact matrix must be square")
-            if np.any(M < 0) or np.any(M > 1):
-                raise ModelError("contact matrix entries must be in [0,1]")
+            if not ((M >= 0) & (M <= 1)).all():  # NaN fails both
+                raise ModelError("contact matrix entries must be finite and "
+                                 "in [0,1]")
             M.setflags(write=False)
             object.__setattr__(self, "contact", M)
         if "theta" in required and self.gamma == 1.0 and self.theta == 1.0:

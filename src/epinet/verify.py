@@ -27,11 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model_core import _VARIANTS, VARIANTS, Graph, ModelSpec, \
+from .model_core import _VARIANTS, VARIANTS, Graph, ModelSpec, _rate_ratio, \
     contact_from_rates, format_edge_list, generate, spectral_radius, \
     threshold_ratio
 from .exact_chain import (
-    MarginalVector,
     build_R_pair,
     build_transition_matrix,
     check_order_preservation,
@@ -272,13 +271,13 @@ def _suite_lp(n_max: int, trials: int, seed: int) -> SuiteResult:
             small = rng.uniform(0.0, 1.0, n if model.k == 2 else 2 * n)
             small *= rng.uniform(0.2, 0.95) / max(small.sum(), 1e-12)
             if model.k == 2:
-                p_small = MarginalVector(small, None)
-                p_gen = MarginalVector(rng.uniform(0.0, 1.0, n), None)
+                p_small = MeanFieldPoint(small)
+                p_gen = MeanFieldPoint(rng.uniform(0.0, 1.0, n))
             else:
-                p_small = MarginalVector(small[:n], small[n:])
+                p_small = MeanFieldPoint(small[:n], small[n:])
                 pi_g = rng.uniform(0.0, 1.0, n)
                 pr_g = rng.uniform(0.0, 1.0, n) * (1.0 - pi_g)
-                p_gen = MarginalVector(pi_g, pr_g)
+                p_gen = MeanFieldPoint(pi_g, pr_g)
             for p, expect_eq in ((p_small, True), (p_gen, False)):
                 rep = lp_marginal_max(model, g, i, p)
                 cf = closed_form_marginal_bound(model, g, i, p)
@@ -514,14 +513,12 @@ def _suite_fixed_point(n_max: int, trials: int, seed: int) -> SuiteResult:
             gamma = float(rng.uniform(0.2, 0.9))
             theta = float(rng.uniform(0.05, 0.6))
             ratio_target = float(rng.uniform(1.3, 3.0))
-            eff = 1.0
-            if variant == "siv-id":
-                eff = gamma / (gamma + theta)
-            elif variant == "siv-vd":
-                eff = (1.0 - theta) * gamma / (gamma + theta)
-            beta = min(1.0, ratio_target * delta / (eff * lam))
-            model = _variant_model(rng, variant, g.n, {
-                "beta": beta, "delta": delta, "gamma": gamma, "theta": theta})
+            # The threshold ratio is linear in beta.
+            rates = {"beta": 1.0, "delta": delta, "gamma": gamma,
+                     "theta": theta}
+            at_one = _rate_ratio(_variant_model(rng, variant, g.n, rates), lam)
+            rates["beta"] = min(1.0, ratio_target / at_one)
+            model = _variant_model(rng, variant, g.n, rates)
             if threshold_ratio(model, g) <= 1.0:
                 continue
             rep = find_fixed_point(model, g, tol=1e-12,

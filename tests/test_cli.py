@@ -248,6 +248,19 @@ class TestSimulate:
         ])
         assert res.exit_code == 0, res.output
 
+    @pytest.mark.parametrize("command", ["meanfield", "exact", "simulate"])
+    def test_nan_contact_exit_2(self, runner, tmp_path, command):
+        contact = tmp_path / "nan.csv"
+        contact.write_text("nan,0.1\n0.1,0.2\n")
+        out = tmp_path / "out"
+        res = runner.invoke(main, [
+            command, "--generate", "path:n=2", "--variant", "sis-general",
+            "--contact", str(contact), "-o", str(out),
+        ])
+        assert res.exit_code == 2, res.output
+        assert "contact matrix entries must be finite" in res.output
+        assert not out.exists()
+
     def test_missing_graph_file(self, runner, tmp_path):
         res = runner.invoke(main, [
             "simulate", "--graph", str(tmp_path / "nope.txt"),
@@ -519,6 +532,27 @@ class TestExact:
         assert res.exit_code == 2, res.output
         assert "5.77 GiB" in res.output and "memory budget" in res.output
 
+    def test_one_dense_scan_decision(self, runner, tmp_path, monkeypatch):
+        """The command and mixing_time_exact both ask
+        exact_chain.dense_mixing_scan whether the scan is dense."""
+        calls = []
+        real = epinet.exact_chain.dense_mixing_scan
+
+        def recording(model, n):
+            calls.append((model.variant, n))
+            return real(model, n)
+
+        monkeypatch.setattr(cli_module, "dense_mixing_scan", recording)
+        monkeypatch.setattr(epinet.exact_chain, "dense_mixing_scan",
+                            recording)
+        res = runner.invoke(main, [
+            "exact", "--generate", "path:n=2", "--variant", "siv-id",
+            "--beta", "0.1", "--delta", "0.9", "--gamma", "0.5",
+            "--theta", "0.5", "-o", str(tmp_path / "x.json"),
+        ])
+        assert res.exit_code == 0, res.output
+        assert calls == [("siv-id", 2)] * 2
+
     def test_siv_nonpoint_stationary(self, runner, tmp_path):
         out = str(tmp_path / "exact.json")
         res = runner.invoke(main, [
@@ -533,6 +567,26 @@ class TestExact:
 
 
 class TestVerify:
+    def test_fixed_point_models_hit_their_ratio(self, monkeypatch):
+        """The fixed-point suite sets beta from the variant table so that
+        the threshold ratio lands in [1.3, 3] unless beta is capped at 1;
+        at the benchmark's settings it runs 10 checks."""
+        import epinet.verify as verify
+
+        seen = []
+        real = verify.find_fixed_point
+
+        def recording(model, graph, **kw):
+            seen.append((model, epinet.threshold_ratio(model, graph)))
+            return real(model, graph, **kw)
+
+        monkeypatch.setattr(verify, "find_fixed_point", recording)
+        res = verify.run_suite("fixed-point", trials=12, seed=0)
+        assert res.passed and res.checks == len(seen) == 10
+        assert {m.variant for m, _ in seen} == {"sirs", "siv-id", "siv-vd"}
+        for model, ratio in seen:
+            assert 1.3 - 1e-12 <= ratio <= 3.0 + 1e-12 or model.beta == 1.0
+
     def test_suite_none_exit_2(self, runner):
         res = runner.invoke(main, ["verify", "--suite", "none"])
         assert res.exit_code == 2

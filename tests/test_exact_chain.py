@@ -18,10 +18,11 @@ import epinet
 import epinet.exact_chain as exact_chain
 from epinet import (
     ChainState,
+    Graph,
     DistVector,
     ExactChainError,
     LPInfeasibleError,
-    MarginalVector,
+    MeanFieldPoint,
     ModelError,
     ModelSpec,
     StateSpaceCapError,
@@ -501,6 +502,89 @@ class TestMixing:
         with pytest.raises(ExactChainError):
             mixing_time_bound(m, path3, 1.0)
 
+    @staticmethod
+    def dense_block_bound(m, g, epsilon):
+        """The sirs bound from the largest singular value of the 2n x 2n
+        block [[(1-gamma)I, delta I], [0, (1-delta)I + beta A]]."""
+        n = g.n
+        block = np.block([
+            [(1.0 - m.gamma) * np.eye(n), m.delta * np.eye(n)],
+            [np.zeros((n, n)),
+             (1.0 - m.delta) * np.eye(n) + m.beta * g.adjacency()],
+        ])
+        norm = float(np.linalg.norm(block, 2))
+        if norm >= 1.0:
+            return math.inf
+        return math.log(2 * n / epsilon) / (-math.log(norm))
+
+    @staticmethod
+    def bound_grid():
+        """Path, star, complete and ER graphs, unweighted and weighted,
+        connected and not (two copies side by side, plus edgeless)."""
+        rng = np.random.default_rng(5)
+        graphs = [Graph(1), Graph(4)]
+        for n in (2, 3, 7, 16, 33):
+            graphs += [generate(kind, n=n) for kind in
+                       ("path", "star", "complete")]
+            graphs.append(generate("er", n=n, p=0.25,
+                                   seed=int(rng.integers(2 ** 31))))
+        twins = []
+        for g in graphs:
+            if g.m:
+                twins.append(Graph(g.n, g.edges,
+                                   rng.uniform(0.1, 1.0, g.m)))
+                twins.append(Graph(2 * g.n, g.edges + tuple(
+                    (i + g.n, j + g.n) for i, j in g.edges)))
+        return graphs + twins
+
+    def test_sirs_bound_matches_dense_block(self):
+        """The 2 x 2 reduction gives the dense block's bound to a relative
+        1e-12."""
+        rng = np.random.default_rng(6)
+        for g in self.bound_grid():
+            lam = float(np.abs(np.linalg.eigvalsh(g.adjacency())).max())
+            for _ in range(3):
+                delta = float(rng.uniform(0.3, 0.7))
+                m = ModelSpec("sirs", delta=delta,
+                              gamma=float(rng.uniform(0.5, 1.0)),
+                              beta=float(rng.uniform(0.0, 0.4))
+                              * delta / max(lam, 1.0))
+                want = self.dense_block_bound(m, g, 0.25)
+                got = mixing_time_bound(m, g, 0.25)
+                assert math.isfinite(want)
+                assert abs(got - want) <= 1e-12 * want, (g, m)
+
+    def test_sirs_bound_infinite_with_dense_block(self, path3):
+        for m in (ModelSpec("sirs", beta=0.05, delta=0.9, gamma=0.05),
+                  ModelSpec("sirs", beta=0.9, delta=0.3, gamma=0.5)):
+            assert self.dense_block_bound(m, path3, 0.25) == math.inf
+            assert mixing_time_bound(m, path3, 0.25) == math.inf
+
+    def test_sirs_bound_memory_n1000(self):
+        """No 2n x 2n array: 32 MB at n = 1000."""
+        g = generate("er", n=1000, p=0.01, seed=1)
+        m = ModelSpec("sirs", beta=0.01, delta=0.6, gamma=0.9)
+        tracemalloc.start()
+        try:
+            bound = mixing_time_bound(m, g, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(bound)
+        assert peak < (2 * g.n) ** 2 * 8 / 16
+
+    def test_dense_mixing_scan_decision(self, path3):
+        """Dense exactly when the stationary law is no point mass."""
+        siv = dict(beta=0.1, delta=0.5, gamma=0.5)
+        assert exact_chain.dense_mixing_scan(
+            ModelSpec("siv-id", theta=0.5, **siv), 3)
+        for m in (ModelSpec("sirs", **siv),
+                  ModelSpec("sis-nia", beta=0.1, delta=0.5),
+                  ModelSpec("siv-vd", theta=0.0, **siv)):
+            assert not exact_chain.dense_mixing_scan(m, 3)
+            S = build_transition_matrix(m, path3)
+            assert stationary(S).entries.max() == 1.0
+
     def test_exact_within_bound_path3(self, path3):
         m = ModelSpec("sis-nia", beta=0.1, delta=0.9)
         S = build_transition_matrix(m, path3)
@@ -913,10 +997,10 @@ def _marginal_families(rng, n, k):
     small = rng.uniform(0.0, 1.0, (k - 1) * n)
     small *= rng.uniform(0.2, 0.95) / small.sum()
     if k == 2:
-        return (MarginalVector(small), MarginalVector(rng.uniform(0, 1, n)))
+        return (MeanFieldPoint(small), MeanFieldPoint(rng.uniform(0, 1, n)))
     pi_ = rng.uniform(0.0, 1.0, n)
     pr_ = rng.uniform(0.0, 1.0, n) * (1.0 - pi_)
-    return (MarginalVector(small[:n], small[n:]), MarginalVector(pi_, pr_))
+    return (MeanFieldPoint(small[:n], small[n:]), MeanFieldPoint(pi_, pr_))
 
 
 class TestLP:
@@ -925,7 +1009,7 @@ class TestLP:
         g = random_connected_graph(rng, 3)
         m = random_model(rng, "sis-nia", n=g.n)
         raw = rng.random(g.n)
-        p = MarginalVector(raw / (raw.sum() * 1.5))
+        p = MeanFieldPoint(raw / (raw.sum() * 1.5))
         rep = lp_marginal_max(m, g, 0, p)
         assert rep.lp_max == pytest.approx(rep.closed_form, abs=1e-6)
 
@@ -934,11 +1018,11 @@ class TestLP:
             g = random_connected_graph(rng, 3)
             m = random_model(rng, variant, n=g.n)
             if m.k == 2:
-                p = MarginalVector(rng.random(g.n))
+                p = MeanFieldPoint(rng.random(g.n))
             else:
                 pi_ = rng.random(g.n) * 0.5
                 pr_ = rng.random(g.n) * 0.5
-                p = MarginalVector(pi_, pr_)
+                p = MeanFieldPoint(pi_, pr_)
             i = int(rng.integers(g.n))
             rep = lp_marginal_max(m, g, i, p)
             assert rep.lp_max <= rep.closed_form + 1e-9
@@ -1020,10 +1104,10 @@ class TestLP:
                 == (want.lp_max.hex(), want.pivots)
 
     def test_infeasible_beyond_tolerance(self, path3):
-        # p_i + p_r = 1 + 5e-10 at node 0: MarginalVector admits it, but no
+        # p_i + p_r = 1 + 5e-10 at node 0: MeanFieldPoint admits it, but no
         # joint law has these marginals, and the violation exceeds 1e-10.
         m = ModelSpec("sirs", beta=0.4, delta=0.3, gamma=0.2)
-        p = MarginalVector([0.6, 0.2, 0.3], [0.4 + 5e-10, 0.1, 0.5])
+        p = MeanFieldPoint([0.6, 0.2, 0.3], [0.4 + 5e-10, 0.1, 0.5])
         with pytest.raises(LPInfeasibleError):
             lp_marginal_max(m, path3, 1, p)
         assert _oracle_max(m, path3, 1, p) is None
@@ -1033,7 +1117,7 @@ class TestLP:
         # vertex that misses the polytope by that much, each its own, so
         # they agree to within the 1e-10 feasibility tolerance, not 1e-12.
         m = ModelSpec("sirs", beta=0.4, delta=0.3, gamma=0.2)
-        p = MarginalVector([0.6, 0.2, 0.3], [0.4 + 1e-11, 0.1, 0.5])
+        p = MeanFieldPoint([0.6, 0.2, 0.3], [0.4 + 1e-11, 0.1, 0.5])
         rep = lp_marginal_max(m, path3, 1, p)
         assert abs(rep.lp_max - _oracle_max(m, path3, 1, p)) <= 1e-10
 
@@ -1044,7 +1128,7 @@ class TestLP:
             g = generate("path", n=cap + 1)
             m = ModelSpec(variant, beta=0.5, delta=0.5,
                           **({"gamma": 0.5} if k == 3 else {}))
-            p = MarginalVector(np.full(g.n, 0.1),
+            p = MeanFieldPoint(np.full(g.n, 0.1),
                                np.full(g.n, 0.1) if k == 3 else None)
             with pytest.raises(ExactChainError, match="cap"):
                 lp_marginal_max(m, g, 0, p)
@@ -1069,7 +1153,60 @@ class TestLP:
         m = ModelSpec("sis-general", contact=np.full((4, 4), 0.2))
         with pytest.raises(ModelError,
                            match="contact matrix is 4x4 but graph has n=3"):
-            lp_marginal_max(m, path3, 0, MarginalVector(np.full(3, 0.1)))
+            lp_marginal_max(m, path3, 0, MeanFieldPoint(np.full(3, 0.1)))
+
+    def test_marginals_must_fit_model(self, path3):
+        nia = ModelSpec("sis-nia", beta=0.3, delta=0.5)
+        sirs = ModelSpec("sirs", beta=0.3, delta=0.5, gamma=0.4)
+        wrong = [
+            (nia, MeanFieldPoint(np.full(3, 0.2), np.full(3, 0.1))),
+            (nia, MeanFieldPoint(np.full(4, 0.2))),
+            (nia, MeanFieldPoint(np.full(2, 0.2))),
+            (sirs, MeanFieldPoint(np.full(3, 0.2))),
+        ]
+        for m, p in wrong:
+            with pytest.raises(ExactChainError, match="marginals have"):
+                lp_marginal_max(m, path3, 1, p)
+            with pytest.raises(ExactChainError, match="marginals have"):
+                closed_form_marginal_bound(m, path3, 2, p)
+        with pytest.raises(ExactChainError, match="out of range"):
+            closed_form_marginal_bound(nia, path3, 3,
+                                       MeanFieldPoint(np.full(3, 0.2)))
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_closed_form_is_row_of_dense_bound(self, rng, variant):
+        """Row i of ((1-delta) I + beta f A) p, or of M p for sis-general."""
+        for _ in range(4):
+            g = random_connected_graph(rng, 6, weighted_prob=0.5)
+            m = random_model(rng, variant, n=g.n)
+            p = MeanFieldPoint(rng.random(g.n))
+            if m.contact is not None:
+                L = m.contact
+            else:
+                f = exact_chain._VARIANTS[variant].infection(m)
+                L = (1.0 - m.delta) * np.eye(g.n) + m.beta * f * g.adjacency()
+            want = L @ p.p_i
+            if m.k == 3:
+                p = MeanFieldPoint(p.p_i, 0.5 * (1.0 - p.p_i))
+            for i in range(g.n):
+                got = closed_form_marginal_bound(m, g, i, p)
+                assert abs(got - want[i]) <= 1e-14
+
+    def test_exact_marginals_feed_the_lp(self, rng):
+        """marginals() of a real joint law is a feasible LP input, and the
+        LP optimum is at least the law's own next-step marginal."""
+        for variant in ALL_VARIANTS:
+            g = random_connected_graph(rng, 3)
+            m = random_model(rng, variant, n=g.n)
+            S = build_transition_matrix(m, g)
+            mu = propagate(DistVector.uniform(S.size), S, 2)
+            p = marginals(mu, m)
+            assert isinstance(p, MeanFieldPoint) and p.k == m.k
+            nxt = marginals(propagate(mu, S, 1), m).p_i
+            for i in range(g.n):
+                rep = lp_marginal_max(m, g, i, p)
+                assert nxt[i] <= rep.lp_max + 1e-12
+                assert rep.lp_max <= rep.closed_form + 1e-9
 
     def test_never_builds_chain(self, rng, monkeypatch):
         def no_build(*args):
@@ -1079,7 +1216,7 @@ class TestLP:
         for variant in ALL_VARIANTS:
             g = random_connected_graph(rng, 3)
             m = random_model(rng, variant, n=g.n)
-            p = MarginalVector(np.full(g.n, 0.2),
+            p = MeanFieldPoint(np.full(g.n, 0.2),
                                np.full(g.n, 0.2) if m.k == 3 else None)
             rep = lp_marginal_max(m, g, 0, p)
             assert rep.lp_max <= rep.closed_form + 1e-9
@@ -1124,7 +1261,7 @@ class TestLP:
         code = (
             "import sys, numpy as np, epinet\n"
             "m = epinet.ModelSpec('sirs', beta=0.4, delta=0.3, gamma=0.2)\n"
-            "p = epinet.MarginalVector(np.full(3, 0.3), np.full(3, 0.2))\n"
+            "p = epinet.MeanFieldPoint(np.full(3, 0.3), np.full(3, 0.2))\n"
             "epinet.lp_marginal_max(m, epinet.generate('path', n=3), 1, p)\n"
             "print('scipy.optimize' in sys.modules)\n"
         )

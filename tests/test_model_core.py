@@ -108,6 +108,13 @@ class TestGraph:
         assert g == Graph(3, ((0, 1), (1, 2)), (0.25, 0.5))
         assert Graph(3, ((0, 1),), []) == Graph(3, ((0, 1),))
 
+    def test_non_integer_index_rejected(self):
+        for edges in (((0.5, 1.7),), ((0, 1), (1.0, 2.5)),
+                      ((0, float("nan")),), ((0, float("inf")),)):
+            with pytest.raises(GraphError, match="non-integer node index"):
+                Graph(3, edges)
+        assert Graph(3, ((0.0, 1.0), (2.0, 1.0))) == Graph(3, ((0, 1), (1, 2)))
+
     def test_first_bad_edge_in_input_order(self):
         with pytest.raises(GraphError, match=r"self-loop \(2,2\)"):
             Graph(3, ((0, 1), (2, 2), (0, 5)))
@@ -351,6 +358,11 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             m.contact[0, 0] = 0.9  # stored read-only
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_contact_non_finite_rejected(self, bad):
+        with pytest.raises(ModelError, match="finite"):
+            ModelSpec("sis-general", contact=[[bad, 0.1], [0.1, 0.2]])
+
     def test_siv_degenerate_rejected(self):
         with pytest.raises(ModelError):
             ModelSpec("siv-id", beta=0.5, delta=0.5, gamma=1.0, theta=1.0)
@@ -450,7 +462,7 @@ class TestThresholdRatio:
                 lambda: epinet.build_transition_matrix(m, g),
             "mixing_time_bound": lambda: epinet.mixing_time_bound(m, g, 0.25),
             "lp_marginal_max": lambda: epinet.lp_marginal_max(
-                m, g, 0, epinet.MarginalVector(np.full(4, 0.1))),
+                m, g, 0, epinet.MeanFieldPoint(np.full(4, 0.1))),
         }
         message = f"contact matrix is {size}x{size} but graph has n=4"
         for name, call in calls.items():
