@@ -74,6 +74,7 @@ from .monte_carlo import (
     MonteCarloError,
     ensemble_to_csv,
     mc_ensemble,
+    mc_grid,
 )
 from .verify import SUITES, SuiteResult, VerifyError, fd_jacobian, run_suite, \
     run_suites

@@ -47,7 +47,12 @@ from .exact_chain import (
 )
 from . import __version__
 from .mean_field import _upper_corner, find_fixed_point, mf_iterate
-from .monte_carlo import MonteCarloError, ensemble_to_csv, mc_ensemble
+from .monte_carlo import (
+    MonteCarloError,
+    ensemble_to_csv,
+    mc_ensemble,
+    mc_grid,
+)
 from .verify import SUITES, VerifyError, run_suites
 
 
@@ -470,10 +475,11 @@ def sweep(graph_path, generate_spec, variant, beta, delta, gamma, theta,
     models = [_build_model(variant, b, delta, gamma, theta) for b in betas]
     lam = spectral_radius(g).lambda_max
     lines = ["beta,ratio,outcome,extinct_count,reps,median_extinction,fp_norm"]
-    for idx, (b, model) in enumerate(zip(betas, models)):
+    # Grid point idx runs under master seed seed + idx.
+    reports = mc_grid(models, g, init=init, t_max=t_max, n_reps=reps,
+                      master_seed=seed)
+    for b, model, rep in zip(betas, models, reports):
         ratio = _rate_ratio(model, lam)
-        rep = mc_ensemble(model, g, init=init, t_max=t_max, n_reps=reps,
-                          master_seed=seed + idx)
         outcome = "extinct" if 2 * rep.extinct_count > rep.n_reps \
             else "persistent"
         ext = [a for a in rep.absorbed_steps if a is not None]

@@ -415,10 +415,16 @@ def spectral_radius(graph: Graph, tol: float = 1e-10) -> SpectralReport:
     else:
         logger.warning("graph is disconnected (%d components); using the "
                        "component with the largest eigenvalue", len(comps))
+        # A component's largest weighted row sum bounds its eigenvalue, and
+        # the power iteration's estimate (a Rayleigh quotient) never exceeds
+        # it beyond rounding, so a component whose bound lies below the best
+        # estimate by a relative 1e-6 cannot beat it and is not iterated.
+        # An isolated node (eigenvalue 0) never beats an earlier component.
+        row_sums = graph.adjacency_sparse @ np.ones(graph.n)
         best = None
         for comp in comps:
-            # An isolated node (eigenvalue 0) never beats an earlier component.
-            if best is None or len(comp) > 1:
+            if best is None or (len(comp) > 1 and row_sums[comp].max()
+                                >= best[1][0] * (1.0 - 1e-6)):
                 found = _connected_radius(graph.subgraph(comp), tol)
                 if best is None or found[0] > best[1][0]:
                     best = (comp, found)

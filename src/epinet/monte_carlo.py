@@ -18,6 +18,18 @@ stepped in forked processes, one per usable CPU on Linux (Salmon et al.,
 share, reassembles the rows in replicate order and adds up the integer
 snapshot counts, so every output equals the serial run's bit for bit.
 
+A grid of models that differ only in their infection rates (mc_grid, the
+beta grid of `epinet sweep`) runs as one such batch, so it forks at most
+once. Its rows are replicate-major: row j steps replicate j // G of grid
+point j % G under that point's key master_seed + j % G, so a contiguous
+share holds an equal slice of every grid point, and every grid point's
+report equals mc_ensemble of its model alone; mc_ensemble is the grid of
+one point. The variant tables do not depend on beta, so the grid shares
+them and only the escape vector is computed per grid point. On an
+unweighted graph that escape is read from a power table at the row's
+infected-neighbor count, which an integer copy of the adjacency (int16
+while the maximum degree fits, else int32) counts exactly.
+
 Early-exit semantics: SIS and SIRS trajectories end at the first step with
 zero infected (the epidemic cannot restart and no susceptible node can enter
 the recovered compartment); SIV trajectories run to t_max, with the
@@ -41,9 +53,10 @@ _LOG_FLOOR = -745.0  # exp() underflows to 0 below this; avoids -inf * 0 = nan
 # stepped in blocks of max(1, _REP_BLOCK_DOUBLES // n) rows.
 _REP_BLOCK_DOUBLES = 1 << 18
 # Work bound R * n * t_max (the node updates if no replicate ends early)
-# above which a run's replicates are split across forked processes. A split
-# costs a fixed 10-25 ms (fork, copy-on-write faults, collecting the rows):
-# on 2 CPUs it measured slower than a serial run at 5e5 and faster from 1e6.
+# above which a run's R rows (the replicates of every grid point) are split
+# across forked processes. A split costs a fixed 10-25 ms (fork,
+# copy-on-write faults, collecting the rows): on 2 CPUs it measured slower
+# than a serial run at 5e5 and faster from 1e6.
 _FORK_MIN_WORK = 1 << 20
 
 
@@ -91,28 +104,66 @@ def _power_table(base: float, max_count: int) -> np.ndarray:
     return base ** np.arange(max_count + 1, dtype=float)
 
 
-def _escape_function(model: ModelSpec, graph: Graph):
-    """Z -> per-node probability of receiving no infection, row by row.
+def _count_dtype(max_degree: int) -> type:
+    """The integer type of the infected-neighbor counts: int16 while the
+    maximum degree fits, else int32. Every partial sum of a count is at
+    most the node's degree, so the product never overflows."""
+    return np.int16 if max_degree <= np.iinfo(np.int16).max else np.int32
 
-    Z is the (B x n) 0/1 indicator of infected nodes, one row per replicate.
-    For sis-general the product runs over the full contact row (including
-    the diagonal), which folds recovery into the same escape form. On an
-    unweighted graph the escape is a power of 1 - beta, read from a table
-    indexed by the infected-neighbor count. Built once per run: the table and
-    the log-factor matrix depend only on the model and the graph.
+
+def _escape_function(models: list[ModelSpec], graph: Graph):
+    """(infected, point) -> per-node probability of receiving no infection.
+
+    infected is the (B x n) boolean matrix of infected nodes, one row per
+    replicate, and point[b] the grid point whose model steps row b. For
+    sis-general the product runs over the full contact row (including the
+    diagonal), which folds recovery into the same escape form. On an
+    unweighted graph the escape is a power of 1 - beta, read from the grid
+    point's table (the tables are stacked, max degree + 1 entries each) at
+    the infected-neighbor count. Otherwise each grid point's log-factor
+    matrix is applied to its own rows; every column of a sparse product is
+    computed on its own, so that changes no bit. Built once per run: the
+    tables and the log-factor matrices depend only on the models and the
+    graph.
     """
-    if model.contact is not None:
-        logs, scale = sp.csr_matrix(np.asarray(model.contact, dtype=float)), 1.0
-    elif graph.is_weighted:
-        logs, scale = graph.adjacency_sparse.copy(), model.beta
-    else:
-        A = graph.adjacency_sparse
-        table = _power_table(1.0 - model.beta,
-                             int(graph.degrees.max(initial=0)))
-        return lambda Z: table.take((A @ Z.T).T.astype(np.intp))
-    # log(1 - scale * w), floored so that exp() gives 0 instead of -inf * 0.
-    logs.data = np.maximum(np.log1p(-scale * logs.data), _LOG_FLOOR)
-    return lambda Z: np.exp((logs @ Z.T).T)
+    if models[0].contact is None and not graph.is_weighted:
+        top = int(graph.degrees.max(initial=0))
+        A = graph.adjacency_sparse.astype(_count_dtype(top))
+        table = np.concatenate([_power_table(1.0 - m.beta, top)
+                                for m in models])
+
+        def counted(infected, point):
+            counts = (A @ np.ascontiguousarray(infected.T, dtype=A.dtype)).T
+            if len(models) > 1:
+                counts = counts + (top + 1) * point[:, None]
+            return table.take(counts)
+
+        return counted
+    logs = []
+    for model in models:
+        if model.contact is not None:
+            L = sp.csr_matrix(np.asarray(model.contact, dtype=float))
+            scale = 1.0
+        else:
+            L, scale = graph.adjacency_sparse.copy(), model.beta
+        # log(1 - scale * w), floored so that exp() gives 0 instead of -inf * 0.
+        L.data = np.maximum(np.log1p(-scale * L.data), _LOG_FLOOR)
+        logs.append(L)
+
+    def apply(L, infected):
+        return np.exp((L @ np.ascontiguousarray(infected.T, dtype=float)).T)
+
+    def logged(infected, point):
+        if len(logs) == 1:
+            return apply(logs[0], infected)
+        esc = np.empty(infected.shape)
+        for g, L in enumerate(logs):
+            rows = point == g
+            if rows.any():
+                esc[rows] = apply(L, infected[rows])
+        return esc
+
+    return logged
 
 
 def _philox(seed: int):
@@ -137,32 +188,35 @@ def _philox(seed: int):
     return fill
 
 
-def _sampler(model: ModelSpec, graph: Graph):
-    """One synchronous update as (states, u) -> next digits.
+def _sampler(models: list[ModelSpec], graph: Graph):
+    """One synchronous update as (states, u, point) -> next digits.
 
-    states is a (B x n) digit matrix, one replicate per row, and u the
-    matching uniforms. Inverse-CDF sampling: a node in compartment c with
-    draw u moves to the number of y < k-1 with u >= row[c][0] + ... +
-    row[c][y], where row[c][y] = C[c,y] + A[c,y] esc + B[c,y] (1 - esc) from
-    the variant table. Each coefficient column is gathered on the digits
-    with a take; all-zero columns are skipped.
+    states is a (B x n) digit matrix, one replicate per row, u the matching
+    uniforms and point the rows' grid points (see _escape_function); the
+    models share their variant tables. Inverse-CDF sampling: a node in
+    compartment c with draw u moves to the number of y < k-1 with u >=
+    row[c][0] + ... + row[c][y], where row[c][y] = C[c,y] + A[c,y] esc +
+    B[c,y] (1 - esc) from the variant table. Each coefficient column is
+    gathered on the digits with a take; all-zero columns are skipped.
     """
-    escape = _escape_function(model, graph)
+    escape = _escape_function(models, graph)
+    model = models[0]
     columns = [[(coef[:, y], j) for j, coef in
                 enumerate(_VARIANTS[model.variant].tables(model))
                 if coef[:, y].any()]
                for y in range(model.k - 1)]
 
-    def advance(states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def advance(states: np.ndarray, u: np.ndarray, point: np.ndarray
+                ) -> np.ndarray:
         infected = states == 1
         hit = infected.any(axis=1)
         if hit.all():
-            esc = escape(infected.astype(float))
+            esc = escape(infected, point)
         else:
             # A row with no infected escapes with probability exactly 1.
             esc = np.ones(states.shape)
             if hit.any():
-                esc[hit] = escape(infected[hit].astype(float))
+                esc[hit] = escape(infected[hit], point[hit])
         factors = (1.0, esc, 1.0 - esc)
         digits = states.astype(np.intp)
         cum = 0.0
@@ -176,10 +230,11 @@ def _sampler(model: ModelSpec, graph: Graph):
     return advance
 
 
-def _init_states(graph: Graph, init, fill, replicates: list[int]
-                 ) -> np.ndarray:
-    """Initial digit matrix, one row per replicate."""
-    shape = (len(replicates), graph.n)
+def _init_states(graph: Graph, init, fills, point: np.ndarray,
+                 reps: np.ndarray) -> np.ndarray:
+    """Initial digit matrix: row b is replicate reps[b] of grid point
+    point[b], whose draws come from fills[point[b]]."""
+    shape = (len(reps), graph.n)
     if isinstance(init, str):
         if init != "all-infected":
             raise MonteCarloError(f"unknown init {init!r}")
@@ -189,8 +244,8 @@ def _init_states(graph: Graph, init, fill, replicates: list[int]
             raise MonteCarloError("init fraction must be in [0,1]")
         out = np.empty(shape, dtype=np.int8)
         u = np.empty(graph.n)
-        for row, rep in enumerate(replicates):
-            fill(u, 0, rep, stream=1)
+        for row, (g, rep) in enumerate(zip(point.tolist(), reps.tolist())):
+            fills[g](u, 0, rep, stream=1)
             out[row] = u < init
         return out
     nodes = np.asarray(list(init), dtype=np.int64)
@@ -201,41 +256,56 @@ def _init_states(graph: Graph, init, fill, replicates: list[int]
     return out
 
 
-def _run(model: ModelSpec, graph: Graph, init, t_max: int, seed: int,
+def _run(models: list[ModelSpec], graph: Graph, init, t_max: int, seed: int,
          replicates: list[int], snapshot_times: tuple[int, ...] = ()):
-    """Core loop: all replicates stepped to absorption/t_max.
+    """Core loop: the replicates of every grid point stepped to
+    absorption/t_max as one batch.
 
-    Returns (i_mat, s_mat, r_mat, absorbed, snap_i, snap_r). Row j of the
-    (R x t_max+1) count matrices belongs to replicates[j]: i_mat is zero and
-    s_mat/r_mat NaN past the end of a record, except that a frozen
-    all-susceptible state extends its record exactly. absorbed[j] is the
-    first step with zero infected, -1 if none. snap_i[ts] (and snap_r[ts]
-    for three compartments) counts, per node, the replicates infected
-    (recovered) at time ts.
+    Grid point g runs models[g] under the Philox key seed + g. Rows are
+    replicate-major: row j is replicate replicates[j // G] of grid point
+    j % G, for G = len(models). Returns (i_mat, s_mat, r_mat, absorbed,
+    snap_i, snap_r). Row j of the (R G x t_max+1) count matrices belongs to
+    row j: i_mat is zero and s_mat/r_mat NaN past the end of a record,
+    except that a frozen all-susceptible state extends its record exactly.
+    absorbed[j] is the first step with zero infected, -1 if none. snap_i[ts]
+    (and snap_r[ts] for three compartments) is a (G x n) matrix that counts,
+    per grid point and node, the replicates infected (recovered) at time ts.
 
     Snapshot times past a SIS/SIRS absorption are still exact: a frozen
     all-susceptible state contributes nothing, and a SIRS state with zero
     infected keeps evolving through the same update (its escape vector is
     1) until the last requested snapshot.
 
-    The request is validated here, before any process is forked. A run whose
-    work bound R * n * t_max exceeds _FORK_MIN_WORK is then split into
-    contiguous shares of its replicates, one per usable CPU (_split).
+    The request is validated here, before any process is forked: the models
+    must share their variant tables, so that they differ only in beta (or
+    the contact matrix). A run whose work bound R G n t_max exceeds
+    _FORK_MIN_WORK is then split into contiguous shares of its rows, one per
+    usable CPU (_split).
     """
-    _check_contact(model, graph)
+    if not models:
+        raise MonteCarloError("a grid needs at least one model")
+    variant = _VARIANTS[models[0].variant]
+    tables = variant.tables(models[0])
+    for model in models:
+        if model.variant != models[0].variant or not np.array_equal(
+                variant.tables(model), tables):
+            raise MonteCarloError("the models of a grid may differ only in "
+                                  "beta or the contact matrix")
+        _check_contact(model, graph)
     if t_max < 1:
         raise MonteCarloError("t_max must be >= 1")
-    fill = _philox(seed)
-    states = _init_states(graph, init, fill, replicates)
+    G = len(models)
+    fills = [_philox(seed + g) for g in range(G)]
+    point = np.tile(np.arange(G), len(replicates))
+    reps = np.repeat(np.asarray(replicates, dtype=np.int64), G)
+    states = _init_states(graph, init, fills, point, reps)
     need = sorted(set(snapshot_times))
     if need and (need[0] < 0 or need[-1] > t_max):
         raise MonteCarloError("snapshot times must lie in [0, t_max]")
-    reps = np.asarray(replicates, dtype=np.int64)
-    ends = _VARIANTS[model.variant].ends_at_extinction
 
     def core(rows: slice):
-        return _simulate(model, graph, states[rows], reps[rows], t_max, fill,
-                         need, ends)
+        return _simulate(models, graph, states[rows], point[rows], reps[rows],
+                         t_max, fills, need, variant.ends_at_extinction)
 
     R = len(reps)
     cpus = _usable_cpus()[:R]
@@ -244,21 +314,21 @@ def _run(model: ModelSpec, graph: Graph, init, t_max: int, seed: int,
     return _split(core, R, cpus)
 
 
-def _simulate(model: ModelSpec, graph: Graph, states: np.ndarray,
-              reps: np.ndarray, t_max: int, fill, need: list[int],
-              ends: bool):
-    """The serial core of _run: step the rows of states (replicates reps)
-    as one batch; same returns as _run."""
+def _simulate(models: list[ModelSpec], graph: Graph, states: np.ndarray,
+              point: np.ndarray, reps: np.ndarray, t_max: int, fills,
+              need: list[int], ends: bool):
+    """The serial core of _run: step the rows of states (replicate reps[b]
+    of grid point point[b]) as one batch; same returns as _run."""
     n = graph.n
     R, T = len(reps), t_max + 1
     i_mat = np.zeros((R, T), dtype=np.int32)
     s_mat = np.full((R, T), np.nan)
     r_mat = np.full((R, T), np.nan)
     absorbed = np.full(R, -1, dtype=np.int64)
-    snap_i = {ts: np.zeros(n, dtype=np.int64) for ts in need}
-    snap_r = {ts: np.zeros(n, dtype=np.int64) for ts in need} \
-        if model.k == 3 else {}
-    advance = _sampler(model, graph)
+    snap_i = {ts: np.zeros((len(models), n), dtype=np.int64) for ts in need}
+    snap_r = {ts: np.zeros((len(models), n), dtype=np.int64)
+              for ts in need} if models[0].k == 3 else {}
+    advance = _sampler(models, graph)
     block = max(1, _REP_BLOCK_DOUBLES // n)
     u = np.empty((min(R, block), n))
     # Per live row: its slot in the outputs, whether its record is still
@@ -276,9 +346,9 @@ def _simulate(model: ModelSpec, graph: Graph, states: np.ndarray,
         s_mat[rec, t] = (n - i - r)[recording]
         r_mat[rec, t] = r[recording]
         if t in snap_i:
-            snap_i[t] += infected.sum(axis=0)
+            np.add.at(snap_i[t], point[slot], infected)
             if t in snap_r:
-                snap_r[t] += recovered.sum(axis=0)
+                np.add.at(snap_r[t], point[slot], recovered)
         zero = i == 0
         if zero.any():
             new = zero & (absorbed[slot] < 0)
@@ -305,9 +375,11 @@ def _simulate(model: ModelSpec, graph: Graph, states: np.ndarray,
         for b0 in range(0, len(slot), block):
             rows = slice(b0, b0 + block)
             ub = u[:len(slot[rows])]
-            for row, rep in enumerate(reps[slot[rows]].tolist()):
-                fill(ub[row], t, rep)
-            states[rows] = advance(states[rows], ub)
+            mine = slot[rows]
+            for row, (g, rep) in enumerate(zip(point[mine].tolist(),
+                                               reps[mine].tolist())):
+                fills[g](ub[row], t, rep)
+            states[rows] = advance(states[rows], ub, point[mine])
     return i_mat, s_mat, r_mat, absorbed, snap_i, snap_r
 
 
@@ -405,12 +477,40 @@ def mc_ensemble(model: ModelSpec, graph: Graph, init="all-infected",
     The replicates are stepped as one batch; each keeps its own substream,
     so every statistic equals what the replicates give one at a time.
     """
+    return _ensembles([model], graph, init, t_max, n_reps, master_seed,
+                      marginals_at)[0]
+
+
+def mc_grid(models: list[ModelSpec], graph: Graph, init="all-infected",
+            t_max: int = 1000, n_reps: int = 1, master_seed: int = 0,
+            marginals_at: tuple[int, ...] = ()) -> list[EnsembleReport]:
+    """mc_ensemble(models[idx], ..., master_seed=master_seed + idx) for
+    every idx, bit for bit, with all replicates stepped as one batch.
+
+    The models must differ only in beta (or the contact matrix): they share
+    the variant and its other rates.
+    """
+    return _ensembles(list(models), graph, init, t_max, n_reps, master_seed,
+                      marginals_at)
+
+
+def _ensembles(models: list[ModelSpec], graph: Graph, init, t_max: int,
+               n_reps: int, seed: int, marginals_at: tuple[int, ...]
+               ) -> list[EnsembleReport]:
+    """The body of mc_grid, which mc_ensemble runs on a grid of one point.
+    It is private so that a tracer wrapping the public functions charges a
+    simulation to the one that was called.
+
+    Each grid point's rows (every G-th row of _run's outputs, in replicate
+    order) are copied into contiguous arrays before they are aggregated, so
+    every mean and quantile adds its terms as a run of that point alone
+    would.
+    """
     if n_reps < 1:
         raise MonteCarloError("n_reps must be >= 1")
     snap_times = tuple(sorted(set(marginals_at)))
-    i_mat, s_mat, r_mat, absorbed, snap_i, snap_r = _run(
-        model, graph, init, t_max, master_seed, list(range(n_reps)),
-        snap_times)
+    i_all, s_all, r_all, absorbed_all, snap_i, snap_r = _run(
+        models, graph, init, t_max, seed, list(range(n_reps)), snap_times)
 
     def nan_mean(mat: np.ndarray) -> np.ndarray:
         cnt = np.count_nonzero(~np.isnan(mat), axis=0)
@@ -418,24 +518,30 @@ def mc_ensemble(model: ModelSpec, graph: Graph, init="all-infected",
         with np.errstate(invalid="ignore"):
             return np.where(cnt > 0, total / np.maximum(cnt, 1), np.nan)
 
-    q10, q50, q90 = np.quantile(i_mat, [0.1, 0.5, 0.9], axis=0)
-    marg = None
-    if snap_times:
-        marg = {ts: (snap_i[ts] / n_reps,
-                     snap_r[ts] / n_reps if model.k == 3 else None)
-                for ts in snap_times}
-    steps = [int(a) if a >= 0 else None for a in absorbed]
-    return EnsembleReport(
-        t=np.arange(t_max + 1),
-        i_mean=i_mat.mean(axis=0),
-        i_q10=q10, i_q50=q50, i_q90=q90,
-        s_mean=nan_mean(s_mat),
-        r_mean=nan_mean(r_mat),
-        n_reps=n_reps,
-        extinct_count=sum(1 for a in steps if a is not None),
-        absorbed_steps=steps,
-        marginals=marg,
-    )
+    G = len(models)
+    reports = []
+    for g, model in enumerate(models):
+        i_mat, s_mat, r_mat = (np.ascontiguousarray(mat[g::G])
+                               for mat in (i_all, s_all, r_all))
+        q10, q50, q90 = np.quantile(i_mat, [0.1, 0.5, 0.9], axis=0)
+        marg = None
+        if snap_times:
+            marg = {ts: (snap_i[ts][g] / n_reps,
+                         snap_r[ts][g] / n_reps if model.k == 3 else None)
+                    for ts in snap_times}
+        steps = [int(a) if a >= 0 else None for a in absorbed_all[g::G]]
+        reports.append(EnsembleReport(
+            t=np.arange(t_max + 1),
+            i_mean=i_mat.mean(axis=0),
+            i_q10=q10, i_q50=q50, i_q90=q90,
+            s_mean=nan_mean(s_mat),
+            r_mean=nan_mean(r_mat),
+            n_reps=n_reps,
+            extinct_count=sum(1 for a in steps if a is not None),
+            absorbed_steps=steps,
+            marginals=marg,
+        ))
+    return reports
 
 
 def ensemble_to_csv(report: EnsembleReport) -> str:

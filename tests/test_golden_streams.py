@@ -1,5 +1,5 @@
-"""Golden digests: Monte Carlo streams, exact transition matrices and the
-mean-field map.
+"""Golden digests: Monte Carlo streams, the README's sweep, exact transition
+matrices and the mean-field map.
 
 The digests pin the bits, not just the law: a refactor of the sampler or
 the matrix assembly that reorders one floating-point operation shows up
@@ -13,6 +13,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from epinet import (
     Graph,
@@ -27,6 +28,7 @@ from epinet import (
     mf_jacobian,
     mf_step,
 )
+from epinet.cli import main
 
 from conftest import ALL_VARIANTS
 
@@ -82,6 +84,22 @@ def test_ensemble_stream(variant, graph_name):
                       master_seed=11)
     csv = ensemble_to_csv(rep)
     assert _sha256(csv.encode()) == ENSEMBLE_SHA256[(variant, graph_name)]
+
+
+# The README's `epinet sweep` command: six grid points of 30 replicates,
+# three of them dying out early.
+README_SWEEP = ["sweep", "--generate", "er:n=500,p=0.02,seed=3", "--variant",
+                "sis-nia", "--delta", "0.6", "--beta-grid", "0.02:0.12:0.02",
+                "--t", "400", "--reps", "30", "--seed", "7"]
+README_SWEEP_SHA256 = \
+    "894ffd7b73ec76472c411db994b92931229ce581d79567e7ed79c6cd2a3cd5ca"
+
+
+def test_readme_sweep_csv(tmp_path):
+    out = tmp_path / "sweep.csv"
+    res = CliRunner().invoke(main, [*README_SWEEP, "-o", str(out)])
+    assert res.exit_code == 0, res.output
+    assert _sha256(out.read_bytes()) == README_SWEEP_SHA256
 
 
 @pytest.mark.parametrize("variant", sorted(MATRIX_SHA256))

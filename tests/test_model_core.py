@@ -318,6 +318,98 @@ class TestSpectralRadius:
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
 
 
+def _union(*graphs: Graph) -> Graph:
+    """The disjoint union, each graph's nodes after the previous ones."""
+    edges, weights, offset = [], [], 0
+    for g in graphs:
+        edges += [(i + offset, j + offset) for i, j in g.edges]
+        weights += list(g.weights) if g.is_weighted else [1.0] * g.m
+        offset += g.n
+    return Graph(offset, edges, tuple(weights))
+
+
+def _radius_of_every_component(graph: Graph, tol: float = 1e-10):
+    """(lambda, iterations, residual, vector) as spectral_radius chose them
+    by power-iterating every component with more than one node."""
+    best = None
+    for comp in graph.components():
+        if best is None or len(comp) > 1:
+            found = model_core._connected_radius(graph.subgraph(comp), tol)
+            if best is None or found[0] > best[1][0]:
+                best = (comp, found)
+    comp, (lam, it, res, sub) = best
+    v = np.zeros(graph.n)
+    v[np.asarray(comp)] = sub
+    return lam, it, res, v
+
+
+def _weighted(g: Graph, seed: int) -> Graph:
+    w = np.random.default_rng(seed).uniform(0.2, 1.0, g.m)
+    return Graph(g.n, g.edges, tuple(float(x) for x in w))
+
+
+_SPARSE_ER = generate("er", n=1000, p=0.002, seed=1)
+_DISCONNECTED = {
+    "sparse-er": _SPARSE_ER,
+    "sparse-er-weighted": _weighted(_SPARSE_ER, 3),
+    # Two isomorphic components: the first one is reported.
+    "twins": _union(generate("er", n=30, p=0.2, seed=4),
+                    generate("er", n=30, p=0.2, seed=4)),
+    "twins-weighted": _union(*[_weighted(generate("er", n=20, p=0.3,
+                                                  seed=2), 9)] * 2),
+    # Regular components whose row sums equal their eigenvalue: cycles tie
+    # at 2 with a later K4 above them, and a path and a star in between.
+    "regular": _union(generate("path", n=3), Graph(12, [(i, (i + 1) % 12)
+                                                        for i in range(12)]),
+                      Graph(10, [(i, (i + 1) % 10) for i in range(10)]),
+                      generate("star", n=5), generate("complete", n=4),
+                      Graph(2, ())),
+}
+
+
+class TestSpectralRadiusComponents:
+    @pytest.mark.parametrize("name", sorted(_DISCONNECTED))
+    def test_matches_iterating_every_component(self, name):
+        g = _DISCONNECTED[name]
+        assert not g.is_connected()
+        rep = spectral_radius(g)
+        lam, it, res, v = _radius_of_every_component(g)
+        assert rep.lambda_max == lam
+        assert rep.iterations == it
+        assert rep.residual == res
+        assert np.array_equal(rep.eigvec.view(np.uint64), v.view(np.uint64))
+
+    def test_ties_go_to_the_first_component(self):
+        rep = spectral_radius(_DISCONNECTED["twins"])
+        assert rep.eigvec[:30].min() > 0.0 and not rep.eigvec[30:].any()
+        rep = spectral_radius(_DISCONNECTED["regular"])
+        assert rep.lambda_max == pytest.approx(3.0, abs=1e-8)
+        assert np.flatnonzero(rep.eigvec).tolist() == list(range(30, 34))
+
+    def test_skips_components_below_the_best(self, monkeypatch):
+        """On the sparse ER graph (162 components, 29 with an edge) only the
+        giant component has a node of degree above its eigenvalue 3.4475."""
+        calls = []
+        iterate = model_core._connected_radius
+
+        def counted(graph, tol):
+            calls.append(graph.n)
+            return iterate(graph, tol)
+
+        monkeypatch.setattr(model_core, "_connected_radius", counted)
+        comps = _SPARSE_ER.components()
+        assert (len(comps), sum(len(c) > 1 for c in comps)) == (162, 29)
+        rep = spectral_radius(_SPARSE_ER)
+        assert rep.lambda_max == pytest.approx(3.4475, abs=1e-4)
+        assert calls == [len(comps[0])] == [798]
+        calls.clear()
+        spectral_radius(_DISCONNECTED["regular"])
+        # The 12-cycle, the 10-cycle (a tie within the margin), the star
+        # (row sum 4 above 2) and K4. The path comes after K4, and its row
+        # sums (2) lie below 3.
+        assert calls == [12, 10, 5, 4]
+
+
 # ---------------------------------------------------------------------------
 # ModelSpec
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from epinet import (
     generate,
     marginals,
     mc_ensemble,
+    mc_grid,
     propagate,
 )
 from epinet import monte_carlo
@@ -43,7 +44,7 @@ def run_replicate(model, graph, init="all-infected", t_max=1000, seed=0,
     the record (the absorption step for SIS/SIRS, else t_max), and the first
     step with zero infected or None."""
     i_mat, s_mat, r_mat, absorbed, _, _ = monte_carlo._run(
-        model, graph, init, t_max, seed, [replicate])
+        [model], graph, init, t_max, seed, [replicate])
     ab = int(absorbed[0]) if absorbed[0] >= 0 else None
     end = t_max
     if ab is not None and _VARIANTS[model.variant].ends_at_extinction:
@@ -59,7 +60,8 @@ def sampler_step(model, graph, states, t, seed, replicate):
     u = np.empty((1, graph.n))
     monte_carlo._philox(seed)(u[0], t, replicate)
     states = np.asarray(states, dtype=np.int8)[None, :]
-    return monte_carlo._sampler(model, graph)(states, u)[0]
+    point = np.zeros(1, dtype=np.intp)  # the only grid point
+    return monte_carlo._sampler([model], graph)(states, u, point)[0]
 
 
 class TestDeterminism:
@@ -297,12 +299,12 @@ class TestExtinction:
         steps = [0]
         sampler = monte_carlo._sampler
 
-        def counting_sampler(model, graph):
-            advance = sampler(model, graph)
+        def counting_sampler(models, graph):
+            advance = sampler(models, graph)
 
-            def counted(states, u):
+            def counted(states, u, point):
                 steps[0] += len(states)
-                return advance(states, u)
+                return advance(states, u, point)
             return counted
 
         monkeypatch.setattr(monte_carlo, "_sampler", counting_sampler)
@@ -660,6 +662,31 @@ class TestStepShortcuts:
                 _bits(table.take((A @ z).astype(np.intp))),
                 _bits(base ** (A @ z)))
 
+    def test_count_dtype_follows_the_maximum_degree(self):
+        assert monte_carlo._count_dtype(0) == np.int16
+        assert monte_carlo._count_dtype(2 ** 15 - 1) == np.int16
+        assert monte_carlo._count_dtype(2 ** 15) == np.int32
+        assert monte_carlo._count_dtype(39999) == np.int32
+
+    def test_hub_counts_do_not_overflow(self):
+        """A hub of degree 39999 >= 2^15: its escape is (1 - beta)^k for
+        every count k of infected leaves, also above the int16 range."""
+        g = generate("star", n=40000)
+        m = ModelSpec("sis-ia", beta=1e-5, delta=0.5)
+        counts = [39999, 2 ** 15, 2 ** 15 - 1, 7]
+        infected = np.zeros((len(counts), g.n), dtype=bool)
+        for row, k in enumerate(counts):
+            infected[row, 1:k + 1] = True
+        esc = monte_carlo._escape_function([m], g)(
+            infected, np.zeros(len(counts), dtype=np.intp))
+        hub = np.power(1.0 - m.beta, np.asarray(counts, dtype=float))
+        assert np.array_equal(_bits(esc[:, 0]), _bits(hub))
+        # One replicate stepped twice, against the float-count loop.
+        kw = dict(init="all-infected", t_max=2, n_reps=1, master_seed=5,
+                  marginals_at=(1, 2))
+        assert_same_report(mc_ensemble(m, g, **kw),
+                           reference_ensemble(m, g, **kw))
+
     def test_reused_philox_matches_fresh_generator(self):
         rng = np.random.default_rng(2026)
         seeds = [int(s) for s in rng.integers(0, 2 ** 64, 40,
@@ -732,12 +759,12 @@ def failing_sampler(monkeypatch, fail):
     parent = os.getpid()
     make = monte_carlo._sampler
 
-    def sampler(model, graph):
-        advance = make(model, graph)
+    def sampler(models, graph):
+        advance = make(models, graph)
 
-        def checked(states, u):
+        def checked(states, u, point):
             fail(os.getpid() == parent)
-            return advance(states, u)
+            return advance(states, u, point)
         return checked
 
     monkeypatch.setattr(monte_carlo, "_sampler", sampler)
@@ -900,3 +927,187 @@ class TestSplit:
         monkeypatch.setattr(os, "fork", no_fork)
         rep = mc_ensemble(m, g, **kw)
         assert rep.n_reps == kw["n_reps"]
+
+
+# ---------------------------------------------------------------------------
+# A beta grid stepped as one batch
+# ---------------------------------------------------------------------------
+
+GRID_VARIANTS = ("sis-nia", "sis-ia", "sis-general", "sirs", "siv-id",
+                 "siv-vd")
+# On the oracle graph (lambda_max about 4.8, delta 0.5) the first point
+# dies out within a few steps and the last persists.
+GRID_BETAS = (0.02, 0.1, 0.6)
+
+
+def _grid_models(variant, n, betas=GRID_BETAS):
+    """One model per grid point, differing only in beta; sis-general scales
+    its contact matrix instead."""
+    if variant == "sis-general":
+        M = _oracle_model(variant, n).contact
+        return [ModelSpec(variant, contact=M * (b / 0.4)) for b in betas]
+    return [_oracle_model(variant, n, beta=b) for b in betas]
+
+
+def assert_grid_matches(monkeypatch, workers, models, graph, master_seed,
+                        **kw):
+    """Every grid point's report equals mc_ensemble of its model alone under
+    master_seed + idx, run serially; the grid runs serially (workers=1) or
+    forced into that many shares. Returns the reports."""
+    monkeypatch.setattr(monte_carlo, "_usable_cpus", lambda: [0])
+    want = [mc_ensemble(m, graph, master_seed=master_seed + idx, **kw)
+            for idx, m in enumerate(models)]
+    if workers > 1:
+        force_split(monkeypatch, workers)
+    got = mc_grid(models, graph, master_seed=master_seed, **kw)
+    assert len(got) == len(models)
+    for rep, ref in zip(got, want):
+        assert_same_report(rep, ref)
+    return got
+
+
+class TestGrid:
+    @pytest.mark.parametrize("init", ["all-infected", 0.3, (0, 4, 9)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("variant", GRID_VARIANTS)
+    def test_points_match_mc_ensemble(self, monkeypatch, variant, weighted,
+                                      init):
+        g = _oracle_graph(weighted)
+        got = assert_grid_matches(
+            monkeypatch, 1, _grid_models(variant, g.n), g, 11, init=init,
+            t_max=30, n_reps=7, marginals_at=(0, 3, 12, 30))
+        # Early extinction beside persistence: the first point has died
+        # out before step 12, where the last one still has infected nodes.
+        assert got[0].extinct_count == 7 and max(
+            a for a in got[0].absorbed_steps) < 12
+        assert got[-1].i_mean[12] > 0
+
+    def test_one_point_is_mc_ensemble(self):
+        g = _oracle_graph(False)
+        m = _oracle_model("sirs", g.n, beta=0.1)
+        kw = dict(init=0.5, t_max=20, n_reps=5, marginals_at=(3, 20))
+        [got] = mc_grid([m], g, master_seed=4, **kw)
+        assert_same_report(got, mc_ensemble(m, g, master_seed=4, **kw))
+
+    @pytest.mark.parametrize("models", [
+        [],
+        [ModelSpec("sis-nia", beta=0.1, delta=0.5),
+         ModelSpec("sis-nia", beta=0.2, delta=0.6)],
+        [ModelSpec("sis-nia", beta=0.1, delta=0.5),
+         ModelSpec("sis-ia", beta=0.1, delta=0.5)],
+        [ModelSpec("siv-id", beta=0.1, delta=0.5, gamma=0.3, theta=0.2),
+         ModelSpec("siv-id", beta=0.1, delta=0.5, gamma=0.3, theta=0.3)],
+    ], ids=["empty", "delta", "variant", "theta"])
+    def test_models_must_differ_only_in_beta(self, models):
+        with pytest.raises(MonteCarloError):
+            mc_grid(models, _oracle_graph(False), t_max=5, n_reps=2)
+
+    def test_each_row_draws_its_own_steps(self, monkeypatch, tmp_path):
+        """The grid draws exactly what its points draw alone: per key,
+        replicate and step, once, also in forked workers."""
+        log = tmp_path / "draws.txt"
+        make = monte_carlo._philox
+
+        def logging_philox(seed):
+            fill = make(seed)
+
+            def logged(out, t, rep, stream=0):
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{seed} {stream} {rep} {t}\n")
+                fill(out, t, rep, stream)
+            return logged
+
+        monkeypatch.setattr(monte_carlo, "_philox", logging_philox)
+        g = _oracle_graph(False)
+        kw = dict(init=0.5, t_max=30, n_reps=6, marginals_at=(2, 12))
+
+        def draws():
+            lines = sorted(log.read_text().splitlines())
+            log.write_text("")
+            return lines
+
+        for variant in ("sis-nia", "sirs", "siv-id"):
+            models = _grid_models(variant, g.n)
+            monkeypatch.setattr(monte_carlo, "_usable_cpus", lambda: [0])
+            log.write_text("")
+            for idx, m in enumerate(models):
+                mc_ensemble(m, g, master_seed=3 + idx, **kw)
+            want = draws()
+            mc_grid(models, g, master_seed=3, **kw)
+            assert draws() == want
+            if sys.platform.startswith("linux"):
+                force_split(monkeypatch, 3)
+                mc_grid(models, g, master_seed=3, **kw)
+                assert draws() == want
+
+    def test_escape_reads_each_rows_grid_point(self):
+        """Rows of different grid points in one call get their own beta."""
+        for weighted in (False, True):
+            g = _oracle_graph(weighted)
+            models = _grid_models("sis-nia", g.n)
+            infected = np.random.default_rng(3).random((7, g.n)) < 0.4
+            point = np.array([2, 0, 1, 1, 0, 2, 2])
+            esc = monte_carlo._escape_function(models, g)(infected, point)
+            for row, idx in enumerate(point):
+                alone = monte_carlo._escape_function([models[idx]], g)(
+                    infected[row:row + 1], point[:1] * 0)
+                assert np.array_equal(_bits(esc[row]), _bits(alone[0]))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="runs split only on Linux")
+class TestGridSplit:
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("init", ["all-infected", 0.3, (0, 4, 9)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("variant", GRID_VARIANTS)
+    def test_points_match_mc_ensemble(self, monkeypatch, variant, weighted,
+                                      init, workers):
+        g = _oracle_graph(weighted)
+        assert_grid_matches(
+            monkeypatch, workers, _grid_models(variant, g.n), g, 11,
+            init=init, t_max=30, n_reps=7, marginals_at=(0, 3, 12, 30))
+
+    def test_more_workers_than_rows(self, monkeypatch):
+        g = _oracle_graph(True)
+        assert_grid_matches(monkeypatch, 5, _grid_models("sirs", g.n), g, 4,
+                            init=0.6, t_max=20, n_reps=1, marginals_at=(5,))
+
+    @pytest.mark.parametrize("block_rows", [1, 4])
+    def test_row_blocks(self, monkeypatch, block_rows):
+        g = _oracle_graph(False)
+        monkeypatch.setattr(monte_carlo, "_REP_BLOCK_DOUBLES",
+                            block_rows * g.n)
+        for variant in ("sis-nia", "siv-vd"):
+            assert_grid_matches(
+                monkeypatch, 2, _grid_models(variant, g.n), g, 9, init=0.6,
+                t_max=25, n_reps=5, marginals_at=(1, 5, 25))
+
+    def test_sweep_splits_at_most_once(self, monkeypatch, tmp_path):
+        """A sweep's grid is one run, so it forks at most once: once when
+        the run splits, never when it does not."""
+        from click.testing import CliRunner
+        from epinet.cli import main
+
+        splits = []
+        split = monte_carlo._split
+
+        def counted(core, R, cpus):
+            splits.append(R)
+            return split(core, R, cpus)
+
+        monkeypatch.setattr(monte_carlo, "_split", counted)
+        args = ["sweep", "--generate", "er:n=60,p=0.08,seed=2", "--variant",
+                "sis-nia", "--delta", "0.6", "--beta-grid",
+                "0.01:0.21:0.05", "--t", "60", "--reps", "4", "--seed", "3"]
+        outputs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(monte_carlo, "_usable_cpus", lambda: [0])
+            if workers > 1:
+                force_split(monkeypatch, workers)
+            out = tmp_path / f"sweep{workers}.csv"
+            res = CliRunner().invoke(main, [*args, "-o", str(out)])
+            assert res.exit_code == 0, res.output
+            outputs.append(out.read_bytes())
+        assert splits == [5 * 4, 5 * 4]
+        assert outputs[0] == outputs[1] == outputs[2]
