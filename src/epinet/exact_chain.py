@@ -22,6 +22,11 @@ Implements:
 
 State encoding: digit i of the base-k code is the compartment of node i
 (0 = S, 1 = I, 2 = R), with node 0 the least significant digit.
+
+The build of S and the dense scan's S^2 use every usable CPU: contiguous
+shares of S's rows run in one thread per CPU (model_core._row_shares).
+Every row is computed as a serial run computes it, so S, every mixing
+report and every output are the same bit for bit on any number of CPUs.
 """
 from __future__ import annotations
 
@@ -38,6 +43,7 @@ from .model_core import (
     Graph,
     ModelSpec,
     _check_contact,
+    _row_shares,
     contact_from_rates,
     spectral_radius,
 )
@@ -53,9 +59,11 @@ STATE_CAP_K2 = 2 ** 16
 STATE_CAP_K3 = 3 ** 10
 MEMORY_BUDGET_BYTES = 2 * 2 ** 30
 
-# Peak bytes per stored entry while the CSR is assembled: the (row, column,
-# value) arrays before and after the last node's expansion.
+# Bytes per stored entry that bound the peak while the CSR is assembled:
+# the stored (column, value) arrays and the temporaries of the row blocks
+# being expanded, which hold at most _BUILD_BLOCK_ENTRIES entries each.
 _BUILD_BYTES_PER_NNZ = 48
+_BUILD_BLOCK_ENTRIES = 1 << 16
 
 # Row blocks of the dense mixing scan hold at most this many doubles.
 _SCAN_BLOCK_DOUBLES = 1 << 18
@@ -313,6 +321,11 @@ def build_transition_matrix(model: ModelSpec, graph: Graph) -> TransitionMatrix:
     order, so every stored value equals the dense product bit for bit. The
     exact nnz is counted first, and the assembly's peak memory is checked
     against MEMORY_BUDGET_BYTES before anything nnz-sized is allocated.
+    The rows are split into contiguous shares, one per usable CPU
+    (model_core._row_shares), and each share is expanded in row blocks of
+    at most _BUILD_BLOCK_ENTRIES entries, the last node straight into the
+    block's slices of the stored arrays, where its rows are then sorted. No
+    row depends on the split.
     """
     n = graph.n
     _check_contact(model, graph)
@@ -322,32 +335,52 @@ def build_transition_matrix(model: ModelSpec, graph: Graph) -> TransitionMatrix:
     K = k ** n
     tables = _VARIANTS[model.variant].tables(model)
     probs = [_node_digit_probs(model, graph, D, i, tables) for i in range(n)]
-    row_nnz = np.ones(K, dtype=np.int64)
-    for P in probs:
-        row_nnz *= np.count_nonzero(P, axis=1)
+    allows = [P != 0 for P in probs]
+    splits = [np.count_nonzero(a, axis=1) for a in allows]
+    row_nnz = np.prod(splits, axis=0)
     nnz = int(row_nnz.sum())
     _check_memory(_BUILD_BYTES_PER_NNZ * nnz,
                   f"the {k}^{n}-state transition matrix ({nnz} nonzeros)")
-    digits = np.arange(k, dtype=np.int32)
-    rows = np.arange(K, dtype=np.int32)
-    cols = np.zeros(K, dtype=np.int32)
-    vals = np.ones(K)
-    for i, P in enumerate(probs):
-        allowed = (P != 0)[rows]
-        y = np.broadcast_to(digits, allowed.shape)[allowed]
-        split = np.count_nonzero(allowed, axis=1)
-        del allowed
-        rows = np.repeat(rows, split)
-        cols = np.repeat(cols, split)
-        cols += y * k ** i
-        vals = np.repeat(vals, split)
-        vals *= P[rows, y]
     indptr = np.concatenate(([0], np.cumsum(row_nnz)))
+    widest = int(row_nnz.max())
+    del row_nnz
     if nnz < 2 ** 31:
         indptr = indptr.astype(np.int32)  # so that cols is used uncopied
-    S = _CSR((vals, cols, indptr), shape=(K, K))
-    S.sort_indices()
-    return TransitionMatrix(S, model, graph)
+    cols = np.empty(nnz, dtype=np.int32)
+    vals = np.empty(nnz)
+    digits = np.arange(k, dtype=np.int32)
+
+    def expand(share: slice) -> None:
+        for block in _row_blocks(share, widest, _BUILD_BLOCK_ENTRIES):
+            rows = np.arange(block.start, block.stop, dtype=np.int32)
+            c = np.zeros(len(rows), dtype=np.int32)
+            v = np.ones(len(rows))
+            for i, P in enumerate(probs):
+                y = np.broadcast_to(digits, (len(rows), k))[allows[i][rows]]
+                split = splits[i][rows]
+                if i == n - 1:
+                    break
+                rows = np.repeat(rows, split)
+                c = np.repeat(c, split)
+                c += y * k ** i
+                v = np.repeat(v, split)
+                v *= P[rows, y]
+            # The last node (n >= 1) writes straight into the block's slices.
+            out = slice(indptr[block.start], indptr[block.stop])
+            p = P[np.repeat(rows, split), y]
+            np.add(np.repeat(c, split), y * k ** i, out=cols[out])
+            np.multiply(np.repeat(v, split), p, out=vals[out])
+            local = indptr[block.start:block.stop + 1] - indptr[block.start]
+            part = _CSR((vals[out], cols[out], local),
+                        shape=(len(local) - 1, K))
+            part.sort_indices()
+            # scipy may have copied the slices (it copies views of less
+            # than half their base), so the sorted rows are written back.
+            cols[out], vals[out] = part.indices, part.data
+
+    _row_shares(expand, K)
+    return TransitionMatrix(_CSR((vals, cols, indptr), shape=(K, K)), model,
+                            graph)
 
 
 # ---------------------------------------------------------------------------
@@ -485,17 +518,21 @@ def _product(A, rows, B):
     return A[rows] @ B
 
 
-def _row_blocks(K: int, doubles: int):
-    """Slices of at most doubles // K rows covering 0..K-1."""
-    block = max(1, doubles // K)
-    return (slice(a, a + block) for a in range(0, K, block))
+def _row_blocks(rows: slice, width: int, budget: int):
+    """Slices covering the slice rows, of at most budget // width rows (at
+    least 1): blocks of at most budget entries, if no row holds more than
+    width."""
+    block = max(1, budget // width)
+    return (slice(a, min(a + block, rows.stop))
+            for a in range(rows.start, rows.stop, block))
 
 
 def _tv_rows(P, pi: np.ndarray) -> np.ndarray:
     """Total-variation distance of each row of P (dense or CSR) from pi,
     by row blocks."""
     tv = np.empty(P.shape[0])
-    for rows in _row_blocks(P.shape[1], _SCAN_BLOCK_DOUBLES):
+    for rows in _row_blocks(slice(0, P.shape[0]), P.shape[1],
+                            _SCAN_BLOCK_DOUBLES):
         dev = (P[rows].toarray() if sp.issparse(P) else P[rows]) - pi
         tv[rows] = 0.5 * np.abs(dev, out=dev).sum(axis=1)
     return tv
@@ -598,10 +635,14 @@ def mixing_time_exact(S: TransitionMatrix, pi: DistVector, epsilon: float,
     tv = _tv_rows(A, p)
     if tv.max() <= epsilon or cap == 1:
         return report(1, tv)
-    # D = S^t, from S^2 = S S by sparse row blocks.
+    # D = S^t, from S^2 = S S by sparse row blocks on every usable CPU.
     D = np.zeros((K, K))
-    for rows in _row_blocks(K, _SCAN_BLOCK_DOUBLES):
-        _product(A, rows, A).toarray(out=D[rows])
+
+    def square(share: slice) -> None:
+        for rows in _row_blocks(share, K, _SCAN_BLOCK_DOUBLES):
+            _product(A, rows, A).toarray(out=D[rows])
+
+    _row_shares(square, K)
     t, tv = 2, _tv_rows(D, p)
     M = None  # dense S: BLAS beats dense @ CSR once whole products are due
 
@@ -632,7 +673,7 @@ def mixing_time_exact(S: TransitionMatrix, pi: DistVector, epsilon: float,
             t, D = 2 * t, _product(D, slice(None), D)
         else:
             t += 1
-            for rows in _row_blocks(K, _STEP_BLOCK_DOUBLES):
+            for rows in _row_blocks(slice(0, K), K, _STEP_BLOCK_DOUBLES):
                 D[rows] = _product(D, rows, dense_S())
         tv = _tv_rows(D, p)
 

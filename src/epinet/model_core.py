@@ -18,11 +18,18 @@ Implements:
   - threshold_ratio: the variant's local-stability ratio (< 1 predicts
     extinction of the mean-field dynamics).
   - contact_from_rates.
+  - _usable_cpus / _pinned / _row_shares: the CPUs a job may use, keeping
+    a thread to one of them, and a row-range job run over contiguous
+    shares of its rows, one thread per usable CPU.
 """
 from __future__ import annotations
 
 import logging
 import math
+import os
+import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -34,6 +41,12 @@ logger = logging.getLogger(__name__)
 
 # Iteration cap for power iteration.
 POWER_ITERATION_CAP = 10 ** 6
+
+# Rows below which _row_shares runs its job in the caller alone. On 2 CPUs a
+# 2-way split of the exact chain's build lost at 3^5 and 2^8 states (2.2
+# against 1.4 ms, 4.1 against 3.8 ms) and won on every chain measured from
+# 2^9 states up (9.9 against 12.0 ms at 2^9).
+_SHARE_MIN_ROWS = 2 ** 9
 
 
 class GraphError(ValueError):
@@ -647,3 +660,70 @@ def _rate_ratio(model: ModelSpec, lam: float) -> float:
     if model.delta == 0.0:
         return math.inf if pressure > 0 else 0.0
     return pressure / model.delta
+
+
+# ---------------------------------------------------------------------------
+# Work shares on every usable CPU
+# ---------------------------------------------------------------------------
+
+def _usable_cpus() -> list[int]:
+    """The CPUs this process may run on. Off Linux work stays serial."""
+    if not sys.platform.startswith("linux"):
+        return []
+    return sorted(os.sched_getaffinity(0))
+
+
+@contextmanager
+def _pinned(cpu: int):
+    """Keep the calling thread (on Linux, the affinity of pid 0 is the
+    calling thread's) to cpu inside the block; its own affinity is restored
+    on leaving it, also on error. Each thread or process must pin itself:
+    where the kernel does not balance load between CPUs, a new thread or
+    forked child stays on its creator's CPU."""
+    home = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {cpu})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, home)
+
+
+def _row_shares(job, K: int) -> None:
+    """job(rows) over contiguous shares of the row slice 0..K-1, one per
+    usable CPU: the caller runs the first share and a thread each of the
+    others, each pinned to its CPU. Below _SHARE_MIN_ROWS rows, or with one
+    usable CPU, job(slice(0, K)) runs in the caller.
+
+    The jobs spend their time in numpy and scipy.sparse code that releases
+    the interpreter lock, and each share writes only its own rows, so the
+    result does not depend on the split. An exception raised in any share
+    re-raises here, after every thread has been joined.
+    """
+    cpus = _usable_cpus()[:K] if K >= _SHARE_MIN_ROWS else []
+    if len(cpus) < 2:
+        job(slice(0, K))
+        return
+    W = len(cpus)
+    shares = [slice(K * w // W, K * (w + 1) // W) for w in range(W)]
+    errors = []
+
+    def run(cpu: int, rows: slice) -> None:
+        try:
+            with _pinned(cpu):
+                job(rows)
+        except BaseException as exc:  # re-raised in the caller
+            errors.append(exc)
+
+    threads = []
+    try:
+        for cpu, rows in zip(cpus[1:], shares[1:]):
+            thread = threading.Thread(target=run, args=(cpu, rows))
+            thread.start()
+            threads.append(thread)
+        with _pinned(cpus[0]):
+            job(shares[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]

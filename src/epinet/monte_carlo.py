@@ -39,14 +39,19 @@ sampled law is unchanged).
 """
 from __future__ import annotations
 
-import os
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .model_core import _VARIANTS, Graph, ModelSpec, _check_contact
+from .model_core import (
+    _VARIANTS,
+    Graph,
+    ModelSpec,
+    _check_contact,
+    _pinned,
+    _usable_cpus,
+)
 
 _LOG_FLOOR = -745.0  # exp() underflows to 0 below this; avoids -inf * 0 = nan
 # Upper bound on the doubles in one float temporary of a step: replicates are
@@ -383,23 +388,14 @@ def _simulate(models: list[ModelSpec], graph: Graph, states: np.ndarray,
     return i_mat, s_mat, r_mat, absorbed, snap_i, snap_r
 
 
-def _usable_cpus() -> list[int]:
-    """The CPUs this process may run on. Off Linux runs stay serial."""
-    if not sys.platform.startswith("linux"):
-        return []
-    return sorted(os.sched_getaffinity(0))
-
-
 def _split(core, R: int, cpus: list[int]):
     """core over len(cpus) contiguous shares of the R rows, all but the
     first in forked processes; the results are reassembled in row order.
 
     Every replicate draws only from its own substreams, so the rows and the
     integer snapshot counts equal the serial run's bit for bit. Each process
-    keeps to its own CPU while it steps: where the kernel does not balance
-    load between CPUs, a forked child would otherwise share its parent's. A
-    worker's exception re-raises here, and every worker is joined before
-    this returns.
+    keeps to its own CPU while it steps (_pinned). A worker's exception
+    re-raises here, and every worker is joined before this returns.
 
     Workers are forked, not spawned: a spawned worker would import numpy,
     scipy and epinet again (about 0.5 s) and be sent the graph, while a
@@ -415,41 +411,39 @@ def _split(core, R: int, cpus: list[int]):
     ctx = multiprocessing.get_context("fork")
     W = len(cpus)
     shares = [slice(R * w // W, R * (w + 1) // W) for w in range(W)]
-    home = os.sched_getaffinity(0)
     procs, conns = [], []
     done = False
-    try:
-        os.sched_setaffinity(0, {cpus[0]})
-        for cpu, share in zip(cpus[1:], shares[1:]):
-            recv, send = ctx.Pipe(duplex=False)
-            conns.append(recv)
-            proc = ctx.Process(target=_worker, args=(core, share, cpu, send),
-                               daemon=True)
-            try:
-                proc.start()
-            finally:
-                send.close()
-            procs.append(proc)
-        parts = [core(shares[0])]
-        for proc, conn in zip(procs, conns):
-            try:
-                ok, result = conn.recv()
-            except EOFError:
+    with _pinned(cpus[0]):
+        try:
+            for cpu, share in zip(cpus[1:], shares[1:]):
+                recv, send = ctx.Pipe(duplex=False)
+                conns.append(recv)
+                proc = ctx.Process(target=_worker,
+                                   args=(core, share, cpu, send), daemon=True)
+                try:
+                    proc.start()
+                finally:
+                    send.close()
+                procs.append(proc)
+            parts = [core(shares[0])]
+            for proc, conn in zip(procs, conns):
+                try:
+                    ok, result = conn.recv()
+                except EOFError:
+                    proc.join()
+                    raise RuntimeError(f"Monte Carlo worker exited with code "
+                                       f"{proc.exitcode}") from None
+                if not ok:
+                    raise result
+                parts.append(result)
+            done = True
+        finally:
+            for proc in procs:
+                if not done:
+                    proc.terminate()
                 proc.join()
-                raise RuntimeError(f"Monte Carlo worker exited with code "
-                                   f"{proc.exitcode}") from None
-            if not ok:
-                raise result
-            parts.append(result)
-        done = True
-    finally:
-        for proc in procs:
-            if not done:
-                proc.terminate()
-            proc.join()
-        for conn in conns:
-            conn.close()
-        os.sched_setaffinity(0, home)
+            for conn in conns:
+                conn.close()
     out = [np.concatenate([part[k] for part in parts]) for k in range(4)]
     for k in (4, 5):
         out.append({ts: sum(part[k][ts] for part in parts)
@@ -461,8 +455,8 @@ def _worker(core, share: slice, cpu: int, conn) -> None:
     """Forked process body: keep to cpu, then send (True, core(share)) or
     (False, the exception it raised)."""
     try:
-        os.sched_setaffinity(0, {cpu})
-        result = (True, core(share))
+        with _pinned(cpu):
+            result = (True, core(share))
     except Exception as exc:
         result = (False, exc)
     conn.send(result)

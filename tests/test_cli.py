@@ -467,6 +467,30 @@ class TestExact:
         assert "mixing scan" in res.output and "memory budget" in res.output
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="CPU affinity is set only on Linux")
+    @pytest.mark.parametrize("args", [
+        ["--generate", "path:n=7", "--variant", "sirs", "--beta", "0.05",
+         "--delta", "0.6", "--gamma", "0.9"],
+        ["--generate", "path:n=6", "--variant", "siv-id", "--beta", "0.1",
+         "--delta", "0.6", "--gamma", "0.5", "--theta", "0.5"],
+    ])
+    def test_output_independent_of_cpus(self, tmp_path, args):
+        """A run kept to one CPU builds S and S^2 serially, and writes what
+        a run on every usable CPU writes, byte for byte."""
+        def run(name, keep_to_one_cpu=None):
+            out = tmp_path / f"{name}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "epinet.cli", "exact", *args,
+                 "-o", str(out)], capture_output=True, env=source_env(),
+                preexec_fn=keep_to_one_cpu)
+            assert proc.returncode == 0, proc.stderr
+            return out.read_bytes(), proc.stdout
+
+        one = min(os.sched_getaffinity(0))
+        assert run("all") == run(
+            "one", lambda: os.sched_setaffinity(0, {one}))
+
     def test_epsilon_range(self, runner, path3_file, tmp_path):
         res = runner.invoke(main, [
             "exact", "--graph", path3_file, "--variant", "sis-nia",

@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import epinet
 import epinet.exact_chain as exact_chain
+import epinet.model_core as model_core
 from epinet import (
     ChainState,
     Graph,
@@ -1277,6 +1280,176 @@ class TestLP:
 # ---------------------------------------------------------------------------
 # One build per chain
 # ---------------------------------------------------------------------------
+
+# ---------------------------------------------------------------------------
+# Row shares on every usable CPU
+# ---------------------------------------------------------------------------
+
+def force_shares(monkeypatch, workers):
+    """Make every row-range job of at least `workers` rows split into that
+    many shares, whatever the host's CPU count: the threads are pinned to
+    the usable CPUs in turn."""
+    cpus = sorted(os.sched_getaffinity(0))
+    monkeypatch.setattr(model_core, "_SHARE_MIN_ROWS", 1)
+    monkeypatch.setattr(model_core, "_usable_cpus",
+                        lambda: [cpus[w % len(cpus)] for w in range(workers)])
+    return [cpus[w % len(cpus)] for w in range(workers)]
+
+
+def recorded_shares(monkeypatch):
+    """The (start, stop) rows of every share exact_chain runs a job on."""
+    shares = []
+    run = exact_chain._row_shares
+
+    def recording(job, K):
+        def share(rows):
+            shares.append((rows.start, rows.stop))
+            job(rows)
+        run(share, K)
+
+    monkeypatch.setattr(exact_chain, "_row_shares", recording)
+    return shares
+
+
+def assert_same_csr(a, b):
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="jobs split only on Linux")
+class TestRowShares:
+    @pytest.fixture(autouse=True)
+    def threads_joined_affinity_restored(self):
+        """Every thread is joined, and the caller keeps to one CPU only
+        while it runs its share."""
+        home = os.sched_getaffinity(0)
+        threads = threading.active_count()
+        yield
+        assert threading.active_count() == threads
+        assert os.sched_getaffinity(0) == home
+
+    @staticmethod
+    def chain(variant, weighted):
+        g = generate("path", n=5)
+        if weighted:
+            g = Graph(g.n, g.edges, (0.3, 1.0, 0.55, 0.8))
+        return random_model(np.random.default_rng(
+            [ALL_VARIANTS.index(variant), weighted]), variant, n=g.n), g
+
+    @staticmethod
+    def build_and_scan(model, graph):
+        S = build_transition_matrix(model, graph)
+        return S, mixing_time_exact(S, stationary(S), 0.1)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_split_matches_serial(self, monkeypatch, variant, weighted,
+                                  workers):
+        """S and the mixing report are the serial ones bit for bit, with
+        row blocks that cut every share."""
+        model, g = self.chain(variant, weighted)
+        monkeypatch.setattr(model_core, "_usable_cpus", lambda: [0])
+        S, rep = self.build_and_scan(model, g)
+        force_shares(monkeypatch, workers)
+        monkeypatch.setattr(exact_chain, "_BUILD_BLOCK_ENTRIES", 50)
+        monkeypatch.setattr(exact_chain, "_SCAN_BLOCK_DOUBLES", 5 * S.size)
+        shares = recorded_shares(monkeypatch)
+        S2, rep2 = self.build_and_scan(model, g)
+        K = S.size
+        jobs = 2 if exact_chain.dense_mixing_scan(model, g.n) else 1
+        assert sorted(shares) == sorted(
+            [(K * w // workers, K * (w + 1) // workers)
+             for w in range(workers)] * jobs)
+        assert_same_csr(S2.entries, S.entries)
+        assert S2.entries.has_sorted_indices
+        assert rep2 == rep
+
+    def test_many_threads_short_switch_interval(self, monkeypatch):
+        """More threads than CPUs, switching every microsecond, each writing
+        its own rows of the shared arrays: no row is lost or mixed up."""
+        model = ModelSpec("siv-vd", beta=0.3, delta=0.4, gamma=0.3,
+                          theta=0.2)
+        g = generate("star", n=6)
+        monkeypatch.setattr(model_core, "_usable_cpus", lambda: [0])
+        S, rep = self.build_and_scan(model, g)
+        force_shares(monkeypatch, 2 * len(os.sched_getaffinity(0)) + 3)
+        monkeypatch.setattr(exact_chain, "_BUILD_BLOCK_ENTRIES", 200)
+        monkeypatch.setattr(exact_chain, "_SCAN_BLOCK_DOUBLES", 7 * S.size)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            S2, rep2 = self.build_and_scan(model, g)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_csr(S2.entries, S.entries)
+        assert rep2 == rep
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_split_build_memory_sirs_path8(self, monkeypatch, workers):
+        """The shares write into the stored arrays: the build's peak stays
+        within the _BUILD_BYTES_PER_NNZ the budget check assumes."""
+        force_shares(monkeypatch, workers)
+        g = generate("path", n=8)
+        m = ModelSpec("sirs", beta=0.05, delta=0.6, gamma=0.9)
+        tracemalloc.start()
+        try:
+            S = build_transition_matrix(m, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < exact_chain._BUILD_BYTES_PER_NNZ * S.entries.nnz
+
+    def test_each_share_runs_pinned(self, monkeypatch):
+        cpus = force_shares(monkeypatch, 3)
+        seen = {}
+        caller = threading.get_ident()
+
+        def job(rows):
+            seen[rows.start] = (os.sched_getaffinity(0),
+                                threading.get_ident() == caller)
+
+        model_core._row_shares(job, 10)
+        assert seen == {0: ({cpus[0]}, True), 3: ({cpus[1]}, False),
+                        6: ({cpus[2]}, False)}
+
+    @pytest.mark.parametrize("case", ["below-threshold", "one-cpu",
+                                      "not-linux"])
+    def test_serial_in_the_caller(self, monkeypatch, case):
+        if case == "not-linux":
+            monkeypatch.setattr(model_core, "_SHARE_MIN_ROWS", 1)
+            monkeypatch.setattr(sys, "platform", "darwin")
+        else:
+            force_shares(monkeypatch, 2)
+        if case == "below-threshold":
+            monkeypatch.setattr(model_core, "_SHARE_MIN_ROWS", 11)
+        elif case == "one-cpu":
+            monkeypatch.setattr(model_core, "_usable_cpus",
+                                lambda: sorted(os.sched_getaffinity(0))[:1])
+        calls = []
+        model_core._row_shares(
+            lambda rows: calls.append((rows, threading.get_ident())), 10)
+        assert calls == [(slice(0, 10), threading.get_ident())]
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_share_error_reraises_after_join(self, monkeypatch, failing):
+        """A share's exception re-raises in the caller once every thread
+        has finished its share, with the caller's affinity restored."""
+        force_shares(monkeypatch, 3)
+        done = []
+
+        def job(rows):
+            if rows.start // 4 == failing:
+                raise ExactChainError(f"share {failing} failed")
+            time.sleep(0.2)
+            done.append(rows.start)
+
+        with pytest.raises(ExactChainError, match=f"^share {failing} failed$"):
+            model_core._row_shares(job, 12)
+        assert sorted(done) == [4 * w for w in range(3) if w != failing]
+
 
 class TestOneBuildPerChain:
     @pytest.mark.parametrize("suite, trials", [("mixing", 12),

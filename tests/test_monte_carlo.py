@@ -923,7 +923,7 @@ class TestSplit:
         elif case == "one-replicate":
             kw["n_reps"] = 1
         else:
-            monkeypatch.setattr(monte_carlo.sys, "platform", "darwin")
+            monkeypatch.setattr(sys, "platform", "darwin")
         monkeypatch.setattr(os, "fork", no_fork)
         rep = mc_ensemble(m, g, **kw)
         assert rep.n_reps == kw["n_reps"]
