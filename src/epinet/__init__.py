@@ -56,7 +56,6 @@ from .exact_chain import (
 )
 from .mean_field import (
     FixedPointReport,
-    LinearModel,
     MeanFieldError,
     MeanFieldPoint,
     find_fixed_point,
@@ -65,9 +64,7 @@ from .mean_field import (
     linear_bound_check,
     mf_iterate,
     mf_jacobian,
-    mf_linear_model,
     mf_step,
-    siv_base_point,
 )
 from .monte_carlo import (
     EnsembleReport,

@@ -484,7 +484,7 @@ def sweep(graph_path, generate_spec, variant, beta, delta, gamma, theta,
             else "persistent"
         ext = [a for a in rep.absorbed_steps if a is not None]
         med = float(np.median(ext)) if ext else math.nan
-        fp = find_fixed_point(model, g, tol=max(tol, 1e-10), cap=cap,
+        fp = find_fixed_point(model, g, tol=tol, cap=cap,
                               compute_spectrum=False)
         fp_norm = float(np.abs(fp.point.p_i).max())
         lines.append(

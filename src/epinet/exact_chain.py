@@ -131,28 +131,17 @@ class ChainState:
 
     @classmethod
     def from_digits(cls, digits, k: int = 2) -> "ChainState":
+        digits = list(digits)
         code = 0
         for i, d in enumerate(digits):
-            if not (0 <= d < k):
+            if not (float(d).is_integer() and 0 <= d < k):
                 raise ExactChainError(f"digit {d} invalid for k={k}")
             code += int(d) * k ** i
-        return cls(code, len(tuple(digits)), k)
+        return cls(code, len(digits), k)
 
     @property
     def digits(self) -> np.ndarray:
         return states_table(self.n, self.k)[self.code].copy()
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """Indices of infected nodes (digit == 1)."""
-        return tuple(int(i) for i in np.flatnonzero(self.digits == 1))
-
-    @property
-    def complement(self) -> "ChainState":
-        """Digit flip 0 <-> 1 (defined for k = 2 only)."""
-        if self.k != 2:
-            raise ExactChainError("complement is defined for k=2 states only")
-        return ChainState(self.k ** self.n - 1 - self.code, self.n, self.k)
 
 
 @dataclass
@@ -180,10 +169,6 @@ class DistVector:
         e = np.zeros(size)
         e[code] = 1.0
         return cls(e)
-
-    @classmethod
-    def uniform(cls, size: int) -> "DistVector":
-        return cls(np.full(size, 1.0 / size))
 
     def __len__(self) -> int:
         return len(self.entries)

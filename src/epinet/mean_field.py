@@ -1,4 +1,4 @@
-"""Mean-field maps, linearizations, Jacobians, fixed points, and stability.
+"""Mean-field maps, Jacobians, fixed points, and stability.
 
 The mean-field map is the exact chain's one-step law with the joint law
 replaced by the product of its per-node marginals. From the variant
@@ -10,9 +10,9 @@ Pi_i = prod over neighbors j of (1 - beta w_ij p_j), it is
 and its Jacobian comes from the same tables. sis-nia keeps its factored
 1 - Pi (1 - (1-delta) x), which rounds differently from that sum, and
 sis-general its 1 - prod_j (1 - m_ij x_j), which holds the node's own
-factor 1 - m_ii. Implements mf_step, mf_linear_model, mf_jacobian,
-jacobian_eigenvalues, jacobian_contracts, mf_iterate, find_fixed_point and
-linear_bound_check, with the linear marginal bound L p in _linear_bound.
+factor 1 - m_ii. Implements mf_step, mf_jacobian, jacobian_eigenvalues,
+jacobian_contracts, mf_iterate, find_fixed_point and linear_bound_check,
+with the linear marginal bound L p in _linear_bound.
 """
 from __future__ import annotations
 
@@ -92,25 +92,6 @@ class MeanFieldPoint:
             return cls(v)
         n = len(v) // 2
         return cls(v[n:], v[:n])
-
-
-@dataclass
-class LinearModel:
-    """Linearization matrix at the variant's disease-free base point.
-
-    For 2-compartment variants the n x n matrix (1-delta) I + beta A (or
-    the contact matrix itself). For 3-compartment variants the 2n x 2n block
-    matrix in (recovered, infected) coordinate order, as conventionally
-    printed: upper-triangular with the infected-block diagonal carrying the
-    threshold spectrum. Note for siv-vd the printed upper-right block
-    (delta-theta) I - theta P_S* beta A differs from the true derivative of
-    the map (which has no adjacency term there); both have the same
-    spectrum because the matrix is block-triangular. mf_jacobian returns
-    the true derivative.
-    """
-
-    matrix: np.ndarray
-    base_point: MeanFieldPoint
 
 
 @dataclass
@@ -276,42 +257,6 @@ def mf_step(model: ModelSpec, graph: Graph, x: MeanFieldPoint) -> MeanFieldPoint
     _check_point(model, graph, x)
     return MeanFieldPoint.from_concat(_mf_map(model, graph)(x.concat()),
                                       model.k)
-
-
-def siv_base_point(model: ModelSpec, n: int) -> MeanFieldPoint:
-    """Disease-free point: no infection and, for 3-compartment variants,
-    p_r from the single-node disease-free law (theta/(gamma+theta) for SIV,
-    0 for sirs)."""
-    if model.k == 2:
-        return MeanFieldPoint(np.zeros(n))
-    law = _VARIANTS[model.variant].free_law(model)
-    return MeanFieldPoint(np.zeros(n), np.full(n, law[2]))
-
-
-def mf_linear_model(model: ModelSpec, graph: Graph) -> LinearModel:
-    """The variant's linearization matrix at its disease-free base point.
-
-    The infected block carries beta*A scaled by p_S*f, the susceptible
-    weight of the disease-free law times the infection factor. sirs is the
-    theta = 0 case of the 3-compartment form.
-    """
-    _check_contact(model, graph)
-    n = graph.n
-    A = graph.adjacency()
-    base = siv_base_point(model, n)
-    if model.contact is not None:
-        return LinearModel(np.array(model.contact, dtype=float), base)
-    rule = _VARIANTS[model.variant]
-    ps = rule.free_law(model)[0]
-    eff = ps * rule.infection(model)
-    infected = (1.0 - model.delta) * np.eye(n) + eff * model.beta * A
-    if model.k == 2:
-        return LinearModel(infected, base)
-    theta = model.theta or 0.0
-    tr = (model.delta - theta) * np.eye(n) - theta * ps * model.beta * A
-    top = np.hstack([(1.0 - model.gamma - theta) * np.eye(n), tr])
-    bot = np.hstack([np.zeros((n, n)), infected])
-    return LinearModel(np.vstack([top, bot]), base)
 
 
 def _derivatives(model: ModelSpec, x: MeanFieldPoint, Pi: np.ndarray):

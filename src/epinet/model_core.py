@@ -141,10 +141,6 @@ class Graph:
         """Edge count."""
         return len(self.edges)
 
-    def neighbors(self, i: int) -> np.ndarray:
-        A = self.adjacency_sparse
-        return A.indices[A.indptr[i]:A.indptr[i + 1]]
-
     @cached_property
     def degrees(self) -> np.ndarray:
         return np.diff(self.adjacency_sparse.indptr).astype(np.int64)

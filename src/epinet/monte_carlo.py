@@ -89,9 +89,6 @@ class EnsembleReport:
 
     t: np.ndarray
     i_mean: np.ndarray
-    i_q10: np.ndarray
-    i_q50: np.ndarray
-    i_q90: np.ndarray
     s_mean: np.ndarray
     r_mean: np.ndarray
     n_reps: int
@@ -497,8 +494,7 @@ def _ensembles(models: list[ModelSpec], graph: Graph, init, t_max: int,
 
     Each grid point's rows (every G-th row of _run's outputs, in replicate
     order) are copied into contiguous arrays before they are aggregated, so
-    every mean and quantile adds its terms as a run of that point alone
-    would.
+    every mean adds its terms as a run of that point alone would.
     """
     if n_reps < 1:
         raise MonteCarloError("n_reps must be >= 1")
@@ -517,7 +513,6 @@ def _ensembles(models: list[ModelSpec], graph: Graph, init, t_max: int,
     for g, model in enumerate(models):
         i_mat, s_mat, r_mat = (np.ascontiguousarray(mat[g::G])
                                for mat in (i_all, s_all, r_all))
-        q10, q50, q90 = np.quantile(i_mat, [0.1, 0.5, 0.9], axis=0)
         marg = None
         if snap_times:
             marg = {ts: (snap_i[ts][g] / n_reps,
@@ -527,7 +522,6 @@ def _ensembles(models: list[ModelSpec], graph: Graph, init, t_max: int,
         reports.append(EnsembleReport(
             t=np.arange(t_max + 1),
             i_mean=i_mat.mean(axis=0),
-            i_q10=q10, i_q50=q50, i_q90=q90,
             s_mean=nan_mean(s_mat),
             r_mean=nan_mean(r_mat),
             n_reps=n_reps,

@@ -52,19 +52,6 @@ from .mean_field import (
     mf_jacobian,
 )
 
-SUITES = (
-    "ordering",
-    "u-bound",
-    "lp",
-    "non-absorption",
-    "linear",
-    "jacobian",
-    "stability-er",
-    "mixing",
-    "stationary",
-    "fixed-point",
-)
-
 
 @dataclass
 class SuiteResult:
@@ -552,6 +539,7 @@ _SUITE_FUNCS = {
     "stationary": _suite_stationary,
     "fixed-point": _suite_fixed_point,
 }
+SUITES = tuple(_SUITE_FUNCS)
 
 
 def run_suite(name: str, n_max: int = 5, trials: int = 50,

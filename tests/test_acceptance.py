@@ -21,6 +21,7 @@ from epinet import (
     marginals,
     mc_ensemble,
     mf_jacobian,
+    mixing_time_bound,
     propagate,
     build_transition_matrix,
     ChainState,
@@ -154,6 +155,33 @@ def test_criterion_03_mixing_bound_and_extinction_scaling():
     print(f"criterion 3: PASS (18 mixing instances within bound; extinction "
           f"medians {medians.tolist()} vs n {sizes.tolist()}, "
           f"log-slope {slope:.2f}, {elapsed:.1f}s)")
+
+
+def test_mixing_bound_against_monte_carlo_n2000():
+    """sis-nia on criterion 7's n = 2000 graph: the share of replicates
+    from all-infected still alive at ceil(mixing_time_bound(eps)) is at
+    most eps plus a Hoeffding margin. The stationary law is the point mass
+    at the all-susceptible state and all-infected is the worst start, so
+    that share estimates d(t)."""
+    budget = Budget(120.0)
+    g = generate("er", n=2000, p=0.0082, seed=7)
+    lam = spectral_radius(g).lambda_max
+    eps, alpha, reps, delta = 0.25, 1e-6, 400, 0.6
+    margin = math.sqrt(math.log(1.0 / alpha) / (2 * reps))
+    summary = []
+    for ratio in (0.5, 0.9):
+        m = ModelSpec("sis-nia", beta=ratio * delta / lam, delta=delta)
+        assert threshold_ratio(m, g) == pytest.approx(ratio, abs=1e-9)
+        bound = mixing_time_bound(m, g, eps)
+        rep = mc_ensemble(m, g, t_max=math.ceil(bound), n_reps=reps,
+                          master_seed=7)
+        alive = 1.0 - rep.extinct_count / reps
+        assert alive <= eps + margin, (ratio, bound, alive)
+        summary.append(f"ratio {ratio}: bound {bound:.1f}, alive {alive:.3f}")
+
+    elapsed = budget.finish()
+    print(f"mixing at n=2000: PASS ({'; '.join(summary)}, margin "
+          f"{margin:.3f}, {elapsed:.1f}s)")
 
 
 def test_criterion_04_ordering_machinery():

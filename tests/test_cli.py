@@ -727,6 +727,29 @@ class TestSweep:
         assert "--tol" in res.output
         assert not out.exists()
 
+    def test_tol_reaches_fixed_point(self, runner, tmp_path):
+        """fp_norm is the fixed point at the given --tol, below 1e-10 too."""
+        spec = "er:n=60,p=0.1,seed=3"
+        g = epinet.generate("er", n=60, p=0.1, seed=3)
+        norms = {}
+        for tol in ("1e-10", "1e-13"):
+            out = tmp_path / f"{tol}.csv"
+            res = runner.invoke(main, [
+                "sweep", "--generate", spec, "--variant", "sis-nia",
+                "--delta", "0.6", "--beta-grid", "0.1,0.2", "--t", "10",
+                "--reps", "2", "--tol", tol, "-o", str(out),
+            ])
+            assert res.exit_code == 0, res.output
+            rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+            for beta, row in zip((0.1, 0.2), rows):
+                fp = epinet.find_fixed_point(
+                    epinet.ModelSpec("sis-nia", beta=beta, delta=0.6), g,
+                    tol=float(tol), compute_spectrum=False)
+                assert row[6] == str(float(np.abs(fp.point.p_i).max()))
+            norms[tol] = rows[0][6]
+        assert norms == {"1e-10": "0.4658449109204583",
+                         "1e-13": "0.4658449102983935"}
+
     def test_bad_grids(self, runner, path3_file, tmp_path):
         base = ["sweep", "--graph", path3_file, "--variant", "sis-nia",
                 "--delta", "0.9", "-o", str(tmp_path / "x.csv"),

@@ -69,13 +69,19 @@ class TestStates:
         s = ChainState.from_digits([1, 0, 2], k=3)
         assert s.code == 1 + 2 * 9
         assert s.digits.tolist() == [1, 0, 2]
-        assert s.support == (0,)
+        assert ChainState.from_digits([1.0, np.int8(1)]) == ChainState(3, 2)
 
-    def test_complement(self):
-        s = ChainState.from_digits([1, 0, 1])
-        assert s.complement.digits.tolist() == [0, 1, 0]
-        with pytest.raises(ExactChainError):
-            _ = ChainState(0, 2, k=3).complement
+    def test_from_digits_reads_an_iterator_once(self):
+        assert ChainState.from_digits(iter([0, 0, 0])) == ChainState(0, 3)
+        assert ChainState.from_digits(iter([1, 0, 1])) == ChainState(5, 3)
+        assert ChainState.from_digits(iter([2, 1]), k=3) \
+            == ChainState(5, 2, k=3)
+
+    @pytest.mark.parametrize("digits", ([1.5, 0], [0, 0.5], [float("nan")],
+                                        [float("inf"), 0]))
+    def test_from_digits_rejects_non_integral(self, digits):
+        with pytest.raises(ExactChainError, match="invalid for k=2"):
+            ChainState.from_digits(digits)
 
     def test_code_range(self):
         with pytest.raises(ExactChainError):
@@ -94,8 +100,6 @@ class TestDistVector:
     def test_point_mass_uniform(self):
         p = DistVector.point_mass(2, 4)
         assert p.entries.tolist() == [0, 0, 1, 0]
-        u = DistVector.uniform(5)
-        assert np.allclose(u.entries, 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +360,7 @@ class TestPropagate:
     def test_zero_steps_identity(self, path3):
         m = ModelSpec("sis-nia", beta=0.4, delta=0.6)
         S = build_transition_matrix(m, path3)
-        mu = DistVector.uniform(8)
+        mu = DistVector(np.full(8, 1 / 8))
         assert np.array_equal(propagate(mu, S, 0).entries, mu.entries)
 
     def test_absorbing_state_fixed(self, path3):
@@ -369,7 +373,7 @@ class TestPropagate:
         g = random_connected_graph(rng, 3)
         m = random_model(rng, "siv-vd", n=g.n)
         S = build_transition_matrix(m, g)
-        mu = propagate(DistVector.uniform(3 ** g.n), S, 3)
+        mu = propagate(DistVector(np.full(S.size, 1 / S.size)), S, 3)
         mv = marginals(mu, m)
         D = states_table(g.n, 3)
         for i in range(g.n):
@@ -1202,7 +1206,7 @@ class TestLP:
             g = random_connected_graph(rng, 3)
             m = random_model(rng, variant, n=g.n)
             S = build_transition_matrix(m, g)
-            mu = propagate(DistVector.uniform(S.size), S, 2)
+            mu = propagate(DistVector(np.full(S.size, 1 / S.size)), S, 2)
             p = marginals(mu, m)
             assert isinstance(p, MeanFieldPoint) and p.k == m.k
             nxt = marginals(propagate(mu, S, 1), m).p_i

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from epinet import (
     DistVector,
     Graph,
-    LinearModel,
     MeanFieldError,
     MeanFieldPoint,
     ModelSpec,
@@ -29,10 +28,8 @@ from epinet import (
     marginals,
     mf_iterate,
     mf_jacobian,
-    mf_linear_model,
     mf_step,
     propagate,
-    siv_base_point,
     spectral_radius,
     states_table,
     threshold_ratio,
@@ -213,47 +210,87 @@ class TestStep:
 # Linearization
 # ---------------------------------------------------------------------------
 
+def siv_base_point(model, n):
+    """Disease-free point: no infection and, for 3-compartment variants,
+    p_r from the single-node disease-free law (theta/(gamma+theta) for SIV,
+    0 for sirs)."""
+    if model.k == 2:
+        return MeanFieldPoint(np.zeros(n))
+    law = _VARIANTS[model.variant].free_law(model)
+    return MeanFieldPoint(np.zeros(n), np.full(n, law[2]))
+
+
+def linear_model(model, graph):
+    """The linearization matrix at the disease-free point, as the paper
+    prints it, and that point.
+
+    For 2-compartment variants the n x n matrix (1-delta) I + c beta A, or
+    the contact matrix itself, with c = p_S f the susceptible weight of the
+    disease-free law times the infection factor. For 3-compartment variants
+    the 2n x 2n upper block-triangular matrix in (recovered, infected)
+    order; sirs is its theta = 0 case. For siv-vd the printed upper-right
+    block (delta-theta) I - theta p_S beta A differs from the true
+    derivative, which has no adjacency term there.
+    """
+    n = graph.n
+    A = graph.adjacency()
+    base = siv_base_point(model, n)
+    if model.contact is not None:
+        return np.array(model.contact, dtype=float), base
+    rule = _VARIANTS[model.variant]
+    ps = rule.free_law(model)[0]
+    eff = ps * rule.infection(model)
+    infected = (1.0 - model.delta) * np.eye(n) + eff * model.beta * A
+    if model.k == 2:
+        return infected, base
+    theta = model.theta or 0.0
+    tr = (model.delta - theta) * np.eye(n) - theta * ps * model.beta * A
+    top = np.hstack([(1.0 - model.gamma - theta) * np.eye(n), tr])
+    bot = np.hstack([np.zeros((n, n)), infected])
+    return np.vstack([top, bot]), base
+
+
 class TestLinearModel:
     def test_k2_matrix(self):
         g = generate("star", n=4)
         m = ModelSpec("sis-nia", beta=0.3, delta=0.4)
-        lm = mf_linear_model(m, g)
+        L, base = linear_model(m, g)
         expected = 0.6 * np.eye(4) + 0.3 * g.adjacency()
-        assert np.allclose(lm.matrix, expected, atol=1e-15)
-        assert np.all(lm.base_point.p_i == 0.0)
+        assert np.allclose(L, expected, atol=1e-15)
+        assert np.all(base.p_i == 0.0)
 
     def test_general_matrix_is_contact(self, rng):
         g = random_connected_graph(rng, 4)
         M = contact_from_rates(g, 0.2, 0.7)
         m = ModelSpec("sis-general", contact=M)
-        lm = mf_linear_model(m, g)
-        assert np.array_equal(lm.matrix, M)
+        L, _ = linear_model(m, g)
+        assert np.array_equal(L, M)
 
     def test_sirs_blocks(self):
         g = generate("path", n=3)
         m = ModelSpec("sirs", beta=0.2, delta=0.5, gamma=0.3)
-        lm = mf_linear_model(m, g)
+        L, _ = linear_model(m, g)
         n = 3
         A = g.adjacency()
-        assert np.allclose(lm.matrix[:n, :n], 0.7 * np.eye(n))
-        assert np.allclose(lm.matrix[:n, n:], 0.5 * np.eye(n))
-        assert np.allclose(lm.matrix[n:, :n], 0.0)
-        assert np.allclose(lm.matrix[n:, n:], 0.5 * np.eye(n) + 0.2 * A)
+        assert np.allclose(L[:n, :n], 0.7 * np.eye(n))
+        assert np.allclose(L[:n, n:], 0.5 * np.eye(n))
+        assert np.allclose(L[n:, :n], 0.0)
+        assert np.allclose(L[n:, n:], 0.5 * np.eye(n) + 0.2 * A)
 
     def test_jacobian_at_base_equals_linear_k2_sirs(self, rng):
         for variant in ("sis-nia", "sis-ia", "sis-general", "sirs"):
             g = random_connected_graph(rng, 5)
             m = random_model(rng, variant, n=g.n)
-            lm = mf_linear_model(m, g)
-            J = mf_jacobian(m, g, lm.base_point)
-            assert np.abs(J - lm.matrix).max() < 1e-12, variant
+            L, base = linear_model(m, g)
+            J = mf_jacobian(m, g, base)
+            assert np.abs(J - L).max() < 1e-12, variant
 
     def test_siv_id_printed_equals_jacobian(self, rng):
         g = random_connected_graph(rng, 5)
         m = random_model(rng, "siv-id", n=g.n)
-        lm = mf_linear_model(m, g)
-        J = mf_jacobian(m, g, lm.base_point)
-        assert np.abs(J - lm.matrix).max() < 1e-12
+        L, base = linear_model(m, g)
+        J = mf_jacobian(m, g, base)
+        assert np.abs(J - L).max() < 1e-12
 
     def test_siv_vd_printed_top_right_discrepancy(self, rng):
         """The conventional printed linearization for vaccination-dominant
@@ -263,16 +300,16 @@ class TestLinearModel:
         g = random_connected_graph(rng, 5)
         m = random_model(rng, "siv-vd", n=g.n)
         n = g.n
-        lm = mf_linear_model(m, g)
-        J = mf_jacobian(m, g, lm.base_point)
+        L, base = linear_model(m, g)
+        J = mf_jacobian(m, g, base)
         ps = m.gamma / (m.gamma + m.theta)
         expected_gap = m.theta * ps * m.beta * g.adjacency()
-        gap = J[:n, n:] - lm.matrix[:n, n:]
+        gap = J[:n, n:] - L[:n, n:]
         assert np.abs(gap - expected_gap).max() < 1e-12
         # identical everywhere else
-        assert np.abs(J[:n, :n] - lm.matrix[:n, :n]).max() < 1e-12
-        assert np.abs(J[n:, :] - lm.matrix[n:, :]).max() < 1e-12
-        ev_a = np.sort_complex(np.linalg.eigvals(lm.matrix))
+        assert np.abs(J[:n, :n] - L[:n, :n]).max() < 1e-12
+        assert np.abs(J[n:, :] - L[n:, :]).max() < 1e-12
+        ev_a = np.sort_complex(np.linalg.eigvals(L))
         ev_b = np.sort_complex(np.linalg.eigvals(J))
         assert np.abs(ev_a - ev_b).max() < 1e-9
 
@@ -282,9 +319,9 @@ class TestLinearModel:
         g = random_connected_graph(rng, 6)
         lam = spectral_radius(g).lambda_max
         m = ModelSpec("siv-vd", beta=0.3, delta=0.6, gamma=0.4, theta=0.2)
-        lm = mf_linear_model(m, g)
+        L, _ = linear_model(m, g)
         n = g.n
-        block = lm.matrix[n:, n:]
+        block = L[n:, n:]
         rho = np.abs(np.linalg.eigvals(block)).max()
         eff = (1.0 - 0.2) * (0.4 / 0.6)  # (1-theta) * stationary S fraction
         assert rho == pytest.approx(0.4 + 0.3 * eff * lam, abs=1e-9)
@@ -586,7 +623,7 @@ class TestTableKernel:
             "sirs", beta=0.3, delta=0.4, gamma=0.3), n)
         J = mf_jacobian(ModelSpec("siv-id", beta=0.3, delta=0.4, gamma=0.3,
                                   theta=0.2), g, x)
-        edge = g.neighbors(1)[0]
+        edge = g.adjacency_sparse.indices[g.adjacency_sparse.indptr[1]]
         assert J[1, n + edge] == 0.0 and np.signbit(J[1, n + edge])
         assert np.signbit(J[n + n - 1, n - 1])  # isolated: -(1 - Pi) = -0.0
         J = mf_jacobian(ModelSpec("siv-vd", beta=0.3, delta=0.1, gamma=0.9,

@@ -55,3 +55,45 @@ def test_command_lines_run(tmp_path, monkeypatch):
         assert res.exit_code == 0, (command, res.output)
         if shown is not None:
             assert res.output.splitlines() == shown, command
+
+
+# Public names that no command, suite or README example reached, removed
+# from the package; README's "These names are gone" list names each one.
+REMOVED_NAMES = (
+    "mc_run", "TrajectoryRecord", "mc_step", "SimState", "extinction_time",
+    "parse_ensemble_csv", "classify_stability", "StabilityReport",
+    "perron_certificate", "CertificateError", "tv_distance", "degree_stats",
+    "MarginalVector", "node_transition_prob", "LinearModel",
+    "mf_linear_model", "siv_base_point",
+)
+REMOVED_MEMBERS = (
+    ("EnsembleReport", "i_q10"), ("EnsembleReport", "i_q50"),
+    ("EnsembleReport", "i_q90"), ("ChainState", "complement"),
+    ("ChainState", "support"), ("DistVector", "uniform"),
+    ("Graph", "neighbors"),
+)
+MODULES = ("model_core", "exact_chain", "mean_field", "monte_carlo",
+           "verify", "cli")
+
+
+def test_removed_names_stay_removed():
+    import dataclasses
+    import importlib
+
+    import epinet
+
+    spaces = [epinet] + [importlib.import_module(f"epinet.{name}")
+                         for name in MODULES]
+    for space in spaces:
+        left = [name for name in REMOVED_NAMES if hasattr(space, name)]
+        assert not left, (space.__name__, left)
+    for cls_name, member in REMOVED_MEMBERS:
+        cls = getattr(epinet, cls_name)
+        fields = {f.name for f in dataclasses.fields(cls)} \
+            if dataclasses.is_dataclass(cls) else set()
+        assert not hasattr(cls, member) and member not in fields, \
+            (cls_name, member)
+    text = README.read_text(encoding="utf-8")
+    gone = text[text.index("names are gone"):]
+    for name in REMOVED_NAMES + tuple(f"{c}.{m}" for c, m in REMOVED_MEMBERS):
+        assert f"`{name}`" in gone, name
