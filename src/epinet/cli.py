@@ -6,8 +6,8 @@ error (bad flags, a malformed input file, or a model, graph or request that
 the library rejects), 3 mean-field non-convergence, 4 verification-suite
 failure. Every subcommand is an InputErrorCommand, the one place where the
 library's input errors become usage errors; its other errors
-(MeanFieldError, StationaryVerificationError) signal bugs and keep their
-tracebacks. Structured reports are JSON (sorted keys, 2-space indent);
+(MeanFieldError, and StationaryVerificationError outside verify, whose
+suites record it as a failure) signal bugs and keep their tracebacks. Structured reports are JSON (sorted keys, 2-space indent);
 trajectories are CSV with header "t,s,i,r".
 Identical command lines and seeds produce byte-identical outputs. Output
 files are written atomically (temp file + rename).
@@ -327,6 +327,9 @@ def meanfield(graph_path, generate_spec, variant, beta, delta, gamma, theta,
     """Find the mean-field fixed point and write the report JSON."""
     g = _load_graph(graph_path, generate_spec)
     model = _build_model(variant, beta, delta, gamma, theta, contact_path)
+    if raw_iteration and damping is not None:
+        raise click.UsageError("--raw-iteration and --damping are mutually "
+                               "exclusive")
     ratio = threshold_ratio(model, g)
     damping = 1.0 if raw_iteration else damping
     rep = find_fixed_point(model, g, tol=tol, cap=cap, damping=damping)

@@ -43,6 +43,7 @@ from .model_core import (
     Graph,
     ModelSpec,
     _check_contact,
+    _infection_matrix,
     _row_shares,
     contact_from_rates,
     spectral_radius,
@@ -221,45 +222,29 @@ class TransitionMatrix:
 # Per-node conditional probabilities
 # ---------------------------------------------------------------------------
 
-def _neighbor_row(graph: Graph, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Node i's neighbors and edge weights: its row of the CSR adjacency."""
-    A = graph.adjacency_sparse
-    row = slice(A.indptr[i], A.indptr[i + 1])
-    return A.indices[row], A.data[row]
-
-
-def _escape_probs(model: ModelSpec, graph: Graph, infected: np.ndarray,
+def _escape_probs(W: sp.csr_matrix, infected: np.ndarray,
                   i: int) -> np.ndarray:
     """P(node i receives no infection | state), vectorized over states.
 
-    infected: (K, n) boolean table of digit == 1. Uses per-edge factors
-    (1 - beta * w_ij); for sis-general the product runs over every j
-    (including i) with factor (1 - m_ij).
+    infected: (K, n) boolean table of digit == 1. The product of
+    (1 - W_ij) over the infected j in row i of the infection matrix W.
     """
-    if model.contact is not None:
-        M = model.contact
-        cols = np.flatnonzero(M[i])
-        if len(cols) == 0:
-            return np.ones(infected.shape[0])
-        return np.prod(
-            1.0 - M[i, cols][None, :] * infected[:, cols], axis=1
-        )
-    nbrs, wts = _neighbor_row(graph, i)
-    if len(nbrs) == 0:
+    row = slice(W.indptr[i], W.indptr[i + 1])
+    cols = W.indices[row]
+    if len(cols) == 0:
         return np.ones(infected.shape[0])
-    return np.prod(
-        1.0 - (model.beta * wts)[None, :] * infected[:, nbrs], axis=1
-    )
+    return np.prod(1.0 - W.data[row][None, :] * infected[:, cols], axis=1)
 
 
-def _node_digit_probs(model: ModelSpec, graph: Graph, D: np.ndarray,
-                      i: int, tables: np.ndarray) -> np.ndarray:
+def _node_digit_probs(W: sp.csr_matrix, D: np.ndarray, i: int,
+                      tables: np.ndarray) -> np.ndarray:
     """(K, k) array: P(next digit of node i = y | current state), all states.
 
     tables holds the variant's (C, A, B) coefficient tables; each state's
-    row is C[c] + A[c] esc + B[c] (1 - esc) for node i's current digit c.
+    row is C[c] + A[c] esc + B[c] (1 - esc) for node i's current digit c,
+    with esc read from the infection matrix W.
     """
-    esc = _escape_probs(model, graph, D == 1, i)[:, None]
+    esc = _escape_probs(W, D == 1, i)[:, None]
     C, A, B = (t[D[:, i]] for t in tables)
     return C + A * esc + B * (1.0 - esc)
 
@@ -313,13 +298,13 @@ def build_transition_matrix(model: ModelSpec, graph: Graph) -> TransitionMatrix:
     row depends on the split.
     """
     n = graph.n
-    _check_contact(model, graph)
+    W = _infection_matrix(model, graph)
     _check_cap(model.k, n)
     k = model.k
     D = states_table(n, k)
     K = k ** n
     tables = _VARIANTS[model.variant].tables(model)
-    probs = [_node_digit_probs(model, graph, D, i, tables) for i in range(n)]
+    probs = [_node_digit_probs(W, D, i, tables) for i in range(n)]
     allows = [P != 0 for P in probs]
     splits = [np.count_nonzero(a, axis=1) for a in allows]
     row_nnz = np.prod(splits, axis=0)
@@ -972,7 +957,7 @@ def lp_marginal_max(model: ModelSpec, graph: Graph, i: int,
     # concat is (p_r, p_i), the order of B's columns.
     beq = np.concatenate(([1.0], p.concat()))
     tables = _VARIANTS[model.variant].tables(model)
-    c = _node_digit_probs(model, graph, D, i, tables)[:, 1]
+    c = _node_digit_probs(_infection_matrix(model, graph), D, i, tables)[:, 1]
     best, pivots = _simplex_max(c, B.T, beq)
     cf = closed_form_marginal_bound(model, graph, i, p)
     return LPReport(best, cf, pivots)

@@ -3,14 +3,14 @@
 The mean-field map is the exact chain's one-step law with the joint law
 replaced by the product of its per-node marginals. From the variant
 table's (C, A, B) (model_core._VARIANTS), with x_S = s = 1 - r - p and
-Pi_i = prod over neighbors j of (1 - beta w_ij p_j), it is
+Pi_i = prod over j of (1 - W_ij p_j) on the infection matrix W
+(model_core._infection_matrix), it is
 
   x_y' = sum over c = R, I, S of x_c (C[c,y] + A[c,y] Pi + B[c,y] (1 - Pi)),
 
 and its Jacobian comes from the same tables. sis-nia keeps its factored
-1 - Pi (1 - (1-delta) x), which rounds differently from that sum, and
-sis-general its 1 - prod_j (1 - m_ij x_j), which holds the node's own
-factor 1 - m_ii. Implements mf_step, mf_jacobian, jacobian_eigenvalues,
+1 - Pi (1 - (1-delta) x), which rounds differently from that sum.
+Implements mf_step, mf_jacobian, jacobian_eigenvalues,
 jacobian_contracts, mf_iterate, find_fixed_point and linear_bound_check,
 with the linear marginal bound L p in _linear_bound.
 """
@@ -27,6 +27,7 @@ from .model_core import (
     Graph,
     ModelSpec,
     _check_contact,
+    _infection_matrix,
 )
 
 
@@ -125,31 +126,33 @@ def _row_products(indptr: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def _neighbor_products(graph: Graph, beta: float):
-    """x -> Pi_i = prod over neighbors j of (1 - beta w_ij x_j), all nodes.
+def _neighbor_products(model: ModelSpec, graph: Graph):
+    """x -> Pi_i = prod over j of (1 - W_ij x_j), all nodes.
 
-    What depends only on the graph is computed once, for maps applied many
-    times: beta w_ij, the neighbor indices as intp (take with intp indices
+    What depends only on the model and the graph is computed once, for maps
+    applied many times: W, its indices as intp (take with intp indices
     is 2-3x faster than indexing with the CSR's int32 indices) and the
     starts of the non-empty rows.
     """
-    A = graph.adjacency_sparse
-    if not graph.is_weighted and graph.n > 256:
+    if model.contact is None and not graph.is_weighted and graph.n > 256:
+        A, beta = graph.adjacency_sparse, model.beta
+
         def log_products(x: np.ndarray) -> np.ndarray:
             # log-product fast path; exp(-inf) = 0 handles beta x_j = 1.
             with np.errstate(divide="ignore"):
                 logs = np.log1p(-beta * x)
             return np.exp(A @ logs)
         return log_products
-    bw = beta * A.data
-    cols = A.indices.astype(np.intp)
-    full = np.diff(A.indptr) > 0
-    starts = A.indptr[:-1][full]
+    W = _infection_matrix(model, graph)
+    cols = W.indices.astype(np.intp)
+    full = np.diff(W.indptr) > 0
+    starts = W.indptr[:-1][full]
 
     def products(x: np.ndarray) -> np.ndarray:
         out = np.ones(graph.n)
         if len(starts):
-            out[full] = np.multiply.reduceat(1.0 - bw * x.take(cols), starts)
+            out[full] = np.multiply.reduceat(1.0 - W.data * x.take(cols),
+                                             starts)
         return out
     return products
 
@@ -185,29 +188,37 @@ def _check_point(model: ModelSpec, graph: Graph, x: MeanFieldPoint) -> None:
 
 
 # The terms: entries nonzero at generic rates, kept where a rate zeroes them.
-_HELD = {name: (rule.tables(SimpleNamespace(
-    beta=0.3, delta=0.31, gamma=0.37, theta=0.23)) != 0).tolist()
+# A column held alike at every old compartment is one term: the x_c sum to 1.
+_GENERIC = {name: rule.tables(SimpleNamespace(
+    beta=0.3, delta=0.31, gamma=0.37, theta=0.23))
     for name, rule in _VARIANTS.items()}
+_HELD = {name: (T != 0).tolist() for name, T in _GENERIC.items()}
+_ALIKE = {name: ((T != 0) & (T == T[:, :1])).all(axis=1).tolist()
+          for name, T in _GENERIC.items()}
 
 
 def _law(model: ModelSpec) -> list:
     """Per new block b (R, I; or I alone), the terms (a, t, coef): entry
-    coef of table t (C, A, B) at old compartment a, in the order R, I, S."""
+    coef of table t (C, A, B) at old compartment a, in the order R, I, S,
+    or at a = None (weight 1) for a column held alike."""
     tables = _VARIANTS[model.variant].tables(model).tolist()
-    held, comps = _HELD[model.variant], (2, 1, 0)[3 - model.k:]
-    return [[(a, t, tables[t][c][y]) for a, c in enumerate(comps)
-             for t in range(3) if held[t][c][y]] for y in comps[:-1]]
+    held, alike = _HELD[model.variant], _ALIKE[model.variant]
+    comps = (2, 1, 0)[3 - model.k:]
+    return [[(None, t, tables[t][0][y]) for t in range(3) if alike[t][y]]
+            + [(a, t, tables[t][c][y]) for a, c in enumerate(comps)
+               for t in range(3) if held[t][c][y] and not alike[t][y]]
+            for y in comps[:-1]]
 
 
 def _sum(terms: list, factors: tuple, x: list):
     """Sum of coef * factors[t] * x[a] over the terms (a, t, coef), or None.
-    A None factor or x[a] is 1, and a coefficient 1.0 leaves its factor as
-    it is. Starting at the first term keeps -0.0: 0 + -0.0 is +0.0."""
+    A None factor, a or x[a] is 1, and a coefficient 1.0 leaves its factor
+    as it is. Starting at the first term keeps -0.0: 0 + -0.0 is +0.0."""
     total = None
     for a, t, coef in terms:
         f = factors[t]
         v = coef if f is None else f if coef == 1.0 else coef * f
-        if x[a] is not None:
+        if a is not None and x[a] is not None:
             v = v * x[a]
         total = v if total is None else total + v
     return total
@@ -230,12 +241,7 @@ def _mf_map(model: ModelSpec, graph: Graph):
     kernel depends only on the model and the graph.
     """
     n = graph.n
-    _check_contact(model, graph)
-    if model.variant == "sis-general":
-        # The contact product holds the node's own factor 1 - m_ii.
-        M = model.contact
-        return lambda p: 1.0 - np.prod(1.0 - M * p[None, :], axis=1)
-    products = _neighbor_products(graph, model.beta)
+    products = _neighbor_products(model, graph)
     if model.variant == "sis-nia":
         # The table's sum of terms rounds differently from this product.
         delta = model.delta
@@ -285,32 +291,25 @@ def mf_jacobian(model: ModelSpec, graph: Graph, x: MeanFieldPoint) -> np.ndarray
 
     2-compartment variants: n x n. 3-compartment variants: 2n x 2n in
     (recovered, infected) coordinate order, matching MeanFieldPoint.concat.
-    Neighbor derivative terms use leave-one-out escape products, which stay
-    valid when some factor 1 - beta w_ij x_j is zero.
+    Neighbor derivative terms use leave-one-out escape products over the
+    infection matrix W, which stay valid when some factor 1 - W_ij x_j is
+    zero.
     """
     _check_point(model, graph, x)
     n = graph.n
-    p = x.p_i
-    if model.variant == "sis-general":
-        M = np.asarray(model.contact, dtype=float)
-        F = 1.0 - M * p[None, :]
-        L = _leave_one_out(F.ravel(), np.arange(0, n * n + 1, n),
-                           np.prod(F, axis=1))
-        return M * L.reshape(n, n)
-
-    A = graph.adjacency_sparse
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    bw = model.beta * A.data
-    f = 1.0 - bw * p[A.indices]
-    Pi = _row_products(A.indptr, f)
-    # d Pi_i / d x_j for every edge (i, j).
-    dPi = bw * _leave_one_out(f, A.indptr, Pi)
+    W = _infection_matrix(model, graph)
+    rows = np.repeat(np.arange(n), np.diff(W.indptr))
+    f = 1.0 - W.data * x.p_i[W.indices]
+    Pi = _row_products(W.indptr, f)
+    # -d Pi_i / d x_j for every stored (i, j) of W.
+    dPi = W.data * _leave_one_out(f, W.indptr, Pi)
     own, scale = _derivatives(model, x, Pi)
     m = model.k - 1
     J = np.zeros((m * n, m * n))
     for b in range(m):
         if scale[b] is not None:
-            J[b * n + rows, (m - 1) * n + A.indices] = scale[b][rows] * dPi
+            J[b * n + rows, (m - 1) * n + W.indices] = \
+                np.broadcast_to(scale[b], n)[rows] * dPi
         for a, d in enumerate(own[b]):
             block = J[b * n:(b + 1) * n, a * n:(a + 1) * n]
             if isinstance(d, float) and d < 0.0:

@@ -13,8 +13,10 @@ Implements:
     rules live: compartment count, parameters, the per-node one-step law
     (whose tables also give the infection factor), the disease-free law and
     two structural flags. The exact chain, the Monte Carlo sampler, the
-    mean-field map and Jacobian (all but sis-nia's and sis-general's own
-    formulas) and every per-variant scalar read it.
+    mean-field map and Jacobian (all but sis-nia's own factored formulas)
+    and every per-variant scalar read it.
+  - _infection_matrix: the matrix W of every engine's escape product
+    prod_j (1 - W_ij p_j).
   - threshold_ratio: the variant's local-stability ratio (< 1 predicts
     extinction of the mean-field dynamics).
   - contact_from_rates.
@@ -366,18 +368,23 @@ def _power_iteration(matvec, n: int, tol: float):
     has a -lambda_max eigenvalue matching +lambda_max in magnitude) still
     converge; the +1 shift is removed from the reported eigenvalue.
     Starts from the all-ones vector. Converges when successive Rayleigh
-    quotients differ by < tol and the eigenvector residual is < tol.
+    quotients differ by < tol and the eigenvector residual is < tol; a tol
+    that is not > 0 (NaN included) raises ValueError. Each step takes one
+    matvec: (A + I) w gives both the step's residual and the next iterate.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     v = np.ones(n)
     v /= np.linalg.norm(v)
+    u = matvec(v) + v
     lam_shift = 0.0
     it = 0
     for it in range(1, POWER_ITERATION_CAP + 1):
-        w = matvec(v) + v
+        w = u
         w /= np.linalg.norm(w)  # >= 1: (A + I) v >= v for v >= 0
-        lam_new = float(w @ (matvec(w) + w))
-        res_vec = (matvec(w) + w) - lam_new * w
-        res = float(np.abs(res_vec).max())
+        u = matvec(w) + w
+        lam_new = float(w @ u)
+        res = float(np.abs(u - lam_new * w).max())
         converged = abs(lam_new - lam_shift) < tol and res < tol
         lam_shift = lam_new
         v = w
@@ -416,8 +423,8 @@ def spectral_radius(graph: Graph, tol: float = 1e-10) -> SpectralReport:
     the component that attains it. Non-convergence after the iteration cap
     logs a warning and reports the achieved residual.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     comps = graph.components()
     if len(comps) == 1:
         lam, it, res, v = _connected_radius(graph, tol)
@@ -623,15 +630,26 @@ def contact_from_rates(graph: Graph, beta: float, delta: float) -> np.ndarray:
     return M
 
 
-# ---------------------------------------------------------------------------
-# Threshold ratio
-# ---------------------------------------------------------------------------
-
 def _check_contact(model: ModelSpec, graph: Graph) -> None:
     if model.contact is not None and len(model.contact) != graph.n:
         m = len(model.contact)
         raise ModelError(f"contact matrix is {m}x{m} but graph has n={graph.n}")
 
+
+def _infection_matrix(model: ModelSpec, graph: Graph) -> sp.csr_matrix:
+    """W, a new CSR matrix of per-pair infection probabilities: node i
+    escapes infection with probability prod over infected j of (1 - W_ij).
+    sis-general's contact matrix (the diagonal folds recovery in), else
+    beta times the weighted adjacency."""
+    _check_contact(model, graph)
+    if model.contact is not None:
+        return sp.csr_matrix(model.contact)
+    return model.beta * graph.adjacency_sparse
+
+
+# ---------------------------------------------------------------------------
+# Threshold ratio
+# ---------------------------------------------------------------------------
 
 def threshold_ratio(model: ModelSpec, graph: Graph, tol: float = 1e-10) -> float:
     """Local-stability ratio of the disease-free point; < 1 predicts extinction.

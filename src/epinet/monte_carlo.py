@@ -42,13 +42,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .model_core import (
     _VARIANTS,
     Graph,
     ModelSpec,
     _check_contact,
+    _infection_matrix,
     _pinned,
     _usable_cpus,
 )
@@ -117,16 +117,15 @@ def _escape_function(models: list[ModelSpec], graph: Graph):
     """(infected, point) -> per-node probability of receiving no infection.
 
     infected is the (B x n) boolean matrix of infected nodes, one row per
-    replicate, and point[b] the grid point whose model steps row b. For
-    sis-general the product runs over the full contact row (including the
-    diagonal), which folds recovery into the same escape form. On an
-    unweighted graph the escape is a power of 1 - beta, read from the grid
-    point's table (the tables are stacked, max degree + 1 entries each) at
-    the infected-neighbor count. Otherwise each grid point's log-factor
-    matrix is applied to its own rows; every column of a sparse product is
-    computed on its own, so that changes no bit. Built once per run: the
-    tables and the log-factor matrices depend only on the models and the
-    graph.
+    replicate, and point[b] the grid point whose model steps row b. For a
+    rate model on an unweighted graph the escape is a power of 1 - beta,
+    read from the grid point's table (the tables are stacked, max degree + 1
+    entries each) at the infected-neighbor count. Otherwise the escape is
+    the product over the infection matrix W (model_core._infection_matrix),
+    and each grid point's log-factor matrix log(1 - W) is applied to its own
+    rows; every column of a sparse product is computed on its own, so that
+    changes no bit. Built once per run: the tables and the log-factor
+    matrices depend only on the models and the graph.
     """
     if models[0].contact is None and not graph.is_weighted:
         top = int(graph.degrees.max(initial=0))
@@ -143,13 +142,10 @@ def _escape_function(models: list[ModelSpec], graph: Graph):
         return counted
     logs = []
     for model in models:
-        if model.contact is not None:
-            L = sp.csr_matrix(np.asarray(model.contact, dtype=float))
-            scale = 1.0
-        else:
-            L, scale = graph.adjacency_sparse.copy(), model.beta
-        # log(1 - scale * w), floored so that exp() gives 0 instead of -inf * 0.
-        L.data = np.maximum(np.log1p(-scale * L.data), _LOG_FLOOR)
+        L = _infection_matrix(model, graph)
+        # log(1 - W), floored so that exp() gives 0 instead of -inf * 0.
+        with np.errstate(divide="ignore"):
+            L.data = np.maximum(np.log1p(-L.data), _LOG_FLOOR)
         logs.append(L)
 
     def apply(L, infected):

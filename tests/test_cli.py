@@ -279,6 +279,29 @@ class TestSimulate:
         assert res.exit_code == 2
         assert "--seed" in res.output
 
+    @pytest.mark.parametrize("variant", ["sis-nia", "sis-general"])
+    def test_escape_factor_zero_is_silent(self, tmp_path, variant):
+        """An infection probability of 1 (beta w_ij = 1 on a weighted
+        graph, or a contact entry m_ij = 1) takes log(0) in the sampler,
+        which is floored without a numpy warning: the command writes
+        nothing to stderr, even with warnings made errors."""
+        graph = tmp_path / "g.txt"
+        graph.write_text("n=4\n0 1 1.0\n1 2 0.5\n2 3 0.25\n")
+        if variant == "sis-nia":
+            model = ["--beta", "1.0", "--delta", "0.5"]
+        else:
+            M = np.full((4, 4), 0.1)
+            M[0, 1] = 1.0
+            np.savetxt(tmp_path / "c.csv", M, delimiter=",")
+            model = ["--contact", str(tmp_path / "c.csv")]
+        proc = subprocess.run([
+            sys.executable, "-W", "error", "-m", "epinet.cli", "simulate",
+            "--graph", str(graph), "--variant", variant, *model,
+            "--t", "20", "--reps", "4", "-o", str(tmp_path / "sim.csv"),
+        ], capture_output=True, text=True, env=source_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
 
 class TestMeanfield:
     def test_endemic_json(self, runner, star3_file, tmp_path):
@@ -315,6 +338,20 @@ class TestMeanfield:
         assert res.exit_code == 0
         payload = json.loads(open(out).read())
         assert payload["classification"] == "cycle(2)"
+
+    def test_raw_iteration_with_damping_exit_2(self, runner, star3_file,
+                                               tmp_path):
+        """--raw-iteration iterates undamped, so a --damping beside it
+        would be ignored: the pair is refused."""
+        out = tmp_path / "mf.json"
+        res = runner.invoke(main, [
+            "meanfield", "--graph", star3_file, "--variant", "sis-ia",
+            "--beta", "0.9", "--delta", "0.9", "--raw-iteration",
+            "--damping", "0.3", "-o", str(out),
+        ])
+        assert res.exit_code == 2
+        assert "--raw-iteration and --damping" in res.output
+        assert not out.exists()
 
     def test_non_converged_exit_3(self, runner, star3_file, tmp_path):
         res = runner.invoke(main, [
@@ -644,6 +681,31 @@ class TestVerify:
         assert res.exit_code == 4
         assert "linear: FAIL" in res.output
         assert "replay" in res.output and "forced" in res.output
+
+    @pytest.mark.parametrize("suite", ["stationary", "mixing"])
+    def test_stationary_failure_is_reported(self, runner, monkeypatch,
+                                            suite):
+        """A chain whose stationary law fails pi S = pi is a suite failure
+        with its replay fields and exit 4, not a traceback."""
+        import epinet.verify as verify
+
+        build = verify.build_transition_matrix
+
+        def tampered(model, graph):
+            S = build(model, graph)
+            S.entries.data[0] *= 0.999
+            return S
+
+        monkeypatch.setattr(verify, "build_transition_matrix", tampered)
+        res = verify.run_suite(suite, trials=12, seed=0)
+        assert not res.passed and res.failures
+        for failure in res.failures:
+            assert failure["check"] == "stationary"
+            assert "pi S = pi fails" in failure["error"]
+            assert {"variant", "graph", "model"} <= set(failure)
+        res = runner.invoke(main, ["verify", "--suite", suite])
+        assert res.exit_code == 4
+        assert f"{suite}: FAIL" in res.output and "replay" in res.output
 
     def test_negative_seed_exit_2(self, runner):
         res = runner.invoke(main, ["verify", "--suite", "linear",

@@ -125,9 +125,10 @@ def node_transition_prob(model, graph, X, i, y):
                 esc *= 1.0 - model.contact[i, j]
         p1 = 1.0 - esc
         return p1 if y == 1 else 1.0 - p1
-    nbrs, wts = exact_chain._neighbor_row(graph, i)
+    A = graph.adjacency_sparse
+    row = slice(A.indptr[i], A.indptr[i + 1])
     esc = 1.0
-    for j, w in zip(nbrs, wts):
+    for j, w in zip(A.indices[row], A.data[row]):
         if digits[j] == 1:
             esc *= 1.0 - model.beta * w
     cur = int(digits[i])
@@ -1243,7 +1244,8 @@ class TestLP:
             tables = exact_chain._VARIANTS[variant].tables(m)
             for i in range(n):
                 row_sum = S.entries @ (D[:, i] == 1).astype(float)
-                c = exact_chain._node_digit_probs(m, g, D, i, tables)[:, 1]
+                W = exact_chain._infection_matrix(m, g)
+                c = exact_chain._node_digit_probs(W, D, i, tables)[:, 1]
                 assert np.abs(c - row_sum).max() <= 1e-15
 
     def test_verify_lp_respects_n_max(self, monkeypatch):

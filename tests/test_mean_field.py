@@ -459,9 +459,14 @@ class TestJacobianEigenvalues:
 # ---------------------------------------------------------------------------
 
 def reference_map(model, graph, v):
-    """Each variant's mean-field map written out by hand, on concat vectors."""
+    """Each variant's mean-field map written out by hand, on concat vectors.
+    sis-general's is 1 - prod_j (1 - m_ij x_j) over the dense contact
+    matrix, which holds the node's own factor 1 - m_ii."""
     n = graph.n
-    products = mean_field._neighbor_products(graph, model.beta)
+    if model.variant == "sis-general":
+        M = model.contact
+        return 1.0 - np.prod(1.0 - M * v[None, :], axis=1)
+    products = mean_field._neighbor_products(model, graph)
     delta, gamma, theta = model.delta, model.gamma, model.theta
     if model.variant == "sis-nia":
         return 1.0 - products(v) * (1.0 - (1.0 - delta) * v)
@@ -494,9 +499,16 @@ def reference_sis_coefficients(model, p, Pi):
 
 
 def reference_jacobian(model, graph, x):
-    """Each variant's rate Jacobian written out by hand."""
+    """Each variant's Jacobian written out by hand; sis-general's is the
+    dense M o leave-one-out products of its contact map."""
     n = graph.n
     p = x.p_i
+    if model.variant == "sis-general":
+        M = model.contact
+        F = 1.0 - M * p[None, :]
+        L = mean_field._leave_one_out(F.ravel(), np.arange(0, n * n + 1, n),
+                                      np.prod(F, axis=1))
+        return M * L.reshape(n, n)
     A = graph.adjacency_sparse
     rows = np.repeat(np.arange(n), np.diff(A.indptr))
     cols = A.indices
@@ -558,11 +570,28 @@ ORACLE_GRAPHS = {
     "er300": generate("er", n=300, p=0.02, seed=6),
     "isolated-tail": Graph(20, _TAIL.edges),
 }
-TABLE_VARIANTS = ("sis-nia", "sis-ia", "sirs", "siv-id", "siv-vd")
+TABLE_VARIANTS = ("sis-nia", "sis-ia", "sis-general", "sirs", "siv-id",
+                  "siv-vd")
 
 
-def oracle_models(rng, variant):
-    """Random rates, beta = 1, and every rate at 0 or 1 in turn."""
+def oracle_models(rng, variant, graph):
+    """Random rates, beta = 1, and every rate at 0 or 1 in turn. For
+    sis-general: a random contact matrix, one with a zero row and a zero
+    diagonal, and contact_from_rates's, each also with entries of 1 in the
+    columns where oracle_point puts p = 1 (row 5 has two of them)."""
+    if variant == "sis-general":
+        n = graph.n
+        dense = rng.uniform(0.0, 1.0, (n, n))
+        dense[rng.random((n, n)) < 0.3] = 0.0
+        holes = dense.copy()
+        holes[0] = 0.0
+        np.fill_diagonal(holes, 0.0)
+        contacts = []
+        for M in (dense, holes, contact_from_rates(graph, 0.4, 0.3)):
+            ones = M.copy()
+            ones[[2, 3, 5, 5], [1, 3, 1, 3]] = 1.0
+            contacts += [M, ones]
+        return [ModelSpec(variant, contact=M) for M in contacts]
     models = [random_model(rng, variant)]
     rates = {name: getattr(models[0], name) for name in
              ("beta", "delta", "gamma", "theta")
@@ -599,7 +628,7 @@ class TestTableKernel:
     def test_map_and_jacobian_bytes(self, variant, graph_name):
         g = ORACLE_GRAPHS[graph_name]
         rng = np.random.default_rng([len(variant), g.n])
-        for m in oracle_models(rng, variant):
+        for m in oracle_models(rng, variant, g):
             for x in (oracle_point(rng, m, g.n), random_point(rng, variant, g.n)):
                 v = x.concat()
                 assert (mean_field._mf_map(m, g)(v).tobytes()
@@ -609,9 +638,27 @@ class TestTableKernel:
                                                       m.k).concat().tobytes())
                 assert (mf_jacobian(m, g, x).tobytes()
                         == reference_jacobian(m, g, x).tobytes()), m.describe()
-                if m.k == 2 and not g.is_weighted and m.beta < 1.0:
+                if m.k == 2 and m.contact is None and not g.is_weighted \
+                        and m.beta < 1.0:
                     assert (jacobian_eigenvalues(m, g, x).tobytes()
                             == reference_eigenvalues(m, g, x).tobytes())
+
+    def test_contact_fixed_point_holds_no_dense_temporary(self):
+        """sis-general's map runs over the contact matrix's nonzeros: the
+        fixed-point loop on an n = 2000 graph allocates no n x n array
+        (32 MB)."""
+        import tracemalloc
+
+        g = generate("er", n=2000, p=0.0082, seed=7)
+        m = ModelSpec("sis-general", contact=contact_from_rates(g, 0.08, 0.9))
+        tracemalloc.start()
+        try:
+            rep = find_fixed_point(m, g, compute_spectrum=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.classification == "endemic"
+        assert peak < 8 * 2 ** 20
 
     def test_signed_zeros_reproduced(self):
         """-0.0 where the formulas give it: siv-id's -theta s at s = 0,

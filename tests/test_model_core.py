@@ -1,6 +1,9 @@
 """Graph handling, generators, spectral radius, and model parameters."""
 from __future__ import annotations
 
+import ast
+import importlib
+import inspect
 import logging
 import math
 import tracemalloc
@@ -320,6 +323,30 @@ class TestSpectralRadius:
             assert spectral_radius(Graph(4, ())).lambda_max == 0.0
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    def test_tol_not_positive_rejected(self, tol):
+        """A tol that is not > 0, NaN included, raises at once instead of
+        running power iteration to its cap: in spectral_radius and in the
+        contact-matrix path of threshold_ratio."""
+        g = generate("path", n=5)
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            spectral_radius(g, tol)
+        m = ModelSpec("sis-general", contact=contact_from_rates(g, 0.3, 0.4))
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            threshold_ratio(m, g, tol)
+
+    def test_one_matvec_per_step(self):
+        A = generate("er", n=30, p=0.2, seed=3).adjacency()
+        calls = []
+
+        def matvec(x):
+            calls.append(None)
+            return A @ x
+
+        lam, it, _ = model_core._power_iteration(matvec, 30, 1e-10)
+        assert it > 1 and len(calls) == it + 1
+        assert lam == pytest.approx(np.linalg.eigvalsh(A)[-1], abs=1e-8)
+
 
 def _union(*graphs: Graph) -> Graph:
     """The disjoint union, each graph's nodes after the previous ones."""
@@ -594,3 +621,60 @@ class TestThresholdRatio:
         assert np.all(rep.eigvec[:20] == 0.0)
         assert rep.eigvec[20:] == pytest.approx(np.ones(5))
         assert fp.classification == "endemic"
+
+
+# ---------------------------------------------------------------------------
+# Where the engines still branch on the variant
+# ---------------------------------------------------------------------------
+
+# Every comparison of a model's variant and every test of its contact matrix
+# against None in the engines, counted per top-level function. The variant
+# table and the infection matrix (model_core._infection_matrix) describe the
+# variants; what is left here: sis-nia's factored map and derivative, the
+# integer-count and log-sum paths of unweighted rate models, the symmetric
+# spectrum of unweighted SIS, the linear bound L and the mixing bound, the
+# closed-form fixed-point relations, the sis-nia-only checks, the contact
+# matrix of the mirrored chain, and the Monte Carlo grid's validation.
+ENGINE_FORKS = {
+    "mean_field": {"_neighbor_products": 1, "_mf_map": 1, "_derivatives": 1,
+                   "jacobian_eigenvalues": 1, "_relation_defect": 2,
+                   "_linear_bound": 1},
+    "exact_chain": {"mixing_time_bound": 2, "_mirror_matrix": 1,
+                    "check_u_bound": 1, "non_absorption_check": 1},
+    "monte_carlo": {"_escape_function": 1, "_run": 1},
+}
+
+
+def _is_fork(node) -> bool:
+    """x.variant compared with ==, !=, in or not in, or x.contact tested
+    with is / is not None."""
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+    attrs = {op.attr for op in operands if isinstance(op, ast.Attribute)}
+    if "variant" in attrs and any(isinstance(op, (ast.Eq, ast.NotEq, ast.In,
+                                                  ast.NotIn))
+                                  for op in node.ops):
+        return True
+    return "contact" in attrs and any(
+        isinstance(op, ast.Constant) and op.value is None for op in operands)
+
+
+def _forks(module) -> dict[str, int]:
+    """The forks per top-level function or class ("<module>" for the
+    statements outside both)."""
+    found: dict[str, int] = {}
+    for top in ast.parse(inspect.getsource(module)).body:
+        count = sum(map(_is_fork, ast.walk(top)))
+        if count:
+            name = getattr(top, "name", "<module>")
+            found[name] = found.get(name, 0) + count
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_FORKS))
+def test_engine_forks_are_listed(name):
+    """A new branch on the variant or on the contact matrix in an engine
+    fails here until it is listed in ENGINE_FORKS, with its reason."""
+    module = importlib.import_module(f"epinet.{name}")
+    assert _forks(module) == ENGINE_FORKS[name]
