@@ -39,6 +39,7 @@ from .model_core import (
     threshold_ratio,
 )
 from .exact_chain import (
+    MEMORY_BUDGET_BYTES,
     ExactChainError,
     build_transition_matrix,
     dense_mixing_scan,
@@ -163,25 +164,38 @@ def _parse_init(text: str):
         f"(got {text!r})"
     )
 
-def _parse_grid(text: str | None) -> list[float]:
+def _parse_grid(text: str | None, point_bytes: int) -> list[float]:
+    """The beta values of --beta-grid. A grid whose Monte Carlo run would
+    hold more than MEMORY_BUDGET_BYTES (point_bytes per grid point) is
+    refused, a range before it is built."""
     if text is None or not text.strip():
         raise click.UsageError("--beta-grid is required and must be nonempty")
     text = text.strip()
+
+    def check_size(count: int) -> None:
+        if count * point_bytes > MEMORY_BUDGET_BYTES:
+            raise ValueError(
+                f"a Monte Carlo run over {count:.3g} grid points needs "
+                f"more than the memory budget of "
+                f"{MEMORY_BUDGET_BYTES / 2 ** 30:.2f} GiB")
+
     try:
         if ":" in text:
             parts = text.split(":")
             if len(parts) != 3:
                 raise ValueError("range grids use start:stop:step")
             start, stop, step = (float(v) for v in parts)
-            if step <= 0:
-                raise ValueError("step must be > 0")
+            if not 0.0 < step < math.inf:
+                raise ValueError("step must be a finite number > 0")
             count = int(math.floor((stop - start) / step + 1e-9)) + 1
             if count < 1:
                 raise ValueError("grid is empty")
+            check_size(count)
             vals = [start + idx * step for idx in range(count)]
         else:
             vals = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
+            check_size(len(vals))
+    except (ValueError, OverflowError) as exc:
         raise click.UsageError(f"invalid --beta-grid {text!r}: {exc}")
     if not vals:
         raise click.UsageError(f"--beta-grid {text!r} is empty")
@@ -468,14 +482,21 @@ def verify(suites, n_max, trials, seed, out):
 def sweep(graph_path, generate_spec, variant, beta, delta, gamma, theta,
           contact_path, beta_grid, t_max, reps, seed, init, tol, cap, out):
     """Sweep beta over a grid; one CSV row per grid point."""
+    if beta is not None:
+        raise click.UsageError("sweep takes beta from --beta-grid, not --beta")
     g = _load_graph(graph_path, generate_spec)
     if "beta" not in _VARIANTS[variant].required:
         raise click.UsageError(
             "sweep varies beta and requires a rate-based variant"
         )
-    betas = _parse_grid(beta_grid)
+    # Per grid point: reps x n int8 states and 16 bytes of absorption steps
+    # per replicate; the count sums, means and their temporaries, about
+    # 80 bytes per step (75 measured); 1 KiB for its model and report.
+    betas = _parse_grid(beta_grid,
+                        reps * (g.n + 16) + 80 * (t_max + 1) + 1024)
     init = _parse_init(init)
-    models = [_build_model(variant, b, delta, gamma, theta) for b in betas]
+    models = [_build_model(variant, b, delta, gamma, theta, contact_path)
+              for b in betas]
     lam = spectral_radius(g).lambda_max
     lines = ["beta,ratio,outcome,extinct_count,reps,median_extinction,fp_norm"]
     # Grid point idx runs under master seed seed + idx.

@@ -11,12 +11,12 @@ beside it.
 All replicates of a run advance together: the live ones form an (R x n)
 int8 state matrix, stepped in row blocks that bound the float temporaries,
 and a replicate leaves the matrix at the step where its trajectory ends.
-Each row still draws its own substream, so batching changes no bit. For
-the same reason a large run can split its replicates into contiguous shares
-stepped in forked processes, one per usable CPU on Linux (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC11): the parent steps one
-share, reassembles the rows in replicate order and adds up the integer
-snapshot counts, so every output equals the serial run's bit for bit.
+The compartment counts are summed per grid point as the rows step. Each
+row draws its own substream, so batching changes no bit, and a large run
+can split its replicates into contiguous shares stepped in forked
+processes, one per usable CPU on Linux (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC11): the parent steps one share and adds up
+the shares' integer sums, so every output equals the serial run's.
 
 A grid of models that differ only in their infection rates (mc_grid, the
 beta grid of `epinet sweep`) runs as one such batch, so it forks at most
@@ -261,13 +261,15 @@ def _run(models: list[ModelSpec], graph: Graph, init, t_max: int, seed: int,
 
     Grid point g runs models[g] under the Philox key seed + g. Rows are
     replicate-major: row j is replicate replicates[j // G] of grid point
-    j % G, for G = len(models). Returns (i_mat, s_mat, r_mat, absorbed,
-    snap_i, snap_r). Row j of the (R G x t_max+1) count matrices belongs to
-    row j: i_mat is zero and s_mat/r_mat NaN past the end of a record,
-    except that a frozen all-susceptible state extends its record exactly.
-    absorbed[j] is the first step with zero infected, -1 if none. snap_i[ts]
-    (and snap_r[ts] for three compartments) is a (G x n) matrix that counts,
-    per grid point and node, the replicates infected (recovered) at time ts.
+    j % G, for G = len(models). Returns (absorbed, counts). absorbed[j] is
+    row j's first step with zero infected, -1 if none. counts["i"],
+    counts["r"] and counts["rows"] are (G x t_max+1) float sums of the
+    infected and recovered counts over the rows recorded at each step, and
+    the number of those rows. A record ends at absorption, except that a
+    frozen all-susceptible state extends it exactly. counts["i", ts] (and
+    counts["r", ts] for three compartments) counts, per grid point and node,
+    the replicates infected (recovered) at snapshot time ts. All are exact
+    integers, so the order of their terms does not matter.
 
     Snapshot times past a SIS/SIRS absorption are still exact: a frozen
     all-susceptible state contributes nothing, and a SIRS state with zero
@@ -318,35 +320,36 @@ def _simulate(models: list[ModelSpec], graph: Graph, states: np.ndarray,
     """The serial core of _run: step the rows of states (replicate reps[b]
     of grid point point[b]) as one batch; same returns as _run."""
     n = graph.n
-    R, T = len(reps), t_max + 1
-    i_mat = np.zeros((R, T), dtype=np.int32)
-    s_mat = np.full((R, T), np.nan)
-    r_mat = np.full((R, T), np.nan)
+    G, R, T = len(models), len(reps), t_max + 1
     absorbed = np.full(R, -1, dtype=np.int64)
-    snap_i = {ts: np.zeros((len(models), n), dtype=np.int64) for ts in need}
-    snap_r = {ts: np.zeros((len(models), n), dtype=np.int64)
-              for ts in need} if models[0].k == 3 else {}
+    counts = {key: np.zeros((G, T)) for key in ("i", "r", "rows")}
+    for ts in need:
+        counts["i", ts] = np.zeros((G, n), dtype=np.int64)
+        if models[0].k == 3:
+            counts["r", ts] = np.zeros((G, n), dtype=np.int64)
     advance = _sampler(models, graph)
     block = max(1, _REP_BLOCK_DOUBLES // n)
     u = np.empty((min(R, block), n))
-    # Per live row: its slot in the outputs, whether its record is still
-    # open, and the last step it is simulated to.
+    # Per live row: its slot in absorbed, whether its record is still open,
+    # and the last step it is simulated to. frozen[g] counts the rows of
+    # grid point g that have stopped in the all-susceptible state.
     slot = np.arange(R)
     recording = np.ones(R, dtype=bool)
     sim_until = np.full(R, t_max)
+    frozen = np.zeros(G)
     for t in range(T):
         infected = states == 1
         recovered = states == 2
         i = infected.sum(axis=1)
         r = recovered.sum(axis=1)
-        rec = slot[recording]
-        i_mat[rec, t] = i[recording]
-        s_mat[rec, t] = (n - i - r)[recording]
-        r_mat[rec, t] = r[recording]
-        if t in snap_i:
-            np.add.at(snap_i[t], point[slot], infected)
-            if t in snap_r:
-                np.add.at(snap_r[t], point[slot], recovered)
+        rec = point[slot[recording]]
+        counts["i"][:, t] = np.bincount(rec, i[recording], G)
+        counts["r"][:, t] = np.bincount(rec, r[recording], G)
+        counts["rows"][:, t] = np.bincount(rec, minlength=G) + frozen
+        if ("i", t) in counts:
+            np.add.at(counts["i", t], point[slot], infected)
+            if ("r", t) in counts:
+                np.add.at(counts["r", t], point[slot], recovered)
         zero = i == 0
         if zero.any():
             new = zero & (absorbed[slot] < 0)
@@ -356,12 +359,11 @@ def _simulate(models: list[ModelSpec], graph: Graph, states: np.ndarray,
                 # state extends it exactly and stops; any other state is
                 # simulated on to the last snapshot time.
                 recording &= ~new
-                frozen = new & (r == 0)
-                s_mat[slot[frozen], t + 1:] = n
-                r_mat[slot[frozen], t + 1:] = 0
-                sim_until[new & ~frozen] = max(
+                stop = new & (r == 0)
+                frozen += np.bincount(point[slot[stop]], minlength=G)
+                sim_until[new & ~stop] = max(
                     [ts for ts in need if ts > t], default=t)
-                sim_until[frozen] = t
+                sim_until[stop] = t
                 live = sim_until > t
                 if not live.all():
                     states, slot = states[live], slot[live]
@@ -378,17 +380,17 @@ def _simulate(models: list[ModelSpec], graph: Graph, states: np.ndarray,
                                                reps[mine].tolist())):
                 fills[g](ub[row], t, rep)
             states[rows] = advance(states[rows], ub, point[mine])
-    return i_mat, s_mat, r_mat, absorbed, snap_i, snap_r
+    counts["rows"][:, t + 1:] += frozen[:, None]
+    return absorbed, counts
 
 
 def _split(core, R: int, cpus: list[int]):
     """core over len(cpus) contiguous shares of the R rows, all but the
-    first in forked processes; the results are reassembled in row order.
-
-    Every replicate draws only from its own substreams, so the rows and the
-    integer snapshot counts equal the serial run's bit for bit. Each process
-    keeps to its own CPU while it steps (_pinned). A worker's exception
-    re-raises here, and every worker is joined before this returns.
+    first in forked processes; absorbed is joined in row order and every
+    count summed, which equals the serial run's bit for bit (each replicate
+    draws only from its own substreams). Each process keeps to its own CPU
+    while it steps (_pinned). A worker's exception re-raises here, and
+    every worker is joined before this returns.
 
     Workers are forked, not spawned: a spawned worker would import numpy,
     scipy and epinet again (about 0.5 s) and be sent the graph, while a
@@ -437,11 +439,8 @@ def _split(core, R: int, cpus: list[int]):
                 proc.join()
             for conn in conns:
                 conn.close()
-    out = [np.concatenate([part[k] for part in parts]) for k in range(4)]
-    for k in (4, 5):
-        out.append({ts: sum(part[k][ts] for part in parts)
-                    for ts in parts[0][k]})
-    return tuple(out)
+    return (np.concatenate([part[0] for part in parts]),
+            {key: sum(part[1][key] for part in parts) for key in parts[0][1]})
 
 
 def _worker(core, share: slice, cpu: int, conn) -> None:
@@ -488,38 +487,35 @@ def _ensembles(models: list[ModelSpec], graph: Graph, init, t_max: int,
     It is private so that a tracer wrapping the public functions charges a
     simulation to the one that was called.
 
-    Each grid point's rows (every G-th row of _run's outputs, in replicate
-    order) are copied into contiguous arrays before they are aggregated, so
-    every mean adds its terms as a run of that point alone would.
+    The means divide _run's per-grid-point sums: infected counts by n_reps,
+    susceptible and recovered counts by the rows recorded at each step (NaN
+    where there are none).
     """
     if n_reps < 1:
         raise MonteCarloError("n_reps must be >= 1")
     snap_times = tuple(sorted(set(marginals_at)))
-    i_all, s_all, r_all, absorbed_all, snap_i, snap_r = _run(
-        models, graph, init, t_max, seed, list(range(n_reps)), snap_times)
-
-    def nan_mean(mat: np.ndarray) -> np.ndarray:
-        cnt = np.count_nonzero(~np.isnan(mat), axis=0)
-        total = np.nansum(mat, axis=0)
-        with np.errstate(invalid="ignore"):
-            return np.where(cnt > 0, total / np.maximum(cnt, 1), np.nan)
-
+    absorbed, counts = _run(models, graph, init, t_max, seed,
+                            list(range(n_reps)), snap_times)
+    rows = counts["rows"]
+    held = np.maximum(rows, 1)
+    i_mean = counts["i"] / n_reps
+    s_mean = np.where(rows > 0, (graph.n * rows - counts["i"] - counts["r"])
+                      / held, np.nan)
+    r_mean = np.where(rows > 0, counts["r"] / held, np.nan)
     G = len(models)
     reports = []
     for g, model in enumerate(models):
-        i_mat, s_mat, r_mat = (np.ascontiguousarray(mat[g::G])
-                               for mat in (i_all, s_all, r_all))
         marg = None
         if snap_times:
-            marg = {ts: (snap_i[ts][g] / n_reps,
-                         snap_r[ts][g] / n_reps if model.k == 3 else None)
+            marg = {ts: (counts["i", ts][g] / n_reps,
+                         counts["r", ts][g] / n_reps if model.k == 3 else None)
                     for ts in snap_times}
-        steps = [int(a) if a >= 0 else None for a in absorbed_all[g::G]]
+        steps = [int(a) if a >= 0 else None for a in absorbed[g::G]]
         reports.append(EnsembleReport(
             t=np.arange(t_max + 1),
-            i_mean=i_mat.mean(axis=0),
-            s_mean=nan_mean(s_mat),
-            r_mean=nan_mean(r_mat),
+            i_mean=i_mean[g],
+            s_mean=s_mean[g],
+            r_mean=r_mean[g],
             n_reps=n_reps,
             extinct_count=sum(1 for a in steps if a is not None),
             absorbed_steps=steps,

@@ -7,6 +7,7 @@ import pkgutil
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -819,6 +820,43 @@ class TestSweep:
         for bad in ("", "0.1:0.5", "0.2,1.5", "a,b"):
             res = runner.invoke(main, base + [bad])
             assert res.exit_code == 2, bad
+
+    @pytest.mark.parametrize("flag", ["--beta", "--contact"])
+    def test_beta_and_contact_rejected(self, runner, tmp_path, flag):
+        """sweep takes beta from --beta-grid, and a rate variant takes no
+        contact matrix; neither flag is silently ignored."""
+        contact = tmp_path / "contact.csv"
+        contact.write_text("0,1\n1,0\n")
+        value = {"--beta": "0.9", "--contact": str(contact)}[flag]
+        out = tmp_path / "x.csv"
+        res = runner.invoke(main, [
+            "sweep", "--generate", "path:n=2", "--variant", "sis-nia",
+            "--delta", "0.5", "--beta-grid", "0.1,0.2", "--t", "5",
+            flag, value, "-o", str(out),
+        ])
+        assert res.exit_code == 2, res.output
+        assert flag.lstrip("-") in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid, message", [
+        ("0:inf:0.1", "infinity"),
+        ("nan:1:0.1", "NaN"),
+        ("0:1:inf", "finite"),
+        # About 1e294 points: refused before the range is built.
+        ("0.05:0.0500001:1e-300", "memory budget"),
+        ("0:1:1e-5", "memory budget"),
+    ])
+    def test_unbounded_range_grids(self, runner, tmp_path, grid, message):
+        out = tmp_path / "x.csv"
+        start = time.perf_counter()
+        res = runner.invoke(main, [
+            "sweep", "--generate", "path:n=2", "--variant", "sis-nia",
+            "--delta", "0.5", "--beta-grid", grid, "-o", str(out),
+        ])
+        assert time.perf_counter() - start < 5
+        assert res.exit_code == 2, res.output
+        assert "invalid --beta-grid" in res.output and message in res.output
+        assert not out.exists()
 
     def test_byte_identical(self, runner, path3_file, tmp_path):
         args = ["sweep", "--graph", path3_file, "--variant", "sis-ia",

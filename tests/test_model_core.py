@@ -85,6 +85,10 @@ class TestGraph:
         assert list(comps[0]) == [0, 1, 2]  # largest first
         assert not g.is_connected()
         assert generate("path", n=5).is_connected()
+        # A weight-0 edge still links its nodes; equal sizes keep the order
+        # of their smallest nodes.
+        g = Graph(7, ((5, 6), (1, 3), (2, 4)), (1.0, 0.0, 0.5))
+        assert g.components() == [[1, 3], [2, 4], [5, 6], [0]]
 
     def test_subgraph(self):
         g = Graph(5, ((0, 1), (1, 2), (3, 4)), (0.3, 0.6, 0.9))

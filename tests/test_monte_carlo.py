@@ -43,13 +43,16 @@ def run_replicate(model, graph, init="all-infected", t_max=1000, seed=0,
     form reference_simulate gives them: (t, s, i, r) rows up to the end of
     the record (the absorption step for SIS/SIRS, else t_max), and the first
     step with zero infected or None."""
-    i_mat, s_mat, r_mat, absorbed, _, _ = monte_carlo._run(
+    absorbed, counts = monte_carlo._run(
         [model], graph, init, t_max, seed, [replicate])
     ab = int(absorbed[0]) if absorbed[0] >= 0 else None
     end = t_max
     if ab is not None and _VARIANTS[model.variant].ends_at_extinction:
         end = ab
-    rows = [(t, int(s_mat[0, t]), int(i_mat[0, t]), int(r_mat[0, t]))
+    # One replicate: the sums over the recorded rows are its own counts.
+    assert np.all(counts["rows"][0, :end + 1] == 1)
+    i, r = counts["i"][0], counts["r"][0]
+    rows = [(t, graph.n - int(i[t]) - int(r[t]), int(i[t]), int(r[t]))
             for t in range(end + 1)]
     return rows, ab
 
@@ -1037,6 +1040,26 @@ class TestGrid:
                 force_split(monkeypatch, 3)
                 mc_grid(models, g, master_seed=3, **kw)
                 assert draws() == want
+
+    def test_memory_does_not_grow_with_t_max(self, monkeypatch):
+        """The counts are summed per grid point as the rows step: a serial
+        grid run at 4x the steps has about the same traced peak, where
+        per-replicate count rows would grow it 4x."""
+        monkeypatch.setattr(monte_carlo, "_usable_cpus", lambda: [0])
+        g = generate("er", n=30, p=0.2, seed=1)
+        models = [ModelSpec("sis-nia", beta=b, delta=0.3) for b in (0.5, 0.7)]
+        peaks = []
+        for t_max in (200, 800):
+            tracemalloc.start()
+            try:
+                reports = mc_grid(models, g, t_max=t_max, n_reps=40,
+                                  master_seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            # Every replicate lives to t_max, so every step is recorded.
+            assert all(rep.extinct_count == 0 for rep in reports)
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
     def test_escape_reads_each_rows_grid_point(self):
         """Rows of different grid points in one call get their own beta."""
