@@ -39,17 +39,16 @@ from .model_core import (
     threshold_ratio,
 )
 from .exact_chain import (
-    MEMORY_BUDGET_BYTES,
     ExactChainError,
     build_transition_matrix,
     dense_mixing_scan,
     mixing_time_exact,
-    stationary,
 )
 from . import __version__
 from .mean_field import _upper_corner, find_fixed_point, mf_iterate
 from .monte_carlo import (
     MonteCarloError,
+    _check_memory,
     ensemble_to_csv,
     mc_ensemble,
     mc_grid,
@@ -164,21 +163,14 @@ def _parse_init(text: str):
         f"(got {text!r})"
     )
 
-def _parse_grid(text: str | None, point_bytes: int) -> list[float]:
-    """The beta values of --beta-grid. A grid whose Monte Carlo run would
-    hold more than MEMORY_BUDGET_BYTES (point_bytes per grid point) is
-    refused, a range before it is built."""
+def _parse_grid(text: str | None, reps: int, n: int, t_max: int
+                ) -> list[float]:
+    """The beta values of --beta-grid. A grid whose Monte Carlo run of reps
+    replicates on n nodes to t_max exceeds the memory budget is refused
+    (monte_carlo._check_memory), a range before it is built."""
     if text is None or not text.strip():
         raise click.UsageError("--beta-grid is required and must be nonempty")
     text = text.strip()
-
-    def check_size(count: int) -> None:
-        if count * point_bytes > MEMORY_BUDGET_BYTES:
-            raise ValueError(
-                f"a Monte Carlo run over {count:.3g} grid points needs "
-                f"more than the memory budget of "
-                f"{MEMORY_BUDGET_BYTES / 2 ** 30:.2f} GiB")
-
     try:
         if ":" in text:
             parts = text.split(":")
@@ -190,11 +182,11 @@ def _parse_grid(text: str | None, point_bytes: int) -> list[float]:
             count = int(math.floor((stop - start) / step + 1e-9)) + 1
             if count < 1:
                 raise ValueError("grid is empty")
-            check_size(count)
+            _check_memory(count, reps, n, t_max)
             vals = [start + idx * step for idx in range(count)]
         else:
             vals = [float(v) for v in text.split(",") if v.strip()]
-            check_size(len(vals))
+            _check_memory(len(vals), reps, n, t_max)
     except (ValueError, OverflowError) as exc:
         raise click.UsageError(f"invalid --beta-grid {text!r}: {exc}")
     if not vals:
@@ -408,13 +400,9 @@ def exact(graph_path, generate_spec, variant, beta, delta, gamma, theta,
     model = _build_model(variant, beta, delta, gamma, theta, contact_path)
     # Refuse a dense mixing scan over the memory budget before S is built.
     dense_mixing_scan(model, g.n)
-    S = build_transition_matrix(model, g)
-    pi = stationary(S)
-    defect = float(np.abs(pi.entries @ S.entries - pi.entries).max())
-    mrep = mixing_time_exact(S, pi, epsilon, cap=cap)
-    worst = None
-    if mrep.worst_initial is not None:
-        worst = "".join(str(int(d)) for d in mrep.worst_initial.digits)
+    mrep = mixing_time_exact(build_transition_matrix(model, g), epsilon,
+                             cap=cap)
+    worst = "".join(str(int(d)) for d in mrep.worst_initial.digits)
     ratio = threshold_ratio(model, g)
     payload = {
         "variant": model.variant,
@@ -425,13 +413,14 @@ def exact(graph_path, generate_spec, variant, beta, delta, gamma, theta,
         "bound": mrep.bound,
         "censored": mrep.censored,
         "worst_initial": worst,
-        "stationary_defect": defect,
+        "stationary_defect": mrep.stationary_defect,
         "threshold_ratio": ratio,
     }
     _atomic_write(out, _dump_json(payload))
     click.echo(
         f"t_mix={mrep.t_mix} bound={mrep.bound:.10g} "
-        f"stationary_defect={defect:.3e} ratio={ratio:.10g}"
+        f"stationary_defect={mrep.stationary_defect:.3e} "
+        f"ratio={ratio:.10g}"
     )
 
 
@@ -489,11 +478,7 @@ def sweep(graph_path, generate_spec, variant, beta, delta, gamma, theta,
         raise click.UsageError(
             "sweep varies beta and requires a rate-based variant"
         )
-    # Per grid point: reps x n int8 states and 16 bytes of absorption steps
-    # per replicate; the count sums, means and their temporaries, about
-    # 80 bytes per step (75 measured); 1 KiB for its model and report.
-    betas = _parse_grid(beta_grid,
-                        reps * (g.n + 16) + 80 * (t_max + 1) + 1024)
+    betas = _parse_grid(beta_grid, reps, g.n, t_max)
     init = _parse_init(init)
     models = [_build_model(variant, b, delta, gamma, theta, contact_path)
               for b in betas]

@@ -40,6 +40,7 @@ import scipy.sparse as sp
 
 from .model_core import (
     _VARIANTS,
+    MEMORY_BUDGET_BYTES,
     Graph,
     ModelSpec,
     _check_contact,
@@ -58,7 +59,6 @@ logger = logging.getLogger(__name__)
 # StateSpaceCapError.
 STATE_CAP_K2 = 2 ** 16
 STATE_CAP_K3 = 3 ** 10
-MEMORY_BUDGET_BYTES = 2 * 2 ** 30
 
 # Bytes per stored entry that bound the peak while the CSR is assembled:
 # the stored (column, value) arrays and the temporaries of the row blocks
@@ -390,15 +390,16 @@ def marginals(mu: DistVector, model: ModelSpec) -> MeanFieldPoint:
                           None if k == 2 else mu.entries @ (D == 2))
 
 
-def stationary(S: TransitionMatrix) -> DistVector:
-    """Stationary distribution of the chain S, verified against S.
+def stationary(S: TransitionMatrix) -> tuple[DistVector, float]:
+    """Stationary distribution pi of the chain S and its defect
+    max |pi S - pi|, verified against S.
 
-    The per-node product of the variant's single-node disease-free law:
-    a point mass on the all-susceptible state for the SIS family and SIRS,
-    and weights (gamma/(gamma+theta), 0, theta/(gamma+theta)) for (S, I, R)
-    under SIV, which requires gamma + theta > 0. Raises
-    StationaryVerificationError if pi S differs from pi by more than 1e-10
-    (which would signal a transition-matrix bug).
+    pi is the per-node product of the variant's single-node disease-free
+    law: a point mass on the all-susceptible state for the SIS family and
+    SIRS, and weights (gamma/(gamma+theta), 0, theta/(gamma+theta)) for
+    (S, I, R) under SIV, which requires gamma + theta > 0. Raises
+    StationaryVerificationError if the defect exceeds 1e-10 (which would
+    signal a transition-matrix bug).
     """
     weights = np.array(_VARIANTS[S.model.variant].free_law(S.model))
     pi = np.prod(weights[states_table(S.n, S.k)], axis=1)
@@ -407,7 +408,7 @@ def stationary(S: TransitionMatrix) -> DistVector:
         raise StationaryVerificationError(
             f"pi S = pi fails with defect {defect:.3e}"
         )
-    return DistVector(pi)
+    return DistVector(pi), defect
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +421,15 @@ class MixingReport:
 
     t_mix is None when the step cap was reached before the total-variation
     target (reported, not raised; expected above threshold).
+    stationary_defect is max |pi S - pi| of the law the scan measured
+    against (stationary).
     """
 
     t_mix: int | None
     epsilon: float
     bound: float
-    worst_initial: ChainState | None
+    worst_initial: ChainState
+    stationary_defect: float
     censored: bool = False
 
 
@@ -531,11 +535,12 @@ def _check_rows(A: np.ndarray, B, tv: np.ndarray, pi: np.ndarray,
     return out
 
 
-def mixing_time_exact(S: TransitionMatrix, pi: DistVector, epsilon: float,
+def mixing_time_exact(S: TransitionMatrix, epsilon: float,
                       cap: int = 100000) -> MixingReport:
     """Smallest t with sup over initial states of TV(mu S^t, pi) <= epsilon.
 
-    pi must be the stationary law of S. The sup over all initial
+    pi is stationary(S), so a chain that fails pi S = pi raises
+    StationaryVerificationError before any step. The sup over all initial
     distributions is attained at point masses because total variation is
     convex in mu (the sup of a convex function over the simplex sits at a
     vertex), so only the k^n point-mass initials are scanned. The reported
@@ -571,13 +576,9 @@ def mixing_time_exact(S: TransitionMatrix, pi: DistVector, epsilon: float,
         raise ExactChainError("epsilon must be in (0,1)")
     if cap < 1:
         raise ExactChainError(f"cap must be >= 1, got {cap}")
-    if len(pi) != S.size:
-        raise ExactChainError("pi and S sizes differ")
+    pi, defect = stationary(S)
     K = S.size
     bound = mixing_time_bound(S.model, S.graph, epsilon)
-    if K == 1:
-        return MixingReport(0, epsilon, bound, ChainState(0, S.n, S.k)
-                            if S.n > 0 else None)
     check_top = _VARIANTS[S.model.variant].order_preserving
     if not dense_mixing_scan(S.model, S.n):
         c = DistVector.point_mass(int(pi.entries.argmax()), K).entries
@@ -591,14 +592,14 @@ def mixing_time_exact(S: TransitionMatrix, pi: DistVector, epsilon: float,
                 )
             if 1.0 - low <= epsilon:
                 return MixingReport(t, epsilon, bound,
-                                    _worst_state(c, low, S))
+                                    _worst_state(c, low, S), defect)
         return MixingReport(None, epsilon, bound, _worst_state(c, c.min(), S),
-                            censored=True)
+                            defect, censored=True)
 
     def report(t: int, tv: np.ndarray) -> MixingReport:
         top = float(tv.max())
         return MixingReport(None if top > epsilon else t, epsilon, bound,
-                            _worst_state(tv, top, S), top > epsilon)
+                            _worst_state(tv, top, S), defect, top > epsilon)
 
     A = S.entries
     p = pi.entries
@@ -608,11 +609,11 @@ def mixing_time_exact(S: TransitionMatrix, pi: DistVector, epsilon: float,
     # D = S^t, from S^2 = S S by sparse row blocks on every usable CPU.
     D = np.zeros((K, K))
 
-    def square(share: slice) -> None:
+    def fill_square(share: slice) -> None:
         for rows in _row_blocks(share, K, _SCAN_BLOCK_DOUBLES):
             _product(A, rows, A).toarray(out=D[rows])
 
-    _row_shares(square, K)
+    _row_shares(fill_square, K)
     t, tv = 2, _tv_rows(D, p)
     M = None  # dense S: BLAS beats dense @ CSR once whole products are due
 

@@ -43,6 +43,9 @@ logger = logging.getLogger(__name__)
 
 # Iteration cap for power iteration.
 POWER_ITERATION_CAP = 10 ** 6
+# The engines estimate a request's memory and refuse it above this budget
+# before they allocate it.
+MEMORY_BUDGET_BYTES = 2 * 2 ** 30
 
 # Rows below which _row_shares runs its job in the caller alone. On 2 CPUs a
 # 2-way split of the exact chain's build lost at 3^5 and 2^8 states (2.2
@@ -390,15 +393,9 @@ def _power_iteration(matvec, n: int, tol: float):
         v = w
         if converged:
             break
-    lam = lam_shift - 1.0
-    # Normalize to unit max entry, fix sign (Perron vector is nonnegative).
-    mx = np.abs(v).max()
-    if mx > 0:
-        v = v / v[np.abs(v).argmax()]
-    v = np.clip(v, 0.0, None)
-    scale = v.max() if v.max() > 0 else 1.0
-    v = v / scale
-    return lam, it, v
+    # The iterates are positive, so the Perron vector needs only scaling to
+    # a unit max entry.
+    return lam_shift - 1.0, it, v / v.max()
 
 
 def _connected_radius(graph: Graph, tol: float):

@@ -45,6 +45,7 @@ import numpy as np
 
 from .model_core import (
     _VARIANTS,
+    MEMORY_BUDGET_BYTES,
     Graph,
     ModelSpec,
     _check_contact,
@@ -254,8 +255,22 @@ def _init_states(graph: Graph, init, fills, point: np.ndarray,
     return out
 
 
+def _check_memory(points: int, n_reps: int, n: int, t_max: int) -> None:
+    """Refuse a run of points grid points of n_reps replicates on n nodes
+    to t_max whose estimate exceeds MEMORY_BUDGET_BYTES. Per grid point:
+    n_reps x n int8 states and 16 bytes of absorption steps per replicate;
+    the count sums, means and their temporaries, about 80 bytes per step
+    (75 measured); 1 KiB for its model and report."""
+    if points * (n_reps * (n + 16) + 80 * (t_max + 1) + 1024) \
+            > MEMORY_BUDGET_BYTES:
+        raise MonteCarloError(
+            f"a Monte Carlo run over {points:.3g} grid points needs more "
+            f"than the memory budget of {MEMORY_BUDGET_BYTES / 2 ** 30:.2f} "
+            f"GiB")
+
+
 def _run(models: list[ModelSpec], graph: Graph, init, t_max: int, seed: int,
-         replicates: list[int], snapshot_times: tuple[int, ...] = ()):
+         replicates, snapshot_times: tuple[int, ...] = ()):
     """Core loop: the replicates of every grid point stepped to
     absorption/t_max as one batch.
 
@@ -278,9 +293,10 @@ def _run(models: list[ModelSpec], graph: Graph, init, t_max: int, seed: int,
 
     The request is validated here, before any process is forked: the models
     must share their variant tables, so that they differ only in beta (or
-    the contact matrix). A run whose work bound R G n t_max exceeds
-    _FORK_MIN_WORK is then split into contiguous shares of its rows, one per
-    usable CPU (_split).
+    the contact matrix), and a run over the memory budget is refused
+    (_check_memory) before its states are allocated. A run whose work bound
+    R G n t_max exceeds _FORK_MIN_WORK is then split into contiguous shares
+    of its rows, one per usable CPU (_split).
     """
     if not models:
         raise MonteCarloError("a grid needs at least one model")
@@ -295,6 +311,7 @@ def _run(models: list[ModelSpec], graph: Graph, init, t_max: int, seed: int,
     if t_max < 1:
         raise MonteCarloError("t_max must be >= 1")
     G = len(models)
+    _check_memory(G, len(replicates), graph.n, t_max)
     fills = [_philox(seed + g) for g in range(G)]
     point = np.tile(np.arange(G), len(replicates))
     reps = np.repeat(np.asarray(replicates, dtype=np.int64), G)
@@ -495,7 +512,7 @@ def _ensembles(models: list[ModelSpec], graph: Graph, init, t_max: int,
         raise MonteCarloError("n_reps must be >= 1")
     snap_times = tuple(sorted(set(marginals_at)))
     absorbed, counts = _run(models, graph, init, t_max, seed,
-                            list(range(n_reps)), snap_times)
+                            np.arange(n_reps), snap_times)
     rows = counts["rows"]
     held = np.maximum(rows, 1)
     i_mean = counts["i"] / n_reps

@@ -35,7 +35,6 @@ from .exact_chain import (
     build_transition_matrix,
     check_order_preservation,
     check_u_bound,
-    closed_form_marginal_bound,
     lp_marginal_max,
     mixing_time_bound,
     mixing_time_exact,
@@ -136,10 +135,11 @@ def _fail(failures: list, **info) -> None:
                      for k, v in info.items()})
 
 
-def _stationary(S, failures: list):
-    """stationary(S), or None once its failure is recorded for replay."""
+def _checked(failures: list, analysis, S, *args):
+    """analysis(S, *args), or None once its StationaryVerificationError is
+    recorded for replay."""
     try:
-        return stationary(S)
+        return analysis(S, *args)
     except StationaryVerificationError as exc:
         _fail(failures, check="stationary", variant=S.model.variant,
               graph=format_edge_list(S.graph), error=str(exc),
@@ -279,7 +279,7 @@ def _suite_lp(n_max: int, trials: int, seed: int) -> SuiteResult:
                 p_gen = MeanFieldPoint(pi_g, pr_g)
             for p, expect_eq in ((p_small, True), (p_gen, False)):
                 rep = lp_marginal_max(model, g, i, p)
-                cf = closed_form_marginal_bound(model, g, i, p)
+                cf = rep.closed_form
                 checks += 1
                 gap = rep.lp_max - cf
                 max_gap = max(max_gap, gap)
@@ -462,11 +462,10 @@ def _suite_mixing(n_max: int, trials: int, seed: int) -> SuiteResult:
             _fail(failures, check="roster-instance", variant=model.variant,
                   graph=format_edge_list(g), ratio=ratio, bound=bound)
             continue
-        S = build_transition_matrix(model, g)
-        pi = _stationary(S, failures)
-        if pi is None:
+        rep = _checked(failures, mixing_time_exact,
+                       build_transition_matrix(model, g), 0.25)
+        if rep is None:
             continue
-        rep = mixing_time_exact(S, pi, 0.25)
         checks += 1
         rows.append({"variant": model.variant, "n": g.n,
                      "t_mix": rep.t_mix, "bound": bound})
@@ -491,10 +490,9 @@ def _suite_stationary(n_max: int, trials: int, seed: int) -> SuiteResult:
                 S = build_transition_matrix(model, g)
                 checks += 1
                 # stationary raises on a defect above 1e-10.
-                pi = _stationary(S, failures)
-                if pi is not None:
-                    worst = max(worst, float(np.abs(pi.entries @ S.entries
-                                                    - pi.entries).max()))
+                law = _checked(failures, stationary, S)
+                if law is not None:
+                    worst = max(worst, law[1])
     return SuiteResult("stationary", not failures, checks, failures,
                        {"max_defect": worst})
 

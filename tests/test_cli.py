@@ -159,6 +159,39 @@ class TestSimulate:
         assert proc.stderr == ("graph is disconnected (2 components); using "
                                "the component with the largest eigenvalue\n")
 
+    def test_memory_budget_exit_2_before_states(self, runner, path3_file,
+                                                tmp_path, monkeypatch):
+        """simulate and sweep refuse a run whose estimate passes the one
+        budget constant, before any state matrix is allocated: per grid
+        point reps * (n + 16) + 80 * (t + 1) + 1024 bytes."""
+        mc = epinet.monte_carlo
+        need = 4 * (3 + 16) + 80 * (10 + 1) + 1024
+        real_init = mc._init_states
+        inits = []
+
+        def recording(*args):
+            inits.append(1)
+            return real_init(*args)
+
+        monkeypatch.setattr(mc, "_init_states", recording)
+        rates = ["--variant", "sis-nia", "--delta", "0.9", "--t", "10",
+                 "--reps", "4"]
+        for budget, code in ((need - 1, 2), (need, 0)):
+            monkeypatch.setattr(mc, "MEMORY_BUDGET_BYTES", budget)
+            out = tmp_path / f"sim{budget}.csv"
+            res = runner.invoke(main, ["simulate", "--graph", path3_file,
+                                       *rates, "--beta", "0.1",
+                                       "-o", str(out)])
+            assert res.exit_code == code, res.output
+            assert ("memory budget" in res.output) is (code == 2)
+            assert len(inits) == out.exists() == (code == 0)
+        monkeypatch.setattr(mc, "MEMORY_BUDGET_BYTES", 2 * need - 1)
+        res = runner.invoke(main, ["sweep", "--graph", path3_file, *rates,
+                                   "--beta-grid", "0.1,0.2",
+                                   "-o", str(tmp_path / "sweep.csv")])
+        assert res.exit_code == 2 and "memory budget" in res.output
+        assert inits == [1]
+
     def test_t_zero_rejected(self, runner, path3_file, tmp_path):
         res = runner.invoke(main, [
             "simulate", "--graph", path3_file, "--variant", "sis-nia",

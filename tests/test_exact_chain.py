@@ -29,6 +29,7 @@ from epinet import (
     ModelError,
     ModelSpec,
     StateSpaceCapError,
+    StationaryVerificationError,
     build_R_pair,
     build_transition_matrix,
     check_order_preservation,
@@ -451,12 +452,12 @@ class TestTV:
 class TestStationary:
     def test_sis_point_mass(self, path3):
         m = ModelSpec("sis-nia", beta=0.5, delta=0.5)
-        pi = stationary(build_transition_matrix(m, path3))
+        pi, _ = stationary(build_transition_matrix(m, path3))
         assert pi.entries[0] == 1.0
 
     def test_sirs_point_mass(self, path3):
         m = ModelSpec("sirs", beta=0.5, delta=0.5, gamma=0.5)
-        pi = stationary(build_transition_matrix(m, path3))
+        pi, _ = stationary(build_transition_matrix(m, path3))
         assert pi.entries[0] == 1.0
 
     @pytest.mark.parametrize("variant", ["siv-id", "siv-vd"])
@@ -465,14 +466,35 @@ class TestStationary:
             g = random_connected_graph(rng, n, n_min=n)
             m = random_model(rng, variant, n=n)
             S = build_transition_matrix(m, g)
-            pi = stationary(S)
-            defect = np.abs(pi.entries @ S.entries - pi.entries).max()
+            pi, defect = stationary(S)
             assert defect <= 1e-10
             # product-form marginals
             ps = m.gamma / (m.gamma + m.theta)
             mv = marginals(pi, m)
             assert np.allclose(mv.p_i, 0.0, atol=1e-14)
             assert np.allclose(mv.p_r, 1.0 - ps, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_defect_computed_once(self, variant, path3):
+        """stationary returns the defect max |pi S - pi| it checked, and the
+        mixing report carries that same number, bit for bit."""
+        m = random_model(np.random.default_rng(ALL_VARIANTS.index(variant)),
+                         variant, n=3)
+        S = build_transition_matrix(m, path3)
+        pi, defect = stationary(S)
+        oracle = float(np.abs(pi.entries @ S.entries - pi.entries).max())
+        assert defect == oracle
+        assert mixing_time_exact(S, 0.25, cap=50).stationary_defect == oracle
+
+    @pytest.mark.parametrize("variant", ["sis-nia", "sirs", "siv-id"])
+    def test_tampered_chain_refused_by_mixing_scan(self, variant, path3):
+        """The mixing scan measures against stationary(S), so a chain that
+        fails pi S = pi raises before any step."""
+        m = random_model(np.random.default_rng(5), variant, n=3)
+        S = build_transition_matrix(m, path3)
+        S.entries.data[0] *= 0.999
+        with pytest.raises(StationaryVerificationError, match="pi S = pi"):
+            mixing_time_exact(S, 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -591,12 +613,12 @@ class TestMixing:
                   ModelSpec("siv-vd", theta=0.0, **siv)):
             assert not exact_chain.dense_mixing_scan(m, 3)
             S = build_transition_matrix(m, path3)
-            assert stationary(S).entries.max() == 1.0
+            assert stationary(S)[0].entries.max() == 1.0
 
     def test_exact_within_bound_path3(self, path3):
         m = ModelSpec("sis-nia", beta=0.1, delta=0.9)
         S = build_transition_matrix(m, path3)
-        rep = mixing_time_exact(S, stationary(S), 0.25)
+        rep = mixing_time_exact(S, 0.25)
         assert rep.t_mix == 2
         assert rep.t_mix <= math.ceil(rep.bound)
         assert not rep.censored
@@ -608,7 +630,7 @@ class TestMixing:
         g = generate("complete", n=3)
         m = ModelSpec("sis-nia", beta=0.9, delta=0.2)
         S = build_transition_matrix(m, g)
-        rep = mixing_time_exact(S, stationary(S), 0.25, cap=30)
+        rep = mixing_time_exact(S, 0.25, cap=30)
         assert rep.censored and rep.t_mix is None
 
     def test_exact_sirs_nonpoint_path(self, rng):
@@ -617,8 +639,8 @@ class TestMixing:
         g = generate("path", n=2)
         m = ModelSpec("siv-id", beta=0.1, delta=0.9, gamma=0.5, theta=0.5)
         S = build_transition_matrix(m, g)
-        pi = stationary(S)
-        rep = mixing_time_exact(S, pi, 0.25)
+        pi, _ = stationary(S)
+        rep = mixing_time_exact(S, 0.25)
         assert rep.t_mix is not None
         assert rep.t_mix <= math.ceil(rep.bound)
         # cross-check the reported t by direct propagation from every state
@@ -636,8 +658,8 @@ class TestMixing:
         g = generate("complete", n=3)
         m = ModelSpec(variant, **rates)
         S = build_transition_matrix(m, g)
-        pi = stationary(S)
-        rep = mixing_time_exact(S, pi, 0.25)
+        pi, _ = stationary(S)
+        rep = mixing_time_exact(S, 0.25)
         M = S.entries.toarray()
         power = np.eye(len(M))
         tvs = []
@@ -650,9 +672,10 @@ class TestMixing:
         assert rep.worst_initial.code == tied[0]
 
     @staticmethod
-    def reference_dense_scan(S, pi, epsilon, cap):
+    def reference_dense_scan(S, epsilon, cap):
         """The dense mixing scan as it ran when its powers of S started
         from the identity."""
+        pi, defect = stationary(S)
         M = S.entries.toarray()
         bound = mixing_time_bound(S.model, S.graph, epsilon)
         Dmat = np.eye(len(M))
@@ -663,10 +686,11 @@ class TestMixing:
             top = tv.max()
             if top <= epsilon:
                 return exact_chain.MixingReport(
-                    t, epsilon, bound, exact_chain._worst_state(tv, top, S))
+                    t, epsilon, bound, exact_chain._worst_state(tv, top, S),
+                    defect)
         return exact_chain.MixingReport(
             None, epsilon, bound, exact_chain._worst_state(tv, tv.max(), S),
-            censored=True)
+            defect, censored=True)
 
     @pytest.mark.parametrize("variant, rates", [
         ("siv-id", dict(beta=0.3, delta=0.6, gamma=0.4, theta=0.3)),
@@ -678,16 +702,16 @@ class TestMixing:
         later, and censored at the cap."""
         g = generate("path", n=4)
         S = build_transition_matrix(ModelSpec(variant, **rates), g)
-        pi = stationary(S)
+        pi, _ = stationary(S)
         assert pi.entries.max() < 1.0  # the dense branch
         runs = [(0.99, 100), (0.25, 100), (1e-6, 3)]
-        reports = [mixing_time_exact(S, pi, eps, cap=cap)
+        reports = [mixing_time_exact(S, eps, cap=cap)
                    for eps, cap in runs]
         assert reports[0].t_mix == 1
         assert reports[1].t_mix > 1
         assert reports[2].censored
         for (eps, cap), rep in zip(runs, reports):
-            assert rep == self.reference_dense_scan(S, pi, eps, cap)
+            assert rep == self.reference_dense_scan(S, eps, cap)
 
     @staticmethod
     def count_product_rows(monkeypatch):
@@ -724,22 +748,21 @@ class TestMixing:
         for m in (ModelSpec(variant, **self.SLOW[variant]),
                   random_model(rng, variant)):
             S = build_transition_matrix(m, g)
-            pi = stationary(S)
             for eps in (0.9, 0.5, 0.25, 0.1, 1e-2, 1e-3, 1e-5):
                 for cap in (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 100):
                     rows.clear()
-                    rep = mixing_time_exact(S, pi, eps, cap=cap)
-                    assert rep == self.reference_dense_scan(S, pi, eps, cap)
+                    rep = mixing_time_exact(S, eps, cap=cap)
+                    assert rep == self.reference_dense_scan(S, eps, cap)
                     assert rep.censored is (rep.t_mix is None)
                     linear = (cap if rep.censored else rep.t_mix) - 1
                     assert sum(rows) // S.size <= linear, (eps, cap)
 
     @staticmethod
-    def traced_scan(S, pi, epsilon, cap=100000):
+    def traced_scan(S, epsilon, cap=100000):
         """The scan's report and its tracemalloc peak in bytes."""
         tracemalloc.start()
         try:
-            rep = mixing_time_exact(S, pi, epsilon, cap=cap)
+            rep = mixing_time_exact(S, epsilon, cap=cap)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -755,12 +778,11 @@ class TestMixing:
         g = generate("path", n=7)
         m = ModelSpec("siv-id", beta=0.1, delta=0.6, gamma=0.5, theta=0.5)
         S = build_transition_matrix(m, g)
-        pi = stationary(S)
         K = S.size
         rows = self.count_product_rows(monkeypatch)
-        rep, peak = self.traced_scan(S, pi, 0.25)
+        rep, peak = self.traced_scan(S, 0.25)
         assert (rep.t_mix, rep.censored) == (4, False)
-        assert rep == self.reference_dense_scan(S, pi, 0.25, 100000)
+        assert rep == self.reference_dense_scan(S, 0.25, 100000)
         assert sum(rows) == 2 * K + 1
         assert K * K * 8 < peak < 1.3 * K * K * 8
 
@@ -772,12 +794,11 @@ class TestMixing:
         g = generate("path", n=7)
         S = build_transition_matrix(ModelSpec(variant, **self.SLOW[variant]),
                                     g)
-        pi = stationary(S)
         K = S.size
-        rep, peak = self.traced_scan(S, pi, 0.25)
+        rep, peak = self.traced_scan(S, 0.25)
         assert rep.t_mix == {"siv-id": 9, "siv-vd": 15}[variant]
         assert peak < 2.3 * K * K * 8
-        assert rep == self.reference_dense_scan(S, pi, 0.25, 100000)
+        assert rep == self.reference_dense_scan(S, 0.25, 100000)
 
     @pytest.mark.parametrize("epsilon, cap, t_mix, extra", [
         # S^3's worst row fails; S^4 passes its check of K rows.
@@ -791,15 +812,14 @@ class TestMixing:
         g = generate("path", n=5)
         m = ModelSpec("siv-id", beta=0.1, delta=0.6, gamma=0.5, theta=0.5)
         S = build_transition_matrix(m, g)
-        pi = stationary(S)
-        expected = self.reference_dense_scan(S, pi, epsilon, cap)
+        expected = self.reference_dense_scan(S, epsilon, cap)
 
         def no_dense(*args, **kwargs):
             raise AssertionError("S was made dense")
 
         monkeypatch.setattr(S.entries, "toarray", no_dense)
         rows = self.count_product_rows(monkeypatch)
-        rep = mixing_time_exact(S, pi, epsilon, cap=cap)
+        rep = mixing_time_exact(S, epsilon, cap=cap)
         assert rep == expected and rep.t_mix == t_mix
         assert rows[:2] == [S.size, 1]
         assert sum(rows) == 2 * S.size + 1 + extra
@@ -814,8 +834,7 @@ class TestMixing:
         m = ModelSpec("siv-id", beta=0.87, delta=0.87, gamma=0.74,
                       theta=0.15)
         S = build_transition_matrix(m, g)
-        pi = stationary(S)
-        expected = self.reference_dense_scan(S, pi, epsilon, 100000)
+        expected = self.reference_dense_scan(S, epsilon, 100000)
         builds = []
         to_dense = S.entries.toarray
 
@@ -824,7 +843,7 @@ class TestMixing:
             return to_dense(*args, **kwargs)
 
         monkeypatch.setattr(S.entries, "toarray", counting)
-        rep = mixing_time_exact(S, pi, epsilon)
+        rep = mixing_time_exact(S, epsilon)
         assert rep == expected and rep.t_mix == t_mix
         assert len(builds) == 2
 
@@ -832,18 +851,17 @@ class TestMixing:
         g = generate("path", n=2)
         m = ModelSpec("sis-nia", beta=0.3, delta=0.5)
         S = build_transition_matrix(m, g)
-        pi = stationary(S)
         with pytest.raises(ExactChainError, match="cap must be >= 1"):
-            mixing_time_exact(S, pi, 0.25, cap=0)
+            mixing_time_exact(S, 0.25, cap=0)
 
     def test_cap_below_one_dense(self):
         g = generate("path", n=2)
         m = ModelSpec("siv-id", beta=0.3, delta=0.5, gamma=0.4, theta=0.3)
         S = build_transition_matrix(m, g)
-        pi = stationary(S)
+        pi, _ = stationary(S)
         assert pi.entries.max() < 1.0  # the non-point-mass branch
         with pytest.raises(ExactChainError, match="cap must be >= 1"):
-            mixing_time_exact(S, pi, 0.25, cap=0)
+            mixing_time_exact(S, 0.25, cap=0)
 
     def test_nonpoint_mixing_memory_budget(self, monkeypatch, path3):
         siv = ModelSpec("siv-id", beta=0.1, delta=0.9, gamma=0.5, theta=0.5)
@@ -853,9 +871,9 @@ class TestMixing:
         monkeypatch.setattr(exact_chain, "MEMORY_BUDGET_BYTES",
                             2 * 27 * 27 * 8 - 1)
         with pytest.raises(StateSpaceCapError, match="memory budget"):
-            mixing_time_exact(S_siv, stationary(S_siv), 0.25)
+            mixing_time_exact(S_siv, 0.25)
         # The point-mass scan holds no dense K x K array.
-        rep = mixing_time_exact(S_sirs, DistVector.point_mass(0, 27), 0.25)
+        rep = mixing_time_exact(S_sirs, 0.25)
         assert rep.t_mix is not None
 
 
@@ -1347,7 +1365,7 @@ class TestRowShares:
     @staticmethod
     def build_and_scan(model, graph):
         S = build_transition_matrix(model, graph)
-        return S, mixing_time_exact(S, stationary(S), 0.1)
+        return S, mixing_time_exact(S, 0.1)
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("weighted", [False, True])
