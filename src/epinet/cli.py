@@ -42,10 +42,12 @@ from .exact_chain import (
     ExactChainError,
     build_transition_matrix,
     dense_mixing_scan,
+    mixing_time_bound,
     mixing_time_exact,
 )
 from . import __version__
-from .mean_field import _upper_corner, find_fixed_point, mf_iterate
+from .mean_field import _upper_corner, find_fixed_point, \
+    jacobian_eigenvalues, mf_iterate
 from .monte_carlo import (
     MonteCarloError,
     _check_memory,
@@ -339,7 +341,7 @@ def meanfield(graph_path, generate_spec, variant, beta, delta, gamma, theta,
     ratio = threshold_ratio(model, g)
     damping = 1.0 if raw_iteration else damping
     rep = find_fixed_point(model, g, tol=tol, cap=cap, damping=damping)
-    spectrum = rep.jacobian_spectrum
+    spectrum = jacobian_eigenvalues(model, g, rep.point)
     order = np.lexsort((spectrum.imag, spectrum.real, -np.abs(spectrum)))
     spectrum = spectrum[order]
     payload = {
@@ -402,6 +404,7 @@ def exact(graph_path, generate_spec, variant, beta, delta, gamma, theta,
     dense_mixing_scan(model, g.n)
     mrep = mixing_time_exact(build_transition_matrix(model, g), epsilon,
                              cap=cap)
+    bound = mixing_time_bound(model, g, epsilon)
     worst = "".join(str(int(d)) for d in mrep.worst_initial.digits)
     ratio = threshold_ratio(model, g)
     payload = {
@@ -410,7 +413,7 @@ def exact(graph_path, generate_spec, variant, beta, delta, gamma, theta,
         "k": model.k,
         "epsilon": epsilon,
         "t_mix": mrep.t_mix,
-        "bound": mrep.bound,
+        "bound": bound,
         "censored": mrep.censored,
         "worst_initial": worst,
         "stationary_defect": mrep.stationary_defect,
@@ -418,7 +421,7 @@ def exact(graph_path, generate_spec, variant, beta, delta, gamma, theta,
     }
     _atomic_write(out, _dump_json(payload))
     click.echo(
-        f"t_mix={mrep.t_mix} bound={mrep.bound:.10g} "
+        f"t_mix={mrep.t_mix} bound={bound:.10g} "
         f"stationary_defect={mrep.stationary_defect:.3e} "
         f"ratio={ratio:.10g}"
     )
@@ -493,8 +496,7 @@ def sweep(graph_path, generate_spec, variant, beta, delta, gamma, theta,
             else "persistent"
         ext = [a for a in rep.absorbed_steps if a is not None]
         med = float(np.median(ext)) if ext else math.nan
-        fp = find_fixed_point(model, g, tol=tol, cap=cap,
-                              compute_spectrum=False)
+        fp = find_fixed_point(model, g, tol=tol, cap=cap)
         fp_norm = float(np.abs(fp.point.p_i).max())
         lines.append(
             f"{float(b)!s},{float(ratio)!s},{outcome},{rep.extinct_count},"

@@ -7,8 +7,8 @@ Implements:
     CSR. S carries its model and graph; every analysis of the chain takes S.
   - propagate, marginals, stationary.
   - dense_mixing_scan / mixing_time_exact / mixing_time_bound: exact
-    worst-case mixing time, its memory check, and the contraction-norm
-    analytic upper bound.
+    worst-case mixing time, its memory check, and the analytic upper bound
+    (a separate call: the exact report carries no bound).
   - build_R_pair / check_order_preservation: upper-set indicator matrix of
     the componentwise partial order on {0,1}^n, its integer inverse, and the
     order-preservation certificate min(R^-1 S R) >= 0.
@@ -16,7 +16,8 @@ Implements:
     (1 - r_i) and the one-step comparison S u(r) >= u(Phi(r)).
   - lp_marginal_max: exact LP maximum of a next-step infection marginal
     over all joint distributions with prescribed marginals, solved by a
-    two-phase tableau simplex with Bland's rule.
+    two-phase tableau simplex with Bland's rule; closed_form_marginal_bound
+    is the linear bound it is compared against.
   - non_absorption_check: exact survival probability against the
     mean-field product bound.
 
@@ -417,7 +418,8 @@ def stationary(S: TransitionMatrix) -> tuple[DistVector, float]:
 
 @dataclass
 class MixingReport:
-    """Exact mixing time against an analytic contraction bound.
+    """Exact mixing time of the chain S. Its analytic counterpart is
+    mixing_time_bound(model, graph, epsilon), which needs no chain.
 
     t_mix is None when the step cap was reached before the total-variation
     target (reported, not raised; expected above threshold).
@@ -427,18 +429,18 @@ class MixingReport:
 
     t_mix: int | None
     epsilon: float
-    bound: float
     worst_initial: ChainState
     stationary_defect: float
     censored: bool = False
 
 
 def mixing_time_bound(model: ModelSpec, graph: Graph, epsilon: float) -> float:
-    """Analytic mixing-time upper bound log(c*n/eps) / (-log norm).
+    """Analytic mixing-time upper bound log(c*n/eps) / (-log norm), and for
+    SIV the s + m below.
 
     The numerator constant c is k - 1: 1 for 2-compartment variants and 2
-    for 3-compartment variants (both marginal blocks must contract). The
-    norm is the 2-norm of the linear marginal bound p(t+1) <= L p(t)
+    for 3-compartment variants (sirs: both marginal blocks must contract).
+    The norm is the 2-norm of the linear marginal bound p(t+1) <= L p(t)
     (mean_field._linear_bound):
       sis-general: the largest singular value of the contact matrix
       otherwise: (1-delta) + beta*f*lambda_max(A), with the infection
@@ -453,7 +455,17 @@ def mixing_time_bound(model: ModelSpec, graph: Graph, epsilon: float) -> float:
     mu_j. A block's norm grows with |mu_j|, and the largest |mu_j| is
     ||L||_2, so ||B||_2 is the 2-norm of [[1-gamma, delta], [0, ||L||_2]]
     and no 2n x 2n matrix is formed.
-    Returns +inf when the norm is >= 1.
+    Returns +inf when the norm is >= 1, and 1 when it is 0.
+
+    siv-id and siv-vd add the relaxation of each node's S/V pair at
+    rho = |1 - gamma - theta|, which the infection marginals do not see.
+    Couple the chain with a stationary copy: infection-free states are
+    absorbing, so the infection survives past s steps with probability at
+    most n norm^s, and after that one uniform u per node (S -> V iff
+    u < theta, V -> S iff u >= 1 - gamma) joins each pair with probability
+    1 - rho per step. So d(s + m) <= n norm^s + n rho^m, and the bound is
+    s + m with s = ceil(log(2n/eps) / (-log norm)) and m = ceil(log(2n/eps)
+    / (-log rho)), m = 1 at rho = 0 and +inf at rho >= 1.
     """
     if not (0.0 < epsilon < 1.0):
         raise ExactChainError("epsilon must be in (0,1)")
@@ -470,9 +482,14 @@ def mixing_time_bound(model: ModelSpec, graph: Graph, epsilon: float) -> float:
                                      [0.0, norm]], 2))
     if norm >= 1.0:
         return math.inf
-    if norm == 0.0:
-        return 0.0 if num <= epsilon else 1.0
-    return math.log(num / epsilon) / (-math.log(norm))
+    steps = 1.0 if norm == 0.0 else math.log(num / epsilon) / -math.log(norm)
+    if model.variant not in ("siv-id", "siv-vd"):
+        return steps
+    rho = abs(1.0 - model.gamma - model.theta)
+    if rho >= 1.0:
+        return math.inf
+    pairs = math.log(num / epsilon) / -math.log(rho) if rho else 1.0
+    return float(math.ceil(steps) + math.ceil(pairs))
 
 
 def _worst_state(values: np.ndarray, extremum: float,
@@ -578,7 +595,6 @@ def mixing_time_exact(S: TransitionMatrix, epsilon: float,
         raise ExactChainError(f"cap must be >= 1, got {cap}")
     pi, defect = stationary(S)
     K = S.size
-    bound = mixing_time_bound(S.model, S.graph, epsilon)
     check_top = _VARIANTS[S.model.variant].order_preserving
     if not dense_mixing_scan(S.model, S.n):
         c = DistVector.point_mass(int(pi.entries.argmax()), K).entries
@@ -591,14 +607,14 @@ def mixing_time_exact(S: TransitionMatrix, epsilon: float,
                     f"t={t} (violates order preservation)"
                 )
             if 1.0 - low <= epsilon:
-                return MixingReport(t, epsilon, bound,
-                                    _worst_state(c, low, S), defect)
-        return MixingReport(None, epsilon, bound, _worst_state(c, c.min(), S),
+                return MixingReport(t, epsilon, _worst_state(c, low, S),
+                                    defect)
+        return MixingReport(None, epsilon, _worst_state(c, c.min(), S),
                             defect, censored=True)
 
     def report(t: int, tv: np.ndarray) -> MixingReport:
         top = float(tv.max())
-        return MixingReport(None if top > epsilon else t, epsilon, bound,
+        return MixingReport(None if top > epsilon else t, epsilon,
                             _worst_state(tv, top, S), defect, top > epsilon)
 
     A = S.entries
@@ -803,12 +819,11 @@ class LPReport:
     """LP maximum of a next-step infection marginal.
 
     lp_max: exact optimum over all joint distributions with the prescribed
-    marginals. closed_form: the linear upper bound evaluated on the same
     marginals. pivots: simplex pivots taken, Phase 1 and Phase 2 together.
+    The linear bound it is compared against is closed_form_marginal_bound.
     """
 
     lp_max: float
-    closed_form: float
     pivots: int
 
 
@@ -959,9 +974,7 @@ def lp_marginal_max(model: ModelSpec, graph: Graph, i: int,
     beq = np.concatenate(([1.0], p.concat()))
     tables = _VARIANTS[model.variant].tables(model)
     c = _node_digit_probs(_infection_matrix(model, graph), D, i, tables)[:, 1]
-    best, pivots = _simplex_max(c, B.T, beq)
-    cf = closed_form_marginal_bound(model, graph, i, p)
-    return LPReport(best, cf, pivots)
+    return LPReport(*_simplex_max(c, B.T, beq))
 
 
 # ---------------------------------------------------------------------------

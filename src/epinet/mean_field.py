@@ -12,7 +12,8 @@ and its Jacobian comes from the same tables. sis-nia keeps its factored
 1 - Pi (1 - (1-delta) x), which rounds differently from that sum.
 Implements mf_step, mf_jacobian, jacobian_eigenvalues,
 jacobian_contracts, mf_iterate, find_fixed_point and linear_bound_check,
-with the linear marginal bound L p in _linear_bound.
+with the linear marginal bound L p in _linear_bound. find_fixed_point
+returns the point alone: its stability is a separate call there.
 """
 from __future__ import annotations
 
@@ -109,7 +110,6 @@ class FixedPointReport:
     residual: float
     iterations: int
     classification: str
-    jacobian_spectrum: np.ndarray | None = None
     relation_defect: float | None = None
 
 
@@ -118,11 +118,14 @@ class FixedPointReport:
 # ---------------------------------------------------------------------------
 
 def _row_products(indptr: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Product of each CSR row's factors f (empty product = 1)."""
-    out = np.ones(len(indptr) - 1)
-    full = np.diff(indptr) > 0
-    if full.any():
-        out[full] = np.multiply.reduceat(f, indptr[:-1][full])
+    """Product of each CSR row's factors f (empty product = 1). Without an
+    empty row no mask is built: the fixed-point loop calls this per step."""
+    starts = indptr[:-1]
+    full = indptr[1:] > starts
+    if full.all():
+        return np.multiply.reduceat(f, starts)
+    out = np.ones(len(starts))
+    out[full] = np.multiply.reduceat(f, starts[full])
     return out
 
 
@@ -130,9 +133,8 @@ def _neighbor_products(model: ModelSpec, graph: Graph):
     """x -> Pi_i = prod over j of (1 - W_ij x_j), all nodes.
 
     What depends only on the model and the graph is computed once, for maps
-    applied many times: W, its indices as intp (take with intp indices
-    is 2-3x faster than indexing with the CSR's int32 indices) and the
-    starts of the non-empty rows.
+    applied many times: W and its indices as intp (take with intp indices
+    is 2-3x faster than indexing with the CSR's int32 indices).
     """
     if model.contact is None and not graph.is_weighted and graph.n > 256:
         A, beta = graph.adjacency_sparse, model.beta
@@ -145,16 +147,7 @@ def _neighbor_products(model: ModelSpec, graph: Graph):
         return log_products
     W = _infection_matrix(model, graph)
     cols = W.indices.astype(np.intp)
-    full = np.diff(W.indptr) > 0
-    starts = W.indptr[:-1][full]
-
-    def products(x: np.ndarray) -> np.ndarray:
-        out = np.ones(graph.n)
-        if len(starts):
-            out[full] = np.multiply.reduceat(1.0 - W.data * x.take(cols),
-                                             starts)
-        return out
-    return products
+    return lambda x: _row_products(W.indptr, 1.0 - W.data * x.take(cols))
 
 
 def _leave_one_out(f: np.ndarray, indptr: np.ndarray,
@@ -439,8 +432,7 @@ _CYCLE_LAGS = 64
 
 def find_fixed_point(model: ModelSpec, graph: Graph, tol: float = 1e-10,
                      cap: int = 100000, damping: float | None = None,
-                     x0: MeanFieldPoint | None = None,
-                     compute_spectrum: bool = True) -> FixedPointReport:
+                     x0: MeanFieldPoint | None = None) -> FixedPointReport:
     """Fixed point of the mean-field map.
 
     sis-nia and sis-general iterate the raw map from the all-ones corner;
@@ -542,16 +534,12 @@ def find_fixed_point(model: ModelSpec, graph: Graph, tol: float = 1e-10,
         ring[head] = vec
         head = (head + 1) % _CYCLE_LAGS
         stored = min(stored + 1, _CYCLE_LAGS)
-    del ring
     x = MeanFieldPoint.from_concat(vec, model.k)
     if classification == "converged":
         inf_norm = float(np.abs(x.p_i).max())
         classification = "disease-free" if inf_norm < classify_eps else "endemic"
-    spectrum = None
-    if compute_spectrum:
-        spectrum = jacobian_eigenvalues(model, graph, x)
     defect = _relation_defect(model, x) if classification == "endemic" else None
-    return FixedPointReport(x, residual, it, classification, spectrum, defect)
+    return FixedPointReport(x, residual, it, classification, defect)
 
 
 def _linear_bound(model: ModelSpec, graph: Graph, p: np.ndarray) -> np.ndarray:

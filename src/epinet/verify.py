@@ -35,6 +35,7 @@ from .exact_chain import (
     build_transition_matrix,
     check_order_preservation,
     check_u_bound,
+    closed_form_marginal_bound,
     lp_marginal_max,
     mixing_time_bound,
     mixing_time_exact,
@@ -130,9 +131,19 @@ def _variant_model(rng: np.random.Generator, variant: str, n: int,
     return ModelSpec(variant, **params)
 
 
-def _fail(failures: list, **info) -> None:
-    failures.append({k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                     for k, v in info.items()})
+def _fail(failures: list, check: str, model: ModelSpec | None = None,
+          graph: Graph | None = None, **info) -> None:
+    """Record a failed check. Given the instance's model and graph, the
+    record also holds variant, graph (format_edge_list) and model
+    (ModelSpec.describe), from which ModelSpec(**record["model"]) and
+    parse_edge_list(record["graph"]) rebuild it for replay."""
+    record = {"check": check}
+    if model is not None and graph is not None:
+        record.update(variant=model.variant, graph=format_edge_list(graph),
+                      model=model.describe())
+    record.update((k, v.tolist() if isinstance(v, np.ndarray) else v)
+                  for k, v in info.items())
+    failures.append(record)
 
 
 def _checked(failures: list, analysis, S, *args):
@@ -141,9 +152,7 @@ def _checked(failures: list, analysis, S, *args):
     try:
         return analysis(S, *args)
     except StationaryVerificationError as exc:
-        _fail(failures, check="stationary", variant=S.model.variant,
-              graph=format_edge_list(S.graph), error=str(exc),
-              model=S.model.describe())
+        _fail(failures, "stationary", S.model, S.graph, error=str(exc))
         return None
 
 
@@ -194,25 +203,24 @@ def _suite_ordering(n_max: int, trials: int, seed: int) -> SuiteResult:
         K = 2 ** n
         defect_id = int(np.abs(R @ R_inv - np.eye(K, dtype=np.int64)).max())
         if defect_id != 0:
-            _fail(failures, check="R-inverse", n=n, defect=defect_id)
+            _fail(failures, "R-inverse", n=n, defect=defect_id)
+        pair_seed = int(rng.integers(2 ** 31))
         rep = check_order_preservation(S, n_pairs=4, t_max=20,
-                                       seed=int(rng.integers(2 ** 31)))
+                                       seed=pair_seed)
         checks += 1
         min_entry = min(min_entry, rep.min_entry)
         pair_min = min(pair_min, rep.pair_min)
         if not math.isnan(rep.identity_defect):
             identity_defect = max(identity_defect, rep.identity_defect)
         if rep.min_entry < -1e-12:
-            _fail(failures, check="conjugation-nonnegative",
-                  variant=model.variant, graph=format_edge_list(g),
-                  beta=model.beta, delta=model.delta,
-                  contact=model.contact, min_entry=rep.min_entry)
+            _fail(failures, "conjugation-nonnegative", model, g,
+                  min_entry=rep.min_entry)
         if rep.pair_min < -1e-12:
-            _fail(failures, check="ordered-pair", variant=model.variant,
-                  graph=format_edge_list(g), pair_min=rep.pair_min)
+            _fail(failures, "ordered-pair", model, g, seed=pair_seed,
+                  pair_min=rep.pair_min)
         if not math.isnan(rep.identity_defect) and rep.identity_defect > 1e-12:
-            _fail(failures, check="transpose-identity", variant=model.variant,
-                  graph=format_edge_list(g), defect=rep.identity_defect)
+            _fail(failures, "transpose-identity", model, g,
+                  defect=rep.identity_defect)
     return SuiteResult("ordering", not failures, checks, failures, {
         "min_conjugated_entry": min_entry,
         "min_ordered_pair_value": pair_min,
@@ -235,8 +243,7 @@ def _suite_u_bound(n_max: int, trials: int, seed: int) -> SuiteResult:
             checks += 1
             worst = min(worst, slack)
             if slack < -1e-12:
-                _fail(failures, check="u-bound", graph=format_edge_list(g),
-                      beta=model.beta, delta=model.delta, r=r, slack=slack)
+                _fail(failures, "u-bound", model, g, r=r, slack=slack)
     return SuiteResult("u-bound", not failures, checks, failures,
                        {"worst_slack": worst})
 
@@ -278,21 +285,19 @@ def _suite_lp(n_max: int, trials: int, seed: int) -> SuiteResult:
                 pr_g = rng.uniform(0.0, 1.0, n) * (1.0 - pi_g)
                 p_gen = MeanFieldPoint(pi_g, pr_g)
             for p, expect_eq in ((p_small, True), (p_gen, False)):
-                rep = lp_marginal_max(model, g, i, p)
-                cf = rep.closed_form
+                lp = lp_marginal_max(model, g, i, p).lp_max
+                cf = closed_form_marginal_bound(model, g, i, p)
                 checks += 1
-                gap = rep.lp_max - cf
+                gap = lp - cf
                 max_gap = max(max_gap, gap)
                 if gap > 1e-9:
-                    _fail(failures, check="lp-bound", variant=model.variant,
-                          graph=format_edge_list(g), node=i, lp=rep.lp_max,
+                    _fail(failures, "lp-bound", model, g, node=i, lp=lp,
                           closed_form=cf, p_i=p.p_i, p_r=p.p_r)
                 if expect_eq:
                     worst_eq = max(worst_eq, abs(gap))
                     if abs(gap) > 1e-6:
-                        _fail(failures, check="lp-attainment",
-                              variant=model.variant, graph=format_edge_list(g),
-                              node=i, gap=gap, p_i=p.p_i, p_r=p.p_r)
+                        _fail(failures, "lp-attainment", model, g, node=i,
+                              gap=gap, p_i=p.p_i, p_r=p.p_r)
     return SuiteResult("lp", not failures, checks, failures, {
         "max_gap_over_bound": max_gap,
         "worst_attainment_defect": worst_eq,
@@ -313,8 +318,7 @@ def _suite_non_absorption(n_max: int, trials: int, seed: int) -> SuiteResult:
         checks += 1
         worst = min(worst, rep.slack)
         if rep.slack < -1e-10:
-            _fail(failures, check="non-absorption", graph=format_edge_list(g),
-                  beta=model.beta, delta=model.delta, X0=X0, t=t,
+            _fail(failures, "non-absorption", model, g, X0=X0, t=t,
                   exact=rep.exact, bound=rep.bound)
     return SuiteResult("non-absorption", not failures, checks, failures,
                        {"worst_slack": worst})
@@ -342,10 +346,8 @@ def _suite_linear(n_max: int, trials: int, seed: int) -> SuiteResult:
             checks += 1
             worst = min(worst, slack)
             if slack < -1e-10:
-                _fail(failures, check="linear-domination",
-                      variant=model.variant, graph=format_edge_list(g),
-                      slack=slack, p_i=x.p_i,
-                      p_r=x.p_r if x.p_r is not None else None)
+                _fail(failures, "linear-domination", model, g, slack=slack,
+                      p_i=x.p_i, p_r=x.p_r)
     return SuiteResult("linear", not failures, checks, failures,
                        {"worst_slack": worst})
 
@@ -367,9 +369,8 @@ def _suite_jacobian(n_max: int, trials: int, seed: int) -> SuiteResult:
             checks += 1
             worst = max(worst, err)
             if err > 1e-6:
-                _fail(failures, check="jacobian-fd", variant=variant,
-                      graph=format_edge_list(g), error=err, p_i=x.p_i,
-                      p_r=x.p_r if x.p_r is not None else None)
+                _fail(failures, "jacobian-fd", model, g, error=err,
+                      p_i=x.p_i, p_r=x.p_r)
     return SuiteResult("jacobian", not failures, checks, failures,
                        {"max_fd_error": worst})
 
@@ -392,12 +393,10 @@ def _suite_stability_er(n_max: int, trials: int, seed: int) -> SuiteResult:
             ratio = float(rng.uniform(1.05, 3.0))
             beta = min(1.0, ratio * delta / lam)
             model = ModelSpec("sis-ia", beta=beta, delta=delta)
-            rep = find_fixed_point(model, g, tol=1e-10,
-                                   compute_spectrum=False)
+            rep = find_fixed_point(model, g, tol=1e-10)
             checks += 1
             if rep.classification != "endemic":
-                _fail(failures, check="endemic-classification", n=n,
-                      beta=beta, delta=delta,
+                _fail(failures, "endemic-classification", model, g,
                       classification=rep.classification)
                 continue
             # An unstable endemic point is counted against the rate but is
@@ -407,11 +406,10 @@ def _suite_stability_er(n_max: int, trials: int, seed: int) -> SuiteResult:
         rates.append(stable / per_size)
     for i, rate in enumerate(rates):
         if rate < 0.95:
-            _fail(failures, check="stability-rate", n=sizes[i], rate=rate)
+            _fail(failures, "stability-rate", n=sizes[i], rate=rate)
     for i in range(1, len(rates)):
         if rates[i] < rates[i - 1] - 1e-12:
-            _fail(failures, check="rate-monotone", sizes=list(sizes),
-                  rates=rates)
+            _fail(failures, "rate-monotone", sizes=list(sizes), rates=rates)
     return SuiteResult("stability-er", not failures, checks, failures,
                        {"sizes": list(sizes), "stability_rates": rates})
 
@@ -459,8 +457,8 @@ def _suite_mixing(n_max: int, trials: int, seed: int) -> SuiteResult:
         ratio = threshold_ratio(model, g)
         bound = mixing_time_bound(model, g, 0.25)
         if ratio >= 1.0 or not math.isfinite(bound):
-            _fail(failures, check="roster-instance", variant=model.variant,
-                  graph=format_edge_list(g), ratio=ratio, bound=bound)
+            _fail(failures, "roster-instance", model, g, ratio=ratio,
+                  bound=bound)
             continue
         rep = _checked(failures, mixing_time_exact,
                        build_transition_matrix(model, g), 0.25)
@@ -470,9 +468,8 @@ def _suite_mixing(n_max: int, trials: int, seed: int) -> SuiteResult:
         rows.append({"variant": model.variant, "n": g.n,
                      "t_mix": rep.t_mix, "bound": bound})
         if rep.censored or rep.t_mix is None or rep.t_mix > math.ceil(bound):
-            _fail(failures, check="mixing-bound", variant=model.variant,
-                  graph=format_edge_list(g), t_mix=rep.t_mix, bound=bound,
-                  model=model.describe())
+            _fail(failures, "mixing-bound", model, g, t_mix=rep.t_mix,
+                  bound=bound)
     return SuiteResult("mixing", not failures, checks, failures,
                        {"instances": rows})
 
@@ -518,18 +515,14 @@ def _suite_fixed_point(n_max: int, trials: int, seed: int) -> SuiteResult:
             model = _variant_model(rng, variant, g.n, rates)
             if threshold_ratio(model, g) <= 1.0:
                 continue
-            rep = find_fixed_point(model, g, tol=1e-12,
-                                   compute_spectrum=False)
+            rep = find_fixed_point(model, g, tol=1e-12)
             checks += 1
             if rep.classification != "endemic":
-                _fail(failures, check="endemic-classification",
-                      variant=variant, graph=format_edge_list(g),
-                      model=model.describe(),
+                _fail(failures, "endemic-classification", model, g,
                       classification=rep.classification)
                 continue
             if rep.relation_defect is None or rep.relation_defect > 1e-8:
-                _fail(failures, check="fixed-point-relation", variant=variant,
-                      graph=format_edge_list(g), model=model.describe(),
+                _fail(failures, "fixed-point-relation", model, g,
                       defect=rep.relation_defect)
             else:
                 worst = max(worst, rep.relation_defect)

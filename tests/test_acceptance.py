@@ -108,8 +108,7 @@ def test_criterion_02_threshold_dichotomy():
         assert ref.point.p_i.min() > 1e-4
         for _ in range(50):
             x0 = MeanFieldPoint(rng.uniform(0.02, 1.0, g.n))
-            alt = find_fixed_point(m_above, g, tol=1e-12, x0=x0,
-                                   compute_spectrum=False)
+            alt = find_fixed_point(m_above, g, tol=1e-12, x0=x0)
             assert np.abs(alt.point.p_i - ref.point.p_i).max() < 1e-7
 
     elapsed = budget.finish()

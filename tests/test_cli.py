@@ -741,6 +741,92 @@ class TestVerify:
         assert res.exit_code == 4
         assert f"{suite}: FAIL" in res.output and "replay" in res.output
 
+    @staticmethod
+    def forced_failures():
+        """(suite, trials, check, patches, replay): patches wrap functions
+        of epinet.verify so that the check fails; replay(model, graph,
+        record) reruns the check on the rebuilt instance and returns the
+        (recorded value's key, value)."""
+        import dataclasses
+
+        import epinet.verify as v
+
+        cf, lbc, fd = (v.closed_form_marginal_bound, v.linear_bound_check,
+                       v.fd_jacobian)
+        order, fixed = v.check_order_preservation, v.find_fixed_point
+
+        def point(rec):
+            return epinet.MeanFieldPoint(rec["p_i"], rec["p_r"])
+
+        def lp(m, g, rec):
+            return epinet.lp_marginal_max(m, g, rec["node"], point(rec)).lp_max
+
+        def chain(m, g):
+            return epinet.build_transition_matrix(m, g)
+
+        def shift(fn, name, by):
+            """fn with the field name of its report moved by `by`."""
+            def shifted(*a, **k):
+                rep = fn(*a, **k)
+                return dataclasses.replace(
+                    rep, **{name: getattr(rep, name) + by})
+            return shifted
+
+        return [
+            ("lp", 12, "lp-bound",
+             {"closed_form_marginal_bound": lambda *a: cf(*a) - 1.0},
+             lambda m, g, rec: ("lp", lp(m, g, rec))),
+            ("lp", 12, "lp-attainment",
+             {"closed_form_marginal_bound": lambda *a: cf(*a) + 1.0},
+             lambda m, g, rec: ("gap", lp(m, g, rec) - (cf(
+                 m, g, rec["node"], point(rec)) + 1.0))),
+            ("linear", 6, "linear-domination",
+             {"linear_bound_check": lambda *a: lbc(*a) - 1.0},
+             lambda m, g, rec: ("slack", lbc(m, g, point(rec)) - 1.0)),
+            ("jacobian", 6, "jacobian-fd",
+             {"fd_jacobian": lambda *a: fd(*a) + 1.0},
+             lambda m, g, rec: ("error", float(np.abs(
+                 epinet.mf_jacobian(m, g, point(rec))
+                 - (fd(m, g, point(rec)) + 1.0)).max()))),
+            ("ordering", 2, "ordered-pair",
+             {"check_order_preservation": shift(order, "pair_min", -1.0)},
+             lambda m, g, rec: ("pair_min", order(
+                 chain(m, g), n_pairs=4, t_max=20,
+                 seed=rec["seed"]).pair_min - 1.0)),
+            ("ordering", 2, "transpose-identity",
+             {"check_order_preservation": shift(order, "identity_defect",
+                                                1.0)},
+             lambda m, g, rec: ("defect", order(
+                 chain(m, g), n_pairs=0).identity_defect + 1.0)),
+            ("stability-er", 1, "endemic-classification",
+             {"find_fixed_point": lambda *a, **k: fixed(*a, **k, cap=1)},
+             lambda m, g, rec: ("classification", fixed(
+                 m, g, tol=1e-10, cap=1).classification)),
+        ]
+
+    @pytest.mark.parametrize("case", range(7), ids=[
+        "lp-bound", "lp-attainment", "linear-domination", "jacobian-fd",
+        "ordered-pair", "transpose-identity", "endemic-classification"])
+    def test_failure_record_replays(self, monkeypatch, case):
+        """A forced failure records its instance: ModelSpec(**record["model"])
+        and parse_edge_list(record["graph"]) rebuild it, and rerunning the
+        check on them gives the recorded value bit for bit."""
+        import epinet.verify as verify
+
+        suite, trials, check, patches, replay = self.forced_failures()[case]
+        for name, fn in patches.items():
+            monkeypatch.setattr(verify, name, fn)
+        res = verify.run_suite(suite, trials=trials, seed=0)
+        records = [json.loads(json.dumps(rec)) for rec in res.failures
+                   if rec["check"] == check]
+        assert records and not res.passed
+        for rec in records[:3]:
+            model = epinet.ModelSpec(**rec["model"])
+            g = parse_edge_list(rec["graph"])
+            assert rec["variant"] == model.variant
+            key, value = replay(model, g, rec)
+            assert value == rec[key], (check, key)
+
     def test_negative_seed_exit_2(self, runner):
         res = runner.invoke(main, ["verify", "--suite", "linear",
                                    "--seed", "-1"])
@@ -840,7 +926,7 @@ class TestSweep:
             for beta, row in zip((0.1, 0.2), rows):
                 fp = epinet.find_fixed_point(
                     epinet.ModelSpec("sis-nia", beta=beta, delta=0.6), g,
-                    tol=float(tol), compute_spectrum=False)
+                    tol=float(tol))
                 assert row[6] == str(float(np.abs(fp.point.p_i).max()))
             norms[tol] = rows[0][6]
         assert norms == {"1e-10": "0.4658449109204583",

@@ -45,6 +45,7 @@ from epinet import (
     propagate,
     states_table,
     stationary,
+    threshold_ratio,
     u_vector,
 )
 
@@ -520,10 +521,71 @@ class TestMixing:
         m3 = ModelSpec("siv-id", beta=0.05, delta=0.9, gamma=0.5, theta=0.5)
         b2 = mixing_time_bound(m2, g, 0.25)
         b3 = mixing_time_bound(m3, g, 0.25)
-        # identical contraction norm, doubled numerator
+        # identical contraction norm, doubled numerator; SIV rounds the
+        # infection term up and adds the S/V pairs' steps, one at rho = 0
         norm = 0.1 + 0.05 * math.sqrt(2.0)
         assert b2 == pytest.approx(math.log(3 / 0.25) / (-math.log(norm)))
-        assert b3 == pytest.approx(math.log(6 / 0.25) / (-math.log(norm)))
+        assert b3 == math.ceil(math.log(6 / 0.25) / (-math.log(norm))) + 1
+
+    def test_siv_bound_infinite_when_pairs_never_relax(self, path3):
+        """gamma = theta = 0 freezes every S/V pair: rho = 1, so +inf."""
+        for variant in ("siv-id", "siv-vd"):
+            m = ModelSpec(variant, beta=0.1, delta=0.9, gamma=0.0, theta=0.0)
+            assert mixing_time_bound(m, path3, 0.25) == math.inf
+
+    # Chains whose t_mix exceeds log(2n/eps) / (-log norm), the infection
+    # marginals' term alone: (variant, path length, rates, epsilon, t_mix,
+    # bound).
+    SIV_COUNTEREXAMPLES = [
+        ("siv-id", 3, dict(beta=0.1, delta=0.9, gamma=0.05, theta=0.0),
+         0.25, 48, 65),
+        ("siv-id", 3, dict(beta=0.1, delta=0.9, gamma=0.05, theta=0.05),
+         0.25, 12, 34),
+        ("siv-id", 1, dict(beta=0.1, delta=0.5, gamma=0.3, theta=0.2),
+         0.25, 4, 6),
+    ]
+
+    @staticmethod
+    def siv_grid():
+        """Seeded below-threshold SIV chains with a finite bound: path,
+        star and complete graphs with n <= 4, gamma and theta from
+        U(0.01, 0.99), and beta below delta / (f lambda_max)."""
+        rng = np.random.default_rng(25)
+        for variant in ("siv-id", "siv-vd"):
+            for kind in ("path", "star", "complete"):
+                for n in (1, 2, 3, 4):
+                    g = generate(kind, n=n)
+                    lam = epinet.spectral_radius(g).lambda_max
+                    for _ in range(4):
+                        delta = float(rng.uniform(0.05, 0.95))
+                        gamma, theta = rng.uniform(0.01, 0.99, 2).tolist()
+                        f = 1.0 - theta if variant == "siv-vd" else 1.0
+                        u = float(rng.uniform(0.05, 0.95))
+                        beta = min(1.0, u * delta / (f * lam)) if lam else u
+                        yield g, ModelSpec(variant, beta=beta, delta=delta,
+                                           gamma=gamma, theta=theta)
+
+    def test_siv_bound_holds_on_grid(self):
+        """Exact t_mix <= bound on every chain of the grid and on the
+        counterexamples of the infection-only bound."""
+        for variant, n, rates, eps, t_mix, bound in self.SIV_COUNTEREXAMPLES:
+            g = generate("path", n=n)
+            m = ModelSpec(variant, **rates)
+            rep = mixing_time_exact(build_transition_matrix(m, g), eps)
+            assert (rep.t_mix, mixing_time_bound(m, g, eps)) \
+                == (t_mix, bound)
+        chains = 0
+        for g, m in self.siv_grid():
+            assert threshold_ratio(m, g) < 1.0
+            S = build_transition_matrix(m, g)
+            for eps in (0.1, 0.25, 0.4):
+                bound = mixing_time_bound(m, g, eps)
+                assert math.isfinite(bound)
+                rep = mixing_time_exact(S, eps)
+                assert not rep.censored
+                assert rep.t_mix <= bound, (m.describe(), g.n, eps)
+                chains += 1
+        assert chains == 288
 
     def test_epsilon_validation(self, path3):
         m = ModelSpec("sis-nia", beta=0.1, delta=0.9)
@@ -603,6 +665,19 @@ class TestMixing:
         assert math.isfinite(bound)
         assert peak < (2 * g.n) ** 2 * 8 / 16
 
+    def test_exact_scan_takes_no_bound(self, monkeypatch, path3):
+        """mixing_time_exact reports the chain's t_mix alone; the analytic
+        bound is the caller's mixing_time_bound call."""
+        def refuse(*args):
+            raise AssertionError("mixing_time_exact took the bound")
+
+        monkeypatch.setattr(exact_chain, "mixing_time_bound", refuse)
+        for m in (ModelSpec("sis-nia", beta=0.1, delta=0.9),
+                  ModelSpec("siv-id", beta=0.1, delta=0.5, gamma=0.5,
+                            theta=0.5)):
+            rep = mixing_time_exact(build_transition_matrix(m, path3), 0.25)
+            assert rep.t_mix is not None
+
     def test_dense_mixing_scan_decision(self, path3):
         """Dense exactly when the stationary law is no point mass."""
         siv = dict(beta=0.1, delta=0.5, gamma=0.5)
@@ -620,7 +695,7 @@ class TestMixing:
         S = build_transition_matrix(m, path3)
         rep = mixing_time_exact(S, 0.25)
         assert rep.t_mix == 2
-        assert rep.t_mix <= math.ceil(rep.bound)
+        assert rep.t_mix <= math.ceil(mixing_time_bound(m, path3, 0.25))
         assert not rep.censored
         # worst initial is the all-infected state for the order-preserving
         # variant
@@ -642,7 +717,7 @@ class TestMixing:
         pi, _ = stationary(S)
         rep = mixing_time_exact(S, 0.25)
         assert rep.t_mix is not None
-        assert rep.t_mix <= math.ceil(rep.bound)
+        assert rep.t_mix <= math.ceil(mixing_time_bound(m, g, 0.25))
         # cross-check the reported t by direct propagation from every state
         for code in range(9):
             mu = propagate(DistVector.point_mass(code, 9), S, rep.t_mix)
@@ -677,7 +752,6 @@ class TestMixing:
         from the identity."""
         pi, defect = stationary(S)
         M = S.entries.toarray()
-        bound = mixing_time_bound(S.model, S.graph, epsilon)
         Dmat = np.eye(len(M))
         for t in range(1, cap + 1):
             Dmat = Dmat @ M
@@ -686,11 +760,10 @@ class TestMixing:
             top = tv.max()
             if top <= epsilon:
                 return exact_chain.MixingReport(
-                    t, epsilon, bound, exact_chain._worst_state(tv, top, S),
-                    defect)
+                    t, epsilon, exact_chain._worst_state(tv, top, S), defect)
         return exact_chain.MixingReport(
-            None, epsilon, bound, exact_chain._worst_state(tv, tv.max(), S),
-            defect, censored=True)
+            None, epsilon, exact_chain._worst_state(tv, tv.max(), S), defect,
+            censored=True)
 
     @pytest.mark.parametrize("variant, rates", [
         ("siv-id", dict(beta=0.3, delta=0.6, gamma=0.4, theta=0.3)),
@@ -1037,7 +1110,8 @@ class TestLP:
         raw = rng.random(g.n)
         p = MeanFieldPoint(raw / (raw.sum() * 1.5))
         rep = lp_marginal_max(m, g, 0, p)
-        assert rep.lp_max == pytest.approx(rep.closed_form, abs=1e-6)
+        assert rep.lp_max == pytest.approx(
+            closed_form_marginal_bound(m, g, 0, p), abs=1e-6)
 
     def test_bound_holds_general_marginals(self, rng):
         for variant in ALL_VARIANTS:
@@ -1051,7 +1125,7 @@ class TestLP:
                 p = MeanFieldPoint(pi_, pr_)
             i = int(rng.integers(g.n))
             rep = lp_marginal_max(m, g, i, p)
-            assert rep.lp_max <= rep.closed_form + 1e-9
+            assert rep.lp_max <= closed_form_marginal_bound(m, g, i, p) + 1e-9
             assert abs(rep.lp_max - _oracle_max(m, g, i, p)) <= 1e-12
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -1171,9 +1245,10 @@ class TestLP:
             small, general = _marginal_families(rng, n, 3)
             for p, tight in ((small, True), (general, False)):
                 rep = lp_marginal_max(m, g, i, p)
-                assert rep.lp_max <= rep.closed_form + 1e-9
+                cf = closed_form_marginal_bound(m, g, i, p)
+                assert rep.lp_max <= cf + 1e-9
                 if tight:
-                    assert abs(rep.lp_max - rep.closed_form) <= 1e-6
+                    assert abs(rep.lp_max - cf) <= 1e-6
 
     def test_contact_dimension_checked(self, path3):
         m = ModelSpec("sis-general", contact=np.full((4, 4), 0.2))
@@ -1232,7 +1307,19 @@ class TestLP:
             for i in range(g.n):
                 rep = lp_marginal_max(m, g, i, p)
                 assert nxt[i] <= rep.lp_max + 1e-12
-                assert rep.lp_max <= rep.closed_form + 1e-9
+                assert rep.lp_max <= closed_form_marginal_bound(m, g, i, p) \
+                    + 1e-9
+
+    def test_takes_no_closed_form(self, monkeypatch, path3):
+        """lp_marginal_max solves the LP alone; the linear bound is the
+        caller's closed_form_marginal_bound call."""
+        def refuse(*args):
+            raise AssertionError("lp_marginal_max took the closed form")
+
+        monkeypatch.setattr(exact_chain, "closed_form_marginal_bound", refuse)
+        m = ModelSpec("sirs", beta=0.3, delta=0.5, gamma=0.4)
+        p = MeanFieldPoint(np.full(3, 0.2), np.full(3, 0.1))
+        assert lp_marginal_max(m, path3, 1, p).lp_max > 0.0
 
     def test_never_builds_chain(self, rng, monkeypatch):
         def no_build(*args):
@@ -1245,7 +1332,7 @@ class TestLP:
             p = MeanFieldPoint(np.full(g.n, 0.2),
                                np.full(g.n, 0.2) if m.k == 3 else None)
             rep = lp_marginal_max(m, g, 0, p)
-            assert rep.lp_max <= rep.closed_form + 1e-9
+            assert rep.lp_max <= closed_form_marginal_bound(m, g, 0, p) + 1e-9
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_objective_is_row_sum_of_chain(self, rng, variant):

@@ -167,7 +167,7 @@ def _mean_field_bytes(variant: str, graph_name: str) -> bytes:
     p[[1, 3]] = 1.0
     r = None if m.k == 2 else (1.0 - p) * rng.uniform(0.0, 1.0, g.n)
     x = MeanFieldPoint(p, r)
-    fp = find_fixed_point(m, g, compute_spectrum=False)
+    fp = find_fixed_point(m, g)
     return b"".join((mf_step(m, g, x).concat().tobytes(),
                      mf_jacobian(m, g, x).tobytes(),
                      fp.point.concat().tobytes()))

@@ -653,7 +653,7 @@ class TestTableKernel:
         m = ModelSpec("sis-general", contact=contact_from_rates(g, 0.08, 0.9))
         tracemalloc.start()
         try:
-            rep = find_fixed_point(m, g, compute_spectrum=False)
+            rep = find_fixed_point(m, g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -684,6 +684,17 @@ class TestTableKernel:
 # ---------------------------------------------------------------------------
 
 class TestFixedPoint:
+    def test_fixed_point_takes_no_spectrum(self, monkeypatch, star3):
+        """find_fixed_point returns the point alone; its spectrum is the
+        caller's jacobian_eigenvalues call."""
+        def refuse(*args):
+            raise AssertionError("find_fixed_point took the spectrum")
+
+        monkeypatch.setattr(mean_field, "jacobian_eigenvalues", refuse)
+        rep = find_fixed_point(ModelSpec("sirs", beta=0.6, delta=0.3,
+                                         gamma=0.4), star3)
+        assert rep.classification == "endemic"
+
     def test_endemic_closed_form_k2(self):
         g = generate("complete", n=2)
         m = ModelSpec("sis-nia", beta=0.8, delta=0.4)
@@ -878,7 +889,7 @@ class TestCycleDetector:
     @staticmethod
     def assert_same(m, g, **kwargs):
         cls, it, res, pt = reference_fixed_point(m, g, **kwargs)
-        rep = find_fixed_point(m, g, compute_spectrum=False, **kwargs)
+        rep = find_fixed_point(m, g, **kwargs)
         assert (rep.classification, rep.iterations, rep.residual) \
             == (cls, it, res)
         assert np.array_equal(rep.point.concat(), pt.concat())
@@ -1011,13 +1022,13 @@ class TestStability:
         lam = spectral_radius(g).lambda_max
         m = ModelSpec("sis-nia", beta=round(0.7 * 0.6 / lam, 6), delta=0.6)
         rep = find_fixed_point(m, g)
-        assert np.abs(rep.jacobian_spectrum).max() < 1.0
+        assert np.abs(jacobian_eigenvalues(m, g, rep.point)).max() < 1.0
         assert jacobian_contracts(m, g, rep.point)
 
     def test_star3_endemic_unstable(self, star3):
         m = ModelSpec("sis-ia", beta=0.9, delta=0.9)
         rep = find_fixed_point(m, star3)
-        rho = np.abs(rep.jacobian_spectrum).max()
+        rho = np.abs(jacobian_eigenvalues(m, star3, rep.point)).max()
         assert rho == pytest.approx(1.0587, abs=1e-3)
         assert not jacobian_contracts(m, star3, rep.point)
 
@@ -1102,7 +1113,7 @@ class TestJacobianContracts:
         the spectrum decides."""
         g = generate("complete", n=3)
         m = ModelSpec("sis-ia", beta=0.7, delta=0.9)
-        x = find_fixed_point(m, g, compute_spectrum=False).point
+        x = find_fixed_point(m, g).point
         B = np.abs(mf_jacobian(m, g, x))
         assert np.abs(np.linalg.eigvals(B)).max() > 1.05
         spectra = self.count_spectra(monkeypatch)
@@ -1123,7 +1134,8 @@ class TestJacobianContracts:
         m = ModelSpec("sis-ia", beta=0.9, delta=0.8)
         rep = find_fixed_point(m, g)
         assert rep.classification == "endemic"
-        assert 1.0 < np.abs(rep.jacobian_spectrum).max() < 1.001
+        assert 1.0 < np.abs(jacobian_eigenvalues(m, g, rep.point)).max() \
+            < 1.001
         assert not jacobian_contracts(m, g, rep.point)
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -1135,7 +1147,7 @@ class TestJacobianContracts:
         for _ in range(12):
             g = random_connected_graph(rng, 9, n_min=3, weighted_prob=0.5)
             m = random_model(rng, variant, n=g.n)
-            points = [find_fixed_point(m, g, compute_spectrum=False).point,
+            points = [find_fixed_point(m, g).point,
                       random_point(rng, variant, g.n)]
             for x in points:
                 before = len(spectra)

@@ -618,7 +618,7 @@ class TestThresholdRatio:
         with caplog.at_level(logging.WARNING, logger="epinet.model_core"):
             ratio = threshold_ratio(m, g)
             rep = spectral_radius(g)
-            fp = find_fixed_point(m, g, compute_spectrum=False)
+            fp = find_fixed_point(m, g)
         assert "disconnected" in caplog.text
         assert ratio == pytest.approx(0.8 / 0.7)
         assert rep.lambda_max == pytest.approx(4.0)
@@ -636,14 +636,16 @@ class TestThresholdRatio:
 # table and the infection matrix (model_core._infection_matrix) describe the
 # variants; what is left here: sis-nia's factored map and derivative, the
 # integer-count and log-sum paths of unweighted rate models, the symmetric
-# spectrum of unweighted SIS, the linear bound L and the mixing bound, the
-# closed-form fixed-point relations, the sis-nia-only checks, the contact
-# matrix of the mirrored chain, and the Monte Carlo grid's validation.
+# spectrum of unweighted SIS, the linear bound L and the mixing bound (whose
+# SIV branch adds the S/V pairs' relaxation at |1 - gamma - theta|, which the
+# infection marginals do not bound), the closed-form fixed-point relations,
+# the sis-nia-only checks, the contact matrix of the mirrored chain, and the
+# Monte Carlo grid's validation.
 ENGINE_FORKS = {
     "mean_field": {"_neighbor_products": 1, "_mf_map": 1, "_derivatives": 1,
                    "jacobian_eigenvalues": 1, "_relation_defect": 2,
                    "_linear_bound": 1},
-    "exact_chain": {"mixing_time_bound": 2, "_mirror_matrix": 1,
+    "exact_chain": {"mixing_time_bound": 3, "_mirror_matrix": 1,
                     "check_u_bound": 1, "non_absorption_check": 1},
     "monte_carlo": {"_escape_function": 1, "_run": 1},
 }

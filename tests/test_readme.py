@@ -70,7 +70,8 @@ REMOVED_MEMBERS = (
     ("EnsembleReport", "i_q10"), ("EnsembleReport", "i_q50"),
     ("EnsembleReport", "i_q90"), ("ChainState", "complement"),
     ("ChainState", "support"), ("DistVector", "uniform"),
-    ("Graph", "neighbors"),
+    ("Graph", "neighbors"), ("FixedPointReport", "jacobian_spectrum"),
+    ("MixingReport", "bound"), ("LPReport", "closed_form"),
 )
 MODULES = ("model_core", "exact_chain", "mean_field", "monte_carlo",
            "verify", "cli")
