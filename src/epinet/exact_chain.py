@@ -8,7 +8,8 @@ Implements:
   - propagate, marginals, stationary.
   - dense_mixing_scan / mixing_time_exact / mixing_time_bound: exact
     worst-case mixing time, its memory check, and the analytic upper bound
-    (a separate call: the exact report carries no bound).
+    from one coupling for every variant (a separate call: the exact report
+    carries no bound).
   - build_R_pair / check_order_preservation: upper-set indicator matrix of
     the componentwise partial order on {0,1}^n, its integer inverse, and the
     order-preservation certificate min(R^-1 S R) >= 0.
@@ -48,9 +49,9 @@ from .model_core import (
     _infection_matrix,
     _row_shares,
     contact_from_rates,
-    spectral_radius,
 )
-from .mean_field import MeanFieldPoint, _linear_bound, mf_iterate, mf_step
+from .mean_field import (MeanFieldPoint, _linear_bound, _linear_norm,
+                         mf_iterate, mf_step)
 
 logger = logging.getLogger(__name__)
 
@@ -435,61 +436,30 @@ class MixingReport:
 
 
 def mixing_time_bound(model: ModelSpec, graph: Graph, epsilon: float) -> float:
-    """Analytic mixing-time upper bound log(c*n/eps) / (-log norm), and for
-    SIV the s + m below.
+    """Analytic mixing-time upper bound, a whole number of steps.
 
-    The numerator constant c is k - 1: 1 for 2-compartment variants and 2
-    for 3-compartment variants (sirs: both marginal blocks must contract).
-    The norm is the 2-norm of the linear marginal bound p(t+1) <= L p(t)
-    (mean_field._linear_bound):
-      sis-general: the largest singular value of the contact matrix
-      otherwise: (1-delta) + beta*f*lambda_max(A), with the infection
-        factor f (1-theta for siv-vd, else 1). This is the exact 2-norm of
-        the symmetric L = (1-delta)I + beta*f*A, since
-        |1-delta+beta*f*lambda_min| <= 1-delta+beta*f*lambda_max for
-        adjacency spectra.
-    For sirs the recovered marginals join in, and the norm is that of
-    B = [[(1-gamma)I, delta*I], [0, L]]. Conjugating by the eigenvectors of
-    L and reordering coordinates is an orthogonal similarity that splits B
-    into the 2 x 2 blocks [[1-gamma, delta], [0, mu_j]] over L's eigenvalues
-    mu_j. A block's norm grows with |mu_j|, and the largest |mu_j| is
-    ||L||_2, so ||B||_2 is the 2-norm of [[1-gamma, delta], [0, ||L||_2]]
-    and no 2n x 2n matrix is formed.
-    Returns +inf when the norm is >= 1, and 1 when it is 0.
-
-    siv-id and siv-vd add the relaxation of each node's S/V pair at
-    rho = |1 - gamma - theta|, which the infection marginals do not see.
-    Couple the chain with a stationary copy: infection-free states are
-    absorbing, so the infection survives past s steps with probability at
-    most n norm^s, and after that one uniform u per node (S -> V iff
-    u < theta, V -> S iff u >= 1 - gamma) joins each pair with probability
-    1 - rho per step. So d(s + m) <= n norm^s + n rho^m, and the bound is
-    s + m with s = ceil(log(2n/eps) / (-log norm)) and m = ceil(log(2n/eps)
-    / (-log rho)), m = 1 at rho = 0 and +inf at rho >= 1.
+    Couple the chain with a stationary copy. Infection-free states are
+    closed and the infection marginals obey p(t+1) <= L p(t)
+    (mean_field._linear_bound), so the infection outlives s steps w.p. at
+    most n ||L||_2^s. Then each compartment the marginals do not see
+    forgets its start at its variant's rate r (model_core._Variant.
+    relaxation): an R node stays R w.p. r = 1 - gamma (sirs), and one
+    uniform u per node (S -> V iff u < theta, V -> S iff u >= 1 - gamma)
+    leaves an S/V pair apart w.p. r = |1 - gamma - theta| (SIV). With the
+    c = len(rates) rates (||L||_2, *relaxation), d(sum of steps) <= sum of
+    n r^steps <= eps when each rate takes ceil(log(c*n/eps) / (-log r))
+    steps, 1 at r = 0; the bound is their sum, +inf if any rate is >= 1.
     """
     if not (0.0 < epsilon < 1.0):
         raise ExactChainError("epsilon must be in (0,1)")
     _check_contact(model, graph)
-    num = (model.k - 1) * graph.n
-    if model.contact is not None:
-        norm = float(np.linalg.norm(model.contact, 2))
-    else:
-        lam = spectral_radius(graph, 1e-12).lambda_max
-        eff = model.beta * _VARIANTS[model.variant].infection(model)
-        norm = (1.0 - model.delta) + eff * lam
-    if model.variant == "sirs":
-        norm = float(np.linalg.norm([[1.0 - model.gamma, model.delta],
-                                     [0.0, norm]], 2))
-    if norm >= 1.0:
+    rates = (_linear_norm(model, graph),
+             *_VARIANTS[model.variant].relaxation(model))
+    if max(rates) >= 1.0:
         return math.inf
-    steps = 1.0 if norm == 0.0 else math.log(num / epsilon) / -math.log(norm)
-    if model.variant not in ("siv-id", "siv-vd"):
-        return steps
-    rho = abs(1.0 - model.gamma - model.theta)
-    if rho >= 1.0:
-        return math.inf
-    pairs = math.log(num / epsilon) / -math.log(rho) if rho else 1.0
-    return float(math.ceil(steps) + math.ceil(pairs))
+    log_target = math.log(len(rates) * graph.n / epsilon)
+    return float(sum(math.ceil(log_target / -math.log(r)) if r else 1
+                     for r in rates))
 
 
 def _worst_state(values: np.ndarray, extremum: float,
@@ -995,15 +965,20 @@ def non_absorption_check(S: TransitionMatrix, X0: ChainState | int,
     """P(chain S not absorbed by step t | start X0) against the product bound
     1 - prod over initially infected i of (1 - Phi^t_i(all-ones)).
 
-    Defined for sis-nia. slack = bound - exact must be >= -1e-10.
+    Defined for sis-nia; X0 must be a state of S (a code of S, or a
+    ChainState with S's n and k). slack = bound - exact must be >= -1e-10.
     """
     model, graph, n = S.model, S.graph, S.n
     if model.variant != "sis-nia":
         raise ExactChainError("non-absorption bound is defined for sis-nia")
-    code = X0.code if isinstance(X0, ChainState) else int(X0)
-    mu = propagate(DistVector.point_mass(code, S.size), S, t)
+    if not isinstance(X0, ChainState):
+        X0 = ChainState(int(X0), n, S.k)
+    if (X0.n, X0.k) != (n, S.k):
+        raise ExactChainError(f"start state has n={X0.n}, k={X0.k}; the "
+                              f"chain has n={n}, k={S.k}")
+    mu = propagate(DistVector.point_mass(X0.code, S.size), S, t)
     exact = 1.0 - float(mu.entries[0])
     x = mf_iterate(model, graph, MeanFieldPoint(np.ones(n)), t)[-1].p_i
-    support = states_table(n, 2)[code] == 1
+    support = states_table(n, 2)[X0.code] == 1
     bound = 1.0 - float(np.prod(1.0 - x[support]))
     return NonAbsorptionReport(exact, bound, bound - exact)

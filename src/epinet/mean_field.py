@@ -12,8 +12,9 @@ and its Jacobian comes from the same tables. sis-nia keeps its factored
 1 - Pi (1 - (1-delta) x), which rounds differently from that sum.
 Implements mf_step, mf_jacobian, jacobian_eigenvalues,
 jacobian_contracts, mf_iterate, find_fixed_point and linear_bound_check,
-with the linear marginal bound L p in _linear_bound. find_fixed_point
-returns the point alone: its stability is a separate call there.
+with the linear marginal bound L p in _linear_bound and its 2-norm in
+_linear_norm. find_fixed_point returns the point alone: its stability is a
+separate call there.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from .model_core import (
     ModelSpec,
     _check_contact,
     _infection_matrix,
+    spectral_radius,
 )
 
 
@@ -554,6 +556,16 @@ def _linear_bound(model: ModelSpec, graph: Graph, p: np.ndarray) -> np.ndarray:
         return model.contact @ p
     eff = model.beta * _VARIANTS[model.variant].infection(model)
     return (1.0 - model.delta) * p + eff * (graph.adjacency_sparse @ p)
+
+
+def _linear_norm(model: ModelSpec, graph: Graph) -> float:
+    """||L||_2 of _linear_bound's L: the contact matrix's largest singular
+    value, else (1-delta) + beta f lambda_max(A), exact for the symmetric L
+    as |1-delta+beta f lambda_min| <= 1-delta+beta f lambda_max."""
+    if model.contact is not None:
+        return float(np.linalg.norm(model.contact, 2))
+    eff = model.beta * _VARIANTS[model.variant].infection(model)
+    return (1.0 - model.delta) + eff * spectral_radius(graph, 1e-12).lambda_max
 
 
 def linear_bound_check(model: ModelSpec, graph: Graph,

@@ -469,7 +469,9 @@ class _Variant:
     laws, so the all-infected start is a worst case and the mean-field map
     decreases from the all-infected corner. ends_at_extinction: with zero
     infected no infection can restart and no susceptible enters R, so a
-    trajectory ends there.
+    trajectory ends there. relaxation(spec): the per-step rates at which
+    what the infection marginals do not see forgets its start, () for SIS,
+    (1 - gamma,) for sirs, (|1 - gamma - theta|,) for SIV (mixing bound).
     """
 
     k: int
@@ -478,6 +480,7 @@ class _Variant:
     free_law: Callable[["ModelSpec"], tuple[float, ...]]
     order_preserving: bool = False
     ends_at_extinction: bool = False
+    relaxation: Callable[["ModelSpec"], tuple[float, ...]] = lambda s: ()
 
     def infection(self, spec: "ModelSpec") -> float:
         _, A, B = self.tables(spec)
@@ -529,19 +532,20 @@ _VARIANTS: dict[str, _Variant] = {
     "sirs": _Variant(
         3, ("beta", "delta", "gamma"),
         lambda s: _sir_tables(s, [0, 0, 0], [1, 0, 0], [0, 1, 0]),
-        lambda s: (1.0, 0.0, 0.0), ends_at_extinction=True),
+        lambda s: (1.0, 0.0, 0.0), ends_at_extinction=True,
+        relaxation=lambda s: (1.0 - s.gamma,)),
     # Vaccination applies only if no infection arrives.
     "siv-id": _Variant(
         3, ("beta", "delta", "gamma", "theta"),
         lambda s: _sir_tables(s, [0, 0, 0], [1 - s.theta, 0, s.theta],
                               [0, 1, 0]),
-        _siv_law),
+        _siv_law, relaxation=lambda s: (abs(1.0 - s.gamma - s.theta),)),
     # Vaccination preempts any arriving infection.
     "siv-vd": _Variant(
         3, ("beta", "delta", "gamma", "theta"),
         lambda s: _sir_tables(s, [0, 0, s.theta], [1 - s.theta, 0, 0],
                               [0, 1 - s.theta, 0]),
-        _siv_law),
+        _siv_law, relaxation=lambda s: (abs(1.0 - s.gamma - s.theta),)),
 }
 VARIANTS = tuple(_VARIANTS)
 

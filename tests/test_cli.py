@@ -480,7 +480,7 @@ class TestExact:
         assert res.exit_code == 0
         payload = json.loads(open(out).read())
         assert payload["t_mix"] == 2
-        assert payload["t_mix"] <= payload["bound"] + 1
+        assert payload["bound"] == 2
         assert payload["worst_initial"] == "111"
         assert payload["stationary_defect"] <= 1e-10
         assert not payload["censored"]

@@ -507,8 +507,8 @@ class TestMixing:
         g = generate("path", n=3)  # lambda_max = sqrt(2)
         m = ModelSpec("sis-nia", beta=0.1, delta=0.9)
         norm = 0.1 + 0.1 * math.sqrt(2.0)
-        expected = math.log(3 / 0.25) / (-math.log(norm))
-        assert mixing_time_bound(m, g, 0.25) == pytest.approx(expected)
+        expected = math.ceil(math.log(3 / 0.25) / (-math.log(norm)))
+        assert mixing_time_bound(m, g, 0.25) == expected == 2
 
     def test_bound_above_threshold_infinite(self):
         g = generate("complete", n=4)
@@ -521,10 +521,10 @@ class TestMixing:
         m3 = ModelSpec("siv-id", beta=0.05, delta=0.9, gamma=0.5, theta=0.5)
         b2 = mixing_time_bound(m2, g, 0.25)
         b3 = mixing_time_bound(m3, g, 0.25)
-        # identical contraction norm, doubled numerator; SIV rounds the
-        # infection term up and adds the S/V pairs' steps, one at rho = 0
+        # identical contraction norm; SIV's second rate, the S/V pairs' at
+        # rho = 0, doubles the numerator and adds one step
         norm = 0.1 + 0.05 * math.sqrt(2.0)
-        assert b2 == pytest.approx(math.log(3 / 0.25) / (-math.log(norm)))
+        assert b2 == math.ceil(math.log(3 / 0.25) / (-math.log(norm)))
         assert b3 == math.ceil(math.log(6 / 0.25) / (-math.log(norm))) + 1
 
     def test_siv_bound_infinite_when_pairs_never_relax(self, path3):
@@ -595,21 +595,6 @@ class TestMixing:
             mixing_time_bound(m, path3, 1.0)
 
     @staticmethod
-    def dense_block_bound(m, g, epsilon):
-        """The sirs bound from the largest singular value of the 2n x 2n
-        block [[(1-gamma)I, delta I], [0, (1-delta)I + beta A]]."""
-        n = g.n
-        block = np.block([
-            [(1.0 - m.gamma) * np.eye(n), m.delta * np.eye(n)],
-            [np.zeros((n, n)),
-             (1.0 - m.delta) * np.eye(n) + m.beta * g.adjacency()],
-        ])
-        norm = float(np.linalg.norm(block, 2))
-        if norm >= 1.0:
-            return math.inf
-        return math.log(2 * n / epsilon) / (-math.log(norm))
-
-    @staticmethod
     def bound_grid():
         """Path, star, complete and ER graphs, unweighted and weighted,
         connected and not (two copies side by side, plus edgeless)."""
@@ -629,28 +614,78 @@ class TestMixing:
                     (i + g.n, j + g.n) for i, j in g.edges)))
         return graphs + twins
 
-    def test_sirs_bound_matches_dense_block(self):
-        """The 2 x 2 reduction gives the dense block's bound to a relative
-        1e-12."""
+    # (variant, rates, infection factor f, relaxation rates), by hand.
+    ORACLE_VARIANTS = [
+        ("sis-ia", lambda rng: {}, lambda m: 1.0, lambda m: ()),
+        ("sirs", lambda rng: dict(gamma=float(rng.uniform(0.5, 1.0))),
+         lambda m: 1.0, lambda m: (1.0 - m.gamma,)),
+        ("siv-vd", lambda rng: dict(zip(("gamma", "theta"),
+                                        rng.uniform(0.05, 0.95, 2).tolist())),
+         lambda m: 1.0 - m.theta, lambda m: (abs(1.0 - m.gamma - m.theta),)),
+    ]
+
+    def test_bound_matches_eigvalsh_oracle(self):
+        """s + m from the spectrum of the dense L = (1-delta)I + beta f A
+        and the relaxation rates, before the ceiling: draws whose step
+        counts are within 1e-9 of an integer are skipped."""
         rng = np.random.default_rng(6)
+        compared = 0
         for g in self.bound_grid():
-            lam = float(np.abs(np.linalg.eigvalsh(g.adjacency())).max())
-            for _ in range(3):
+            A = g.adjacency()
+            lam = float(np.abs(np.linalg.eigvalsh(A)).max())
+            for variant, draw, factor, relax in self.ORACLE_VARIANTS:
                 delta = float(rng.uniform(0.3, 0.7))
-                m = ModelSpec("sirs", delta=delta,
-                              gamma=float(rng.uniform(0.5, 1.0)),
+                m = ModelSpec(variant, delta=delta, **draw(rng),
                               beta=float(rng.uniform(0.0, 0.4))
                               * delta / max(lam, 1.0))
-                want = self.dense_block_bound(m, g, 0.25)
+                L = (1.0 - delta) * np.eye(g.n) + m.beta * factor(m) * A
+                rates = (float(np.abs(np.linalg.eigvalsh(L)).max()),
+                         *relax(m))
+                log_target = math.log(len(rates) * g.n / 0.25)
+                steps = [log_target / -math.log(r) if r else 1.0
+                         for r in rates]
+                if any(abs(x - round(x)) < 1e-9 for x in steps):
+                    continue
                 got = mixing_time_bound(m, g, 0.25)
-                assert math.isfinite(want)
-                assert abs(got - want) <= 1e-12 * want, (g, m)
+                assert got == sum(map(math.ceil, steps)), (g, m)
+                compared += 1
+        assert compared >= 3 * len(self.bound_grid()) - 5
 
-    def test_sirs_bound_infinite_with_dense_block(self, path3):
-        for m in (ModelSpec("sirs", beta=0.05, delta=0.9, gamma=0.05),
-                  ModelSpec("sirs", beta=0.9, delta=0.3, gamma=0.5)):
-            assert self.dense_block_bound(m, path3, 0.25) == math.inf
-            assert mixing_time_bound(m, path3, 0.25) == math.inf
+    def test_sirs_bound_counterexample(self, path3):
+        """Finite below threshold with a slow R -> S return (t_mix 48,
+        bound 64), and +inf above threshold."""
+        m = ModelSpec("sirs", beta=0.05, delta=0.9, gamma=0.05)
+        rep = mixing_time_exact(build_transition_matrix(m, path3), 0.25)
+        assert (rep.t_mix, mixing_time_bound(m, path3, 0.25)) == (48, 64)
+        m = ModelSpec("sirs", beta=0.9, delta=0.3, gamma=0.5)
+        assert mixing_time_bound(m, path3, 0.25) == math.inf
+
+    def test_sirs_bound_holds_on_grid(self):
+        """Finite and >= the exact t_mix on every chain of a seeded
+        below-threshold sirs grid: path, star and complete graphs with
+        n = 2..5, delta and gamma from U(0.05, 0.95) and U(0.01, 0.99), and
+        beta below delta / lambda_max."""
+        rng = np.random.default_rng(26)
+        chains = 0
+        for kind in ("path", "star", "complete"):
+            for n in (2, 3, 4, 5):
+                g = generate(kind, n=n)
+                lam = epinet.spectral_radius(g).lambda_max
+                for _ in range(4):
+                    delta = float(rng.uniform(0.05, 0.95))
+                    gamma = float(rng.uniform(0.01, 0.99))
+                    beta = float(rng.uniform(0.05, 0.95)) * delta / lam
+                    m = ModelSpec("sirs", beta=beta, delta=delta, gamma=gamma)
+                    assert threshold_ratio(m, g) < 1.0
+                    S = build_transition_matrix(m, g)
+                    for eps in (0.1, 0.25, 0.4):
+                        bound = mixing_time_bound(m, g, eps)
+                        assert math.isfinite(bound), (m.describe(), g.n, eps)
+                        rep = mixing_time_exact(S, eps)
+                        assert not rep.censored
+                        assert rep.t_mix <= bound, (m.describe(), g.n, eps)
+                        chains += 1
+        assert chains == 144
 
     def test_sirs_bound_memory_n1000(self):
         """No 2n x 2n array: 32 MB at n = 1000."""
@@ -695,7 +730,7 @@ class TestMixing:
         S = build_transition_matrix(m, path3)
         rep = mixing_time_exact(S, 0.25)
         assert rep.t_mix == 2
-        assert rep.t_mix <= math.ceil(mixing_time_bound(m, path3, 0.25))
+        assert rep.t_mix <= mixing_time_bound(m, path3, 0.25)
         assert not rep.censored
         # worst initial is the all-infected state for the order-preserving
         # variant
@@ -717,7 +752,7 @@ class TestMixing:
         pi, _ = stationary(S)
         rep = mixing_time_exact(S, 0.25)
         assert rep.t_mix is not None
-        assert rep.t_mix <= math.ceil(mixing_time_bound(m, g, 0.25))
+        assert rep.t_mix <= mixing_time_bound(m, g, 0.25)
         # cross-check the reported t by direct propagation from every state
         for code in range(9):
             mu = propagate(DistVector.point_mass(code, 9), S, rep.t_mix)
@@ -1615,3 +1650,33 @@ class TestNonAbsorption:
         m = ModelSpec("sirs", beta=0.5, delta=0.5, gamma=0.5)
         with pytest.raises(ExactChainError):
             non_absorption_check(build_transition_matrix(m, path3), 1, 3)
+
+    @pytest.mark.parametrize("X0", [-1, 8, ChainState(1, n=2),
+                                    ChainState(5, n=3, k=3)],
+                             ids=["negative", "past-end", "other-n",
+                                  "other-k"])
+    def test_start_must_be_a_state_of_S(self, path3, X0):
+        m = ModelSpec("sis-nia", beta=0.5, delta=0.5)
+        with pytest.raises(ExactChainError):
+            non_absorption_check(build_transition_matrix(m, path3), X0, 3)
+
+    def test_sis_ia_counterexample(self):
+        """The product bound 1 - prod_i (1 - Phi^t_i(x0)) from the start's
+        own indicator marginals x0 fails for sis-ia, which is not order
+        preserving, so non_absorption_check refuses the variant."""
+        g = generate("complete", n=5)
+        m = ModelSpec("sis-ia", beta=0.8636135381995372,
+                      delta=0.7863266393859161)
+        S = build_transition_matrix(m, g)
+        x0 = np.array([1.0, 1.0, 1.0, 0.0, 1.0])
+        start = DistVector.point_mass(ChainState.from_digits(x0).code, S.size)
+        for t, exact, bound in ((2, 0.9991310, 0.9979380),
+                                (3, 0.9795147, 0.9745674)):
+            survival = 1.0 - float(propagate(start, S, t).entries[0])
+            x = epinet.mf_iterate(m, g, MeanFieldPoint(x0), t)[-1].p_i
+            product = 1.0 - float(np.prod(1.0 - x))
+            assert survival == pytest.approx(exact, abs=5e-8)
+            assert product == pytest.approx(bound, abs=5e-8)
+            assert survival > product
+        with pytest.raises(ExactChainError):
+            non_absorption_check(S, 23, 2)

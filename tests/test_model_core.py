@@ -632,22 +632,23 @@ class TestThresholdRatio:
 # ---------------------------------------------------------------------------
 
 # Every comparison of a model's variant and every test of its contact matrix
-# against None in the engines, counted per top-level function. The variant
-# table and the infection matrix (model_core._infection_matrix) describe the
-# variants; what is left here: sis-nia's factored map and derivative, the
-# integer-count and log-sum paths of unweighted rate models, the symmetric
-# spectrum of unweighted SIS, the linear bound L and the mixing bound (whose
-# SIV branch adds the S/V pairs' relaxation at |1 - gamma - theta|, which the
-# infection marginals do not bound), the closed-form fixed-point relations,
-# the sis-nia-only checks, the contact matrix of the mirrored chain, and the
-# Monte Carlo grid's validation.
+# against None in the modules that read the variant table, counted per
+# top-level function. The variant table and the infection matrix
+# (model_core._infection_matrix) describe the variants; what is left here:
+# sis-nia's factored map and derivative, the integer-count and log-sum paths
+# of unweighted rate models, the symmetric spectrum of unweighted SIS, the
+# linear bound L and its 2-norm (the contact matrix's by SVD), the
+# closed-form fixed-point relations, the sis-nia-only checks, the contact
+# matrix of the mirrored chain, and the Monte Carlo grid's validation.
 ENGINE_FORKS = {
     "mean_field": {"_neighbor_products": 1, "_mf_map": 1, "_derivatives": 1,
                    "jacobian_eigenvalues": 1, "_relation_defect": 2,
-                   "_linear_bound": 1},
-    "exact_chain": {"mixing_time_bound": 3, "_mirror_matrix": 1,
-                    "check_u_bound": 1, "non_absorption_check": 1},
+                   "_linear_bound": 1, "_linear_norm": 1},
+    "exact_chain": {"_mirror_matrix": 1, "check_u_bound": 1,
+                    "non_absorption_check": 1},
     "monte_carlo": {"_escape_function": 1, "_run": 1},
+    "verify": {},
+    "cli": {},
 }
 
 
