@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,10 +46,8 @@ from .model_core import (
     MEMORY_BUDGET_BYTES,
     Graph,
     ModelSpec,
-    _check_contact,
     _infection_matrix,
     _row_shares,
-    contact_from_rates,
 )
 from .mean_field import (MeanFieldPoint, _linear_bound, _linear_norm,
                          mf_iterate, mf_step)
@@ -127,7 +126,12 @@ class ChainState:
     k: int = 2
 
     def __post_init__(self) -> None:
-        if not (0 <= self.code < self.k ** self.n):
+        try:
+            code, n, k = map(operator.index, (self.code, self.n, self.k))
+        except TypeError:
+            raise ExactChainError(f"code, n and k must be integers, got "
+                                  f"{self.code!r}, {self.n!r}, {self.k!r}")
+        if not (0 <= code < k ** n):
             raise ExactChainError(
                 f"code {self.code} out of range for k={self.k}, n={self.n}"
             )
@@ -452,7 +456,6 @@ def mixing_time_bound(model: ModelSpec, graph: Graph, epsilon: float) -> float:
     """
     if not (0.0 < epsilon < 1.0):
         raise ExactChainError("epsilon must be in (0,1)")
-    _check_contact(model, graph)
     rates = (_linear_norm(model, graph),
              *_VARIANTS[model.variant].relaxation(model))
     if max(rates) >= 1.0:
@@ -678,14 +681,12 @@ class OrderReport:
 
 
 def _mirror_matrix(S: TransitionMatrix) -> np.ndarray | None:
-    """Transition matrix of the transposed-contact chain, or None."""
+    """Transition matrix of the transposed-contact chain, or None; the
+    contact matrix is L itself (mean_field._linear_bound at p = I)."""
     model, graph = S.model, S.graph
     if not _VARIANTS[model.variant].order_preserving:
         return None
-    if model.contact is not None:
-        M = np.asarray(model.contact)
-    else:
-        M = contact_from_rates(graph, model.beta, model.delta)
+    M = _linear_bound(model, graph, np.eye(graph.n))
     mirrored = ModelSpec("sis-general", contact=M.T.copy())
     return build_transition_matrix(mirrored, graph).entries.toarray()
 
@@ -697,9 +698,9 @@ def check_order_preservation(S: TransitionMatrix, n_pairs: int = 100,
     Computes R^-1 S R and its minimum entry; nonnegative (up to fp noise)
     means the chain maps stochastically ordered distributions to ordered
     distributions. Cross-checks the conjugation identity
-    (R^-1 S R)[X, Z] = S'[~Z, ~X], where S' is the chain with transposed
-    contact matrix (for sis-nia the contact matrix is symmetric, so S' is
-    built from the same rates). Additionally samples n_pairs ordered pairs
+    (R^-1 S R)[X, Z] = S'[~Z, ~X], where S' is the sis-general chain with
+    contact matrix L transposed (_mirror_matrix; for sis-nia L is symmetric,
+    so S' is the chain itself). Additionally samples n_pairs ordered pairs
     mu <= mu' (mass moved from a state X up to some Y >= X) and records the
     smallest coordinate of (mu - mu') S^t R for t = 1..t_max.
     """
@@ -758,7 +759,7 @@ def u_vector(r: np.ndarray) -> np.ndarray:
     all-ones vector. Not normalized.
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0) or np.any(r > 1):
+    if not ((r >= 0) & (r <= 1)).all():  # NaN fails both
         raise ExactChainError("r must be componentwise in [0,1]")
     n = len(r)
     D = states_table(n, 2)
@@ -774,6 +775,8 @@ def check_u_bound(S: TransitionMatrix, r: np.ndarray) -> float:
     if S.model.variant != "sis-nia":
         raise ExactChainError("u-bound comparison is defined for sis-nia")
     r = np.asarray(r, dtype=float)
+    if r.shape != (S.n,):
+        raise ExactChainError(f"r has shape {r.shape}; the chain has n={S.n}")
     lhs = S.entries @ u_vector(r)
     phi_r = mf_step(S.model, S.graph, MeanFieldPoint(r)).p_i
     rhs = u_vector(phi_r)
@@ -809,7 +812,6 @@ def _marginal_constraint_matrix(n: int, k: int) -> np.ndarray:
 
 def _check_marginals(model: ModelSpec, graph: Graph, i: int,
                      p: MeanFieldPoint) -> None:
-    _check_contact(model, graph)
     if not (0 <= i < graph.n):
         raise ExactChainError(f"node {i} out of range")
     if (p.n, p.k) != (graph.n, model.k):
@@ -972,7 +974,7 @@ def non_absorption_check(S: TransitionMatrix, X0: ChainState | int,
     if model.variant != "sis-nia":
         raise ExactChainError("non-absorption bound is defined for sis-nia")
     if not isinstance(X0, ChainState):
-        X0 = ChainState(int(X0), n, S.k)
+        X0 = ChainState(X0, n, S.k)
     if (X0.n, X0.k) != (n, S.k):
         raise ExactChainError(f"start state has n={X0.n}, k={X0.k}; the "
                               f"chain has n={n}, k={S.k}")

@@ -12,9 +12,9 @@ and its Jacobian comes from the same tables. sis-nia keeps its factored
 1 - Pi (1 - (1-delta) x), which rounds differently from that sum.
 Implements mf_step, mf_jacobian, jacobian_eigenvalues,
 jacobian_contracts, mf_iterate, find_fixed_point and linear_bound_check,
-with the linear marginal bound L p in _linear_bound and its 2-norm in
-_linear_norm. find_fixed_point returns the point alone: its stability is a
-separate call there.
+with the linear marginal bound L p (from the table and W's factors) in
+_linear_bound and its 2-norm in _linear_norm. find_fixed_point returns the
+point alone: its stability is a separate call there.
 """
 from __future__ import annotations
 
@@ -28,9 +28,8 @@ from .model_core import (
     _VARIANTS,
     Graph,
     ModelSpec,
-    _check_contact,
+    _infection_factors,
     _infection_matrix,
-    spectral_radius,
 )
 
 
@@ -138,9 +137,8 @@ def _neighbor_products(model: ModelSpec, graph: Graph):
     applied many times: W and its indices as intp (take with intp indices
     is 2-3x faster than indexing with the CSR's int32 indices).
     """
-    if model.contact is None and not graph.is_weighted and graph.n > 256:
-        A, beta = graph.adjacency_sparse, model.beta
-
+    beta, A, unit, _ = _infection_factors(model, graph)
+    if unit and graph.n > 256:
         def log_products(x: np.ndarray) -> np.ndarray:
             # log-product fast path; exp(-inf) = 0 handles beta x_j = 1.
             with np.errstate(divide="ignore"):
@@ -174,7 +172,6 @@ def _leave_one_out(f: np.ndarray, indptr: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _check_point(model: ModelSpec, graph: Graph, x: MeanFieldPoint) -> None:
-    _check_contact(model, graph)
     if x.n != graph.n:
         raise MeanFieldError(f"point has n={x.n}, graph has n={graph.n}")
     if x.k != model.k:
@@ -318,29 +315,28 @@ def jacobian_eigenvalues(model: ModelSpec, graph: Graph,
                          x: MeanFieldPoint) -> np.ndarray:
     """Eigenvalues of mf_jacobian(model, graph, x), in no fixed order.
 
-    On an unweighted graph the sis-nia and sis-ia Jacobians are
-    diag(d) + diag(u) A diag(v) with u = beta Pi c >= 0 (d and c from
+    When W = beta A on a 0/1 adjacency A, the sis-nia and sis-ia Jacobians
+    are diag(d) + diag(u) A diag(v) with u = beta Pi c >= 0 (d and c from
     _derivatives) and v = 1/(1 - beta p) > 0. They share their
     spectrum with the symmetric diag(d) + diag(w) A diag(w), w = sqrt(u v):
     a diagonal similarity where u > 0, and a node with u_i = 0 splits off
     the eigenvalue d_i from both. eigvalsh solves that matrix, so the
-    result is real. Weighted graphs, sis-general, the 3-compartment
-    variants and any factor 1 - beta p_j <= 1e-12 take the general
-    np.linalg.eigvals of the dense Jacobian, whose result is complex.
+    result is real. Any other W (weighted, or a contact matrix), the
+    3-compartment variants and any factor 1 - beta p_j <= 1e-12 take the
+    general np.linalg.eigvals of the dense Jacobian, whose result is
+    complex.
     """
     _check_point(model, graph, x)
-    f = None
-    if model.k == 2 and model.contact is None and not graph.is_weighted:
-        f = 1.0 - model.beta * x.p_i
+    beta, A, unit, _ = _infection_factors(model, graph)
+    f = 1.0 - beta * x.p_i if model.k == 2 and unit else None
     if f is None or f.min(initial=1.0) <= 1e-12:
         return np.linalg.eigvals(mf_jacobian(model, graph, x))
     n = graph.n
-    A = graph.adjacency_sparse
     rows = np.repeat(np.arange(n), np.diff(A.indptr))
     Pi = _row_products(A.indptr, f[A.indices])
     own, scale = _derivatives(model, x, Pi)
     d, c = own[0][0], scale[0]
-    w = np.sqrt(model.beta * Pi * c / f)
+    w = np.sqrt(beta * Pi * c / f)
     S = np.zeros((n, n))
     S[rows, A.indices] = w[rows] * w[A.indices]
     np.fill_diagonal(S, d)
@@ -547,25 +543,23 @@ def find_fixed_point(model: ModelSpec, graph: Graph, tol: float = 1e-10,
 def _linear_bound(model: ModelSpec, graph: Graph, p: np.ndarray) -> np.ndarray:
     """L p, for the linear bound p(t+1) <= L p(t) on infection marginals.
 
-    L is the contact matrix for sis-general and otherwise
-    (1-delta) I + beta f A on the CSR adjacency, with the infection factor
-    f (1-theta for siv-vd, else 1). It is the tightest upper bound on the
-    next infection marginals that uses only the current marginals.
+    L = d I + e X on W = scale X (model_core._infection_factors): d is the
+    variant's stay (1 - delta; 0 for sis-general, whose W holds it) and e =
+    scale f (1-theta for siv-vd, else 1). It is the tightest upper bound on
+    the next infection marginals that uses only the current marginals.
     """
-    if model.contact is not None:
-        return model.contact @ p
-    eff = model.beta * _VARIANTS[model.variant].infection(model)
-    return (1.0 - model.delta) * p + eff * (graph.adjacency_sparse @ p)
+    rule = _VARIANTS[model.variant]
+    scale, X, _, _ = _infection_factors(model, graph)
+    return rule.stay(model) * p + scale * rule.infection(model) * (X @ p)
 
 
 def _linear_norm(model: ModelSpec, graph: Graph) -> float:
-    """||L||_2 of _linear_bound's L: the contact matrix's largest singular
-    value, else (1-delta) + beta f lambda_max(A), exact for the symmetric L
-    as |1-delta+beta f lambda_min| <= 1-delta+beta f lambda_max."""
-    if model.contact is not None:
-        return float(np.linalg.norm(model.contact, 2))
-    eff = model.beta * _VARIANTS[model.variant].infection(model)
-    return (1.0 - model.delta) + eff * spectral_radius(graph, 1e-12).lambda_max
+    """||L||_2 of _linear_bound's L: d + e ||X||_2, exact for the symmetric
+    adjacency X as |d + e lambda_min| <= d + e lambda_max, and for the
+    contact matrix (d = 0, e = 1) its largest singular value."""
+    rule = _VARIANTS[model.variant]
+    scale, _, _, norm = _infection_factors(model, graph)
+    return rule.stay(model) + scale * rule.infection(model) * norm()
 
 
 def linear_bound_check(model: ModelSpec, graph: Graph,

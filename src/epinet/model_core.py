@@ -15,8 +15,8 @@ Implements:
     two structural flags. The exact chain, the Monte Carlo sampler, the
     mean-field map and Jacobian (all but sis-nia's own factored formulas)
     and every per-variant scalar read it.
-  - _infection_matrix: the matrix W of every engine's escape product
-    prod_j (1 - W_ij p_j).
+  - _infection_factors / _infection_matrix: the matrix W of every engine's
+    escape product prod_j (1 - W_ij p_j), as scale X and as CSR.
   - threshold_ratio: the variant's local-stability ratio (< 1 predicts
     extinction of the mean-field dynamics).
   - contact_from_rates.
@@ -463,8 +463,10 @@ class _Variant:
         P(next = y | current = c) = C[c, y] + A[c, y] esc + B[c, y] (1 - esc),
     where esc is the probability that the node receives no infection this
     step. free_law(spec) is the single-node law of the disease-free chain,
-    and infection(spec) = B[S, I] - A[S, I] scales the infection pressure on
-    a susceptible.
+    infection(spec) = B[S, I] - A[S, I] scales the infection pressure on a
+    susceptible, and stay(spec) = C[I, I] + A[I, I] is the chance that an
+    infected node stays infected when no infection arrives (1 - delta, or 0
+    for sis-general, whose W holds it).
     order_preserving: the chain maps stochastically ordered laws to ordered
     laws, so the all-infected start is a worst case and the mean-field map
     decreases from the all-infected corner. ends_at_extinction: with zero
@@ -485,6 +487,10 @@ class _Variant:
     def infection(self, spec: "ModelSpec") -> float:
         _, A, B = self.tables(spec)
         return float(B[0, 1] - A[0, 1])
+
+    def stay(self, spec: "ModelSpec") -> float:
+        C, A, _ = self.tables(spec)
+        return float(C[1, 1] + A[1, 1])
 
 
 def _tables(C, A, B) -> np.ndarray:
@@ -637,15 +643,24 @@ def _check_contact(model: ModelSpec, graph: Graph) -> None:
         raise ModelError(f"contact matrix is {m}x{m} but graph has n={graph.n}")
 
 
-def _infection_matrix(model: ModelSpec, graph: Graph) -> sp.csr_matrix:
-    """W, a new CSR matrix of per-pair infection probabilities: node i
-    escapes infection with probability prod over infected j of (1 - W_ij).
-    sis-general's contact matrix (the diagonal folds recovery in), else
-    beta times the weighted adjacency."""
+def _infection_factors(model: ModelSpec, graph: Graph):
+    """W = scale X as (scale, X, unit, norm), read by the engines instead of
+    the model: (beta, the weighted adjacency) or (1.0, sis-general's contact
+    matrix). unit: X is the unweighted 0/1 adjacency. norm() = ||X||_2, its
+    lambda_max or the contact matrix's largest singular value."""
     _check_contact(model, graph)
     if model.contact is not None:
-        return sp.csr_matrix(model.contact)
-    return model.beta * graph.adjacency_sparse
+        M = model.contact
+        return 1.0, M, False, lambda: float(np.linalg.norm(M, 2))
+    return (model.beta, graph.adjacency_sparse, not graph.is_weighted,
+            lambda: spectral_radius(graph, 1e-12).lambda_max)
+
+
+def _infection_matrix(model: ModelSpec, graph: Graph) -> sp.csr_matrix:
+    """W, a new CSR matrix of per-pair infection probabilities: node i
+    escapes infection with probability prod over infected j of (1 - W_ij)."""
+    scale, X, _, _ = _infection_factors(model, graph)
+    return scale * sp.csr_matrix(X)  # no dense temporary of a contact matrix
 
 
 # ---------------------------------------------------------------------------

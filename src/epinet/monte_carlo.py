@@ -49,6 +49,7 @@ from .model_core import (
     Graph,
     ModelSpec,
     _check_contact,
+    _infection_factors,
     _infection_matrix,
     _pinned,
     _usable_cpus,
@@ -118,9 +119,9 @@ def _escape_function(models: list[ModelSpec], graph: Graph):
     """(infected, point) -> per-node probability of receiving no infection.
 
     infected is the (B x n) boolean matrix of infected nodes, one row per
-    replicate, and point[b] the grid point whose model steps row b. For a
-    rate model on an unweighted graph the escape is a power of 1 - beta,
-    read from the grid point's table (the tables are stacked, max degree + 1
+    replicate, and point[b] the grid point whose model steps row b. When
+    W = beta A on a 0/1 adjacency A the escape is a power of 1 - beta, read
+    from the grid point's table (the tables are stacked, max degree + 1
     entries each) at the infected-neighbor count. Otherwise the escape is
     the product over the infection matrix W (model_core._infection_matrix),
     and each grid point's log-factor matrix log(1 - W) is applied to its own
@@ -128,11 +129,13 @@ def _escape_function(models: list[ModelSpec], graph: Graph):
     changes no bit. Built once per run: the tables and the log-factor
     matrices depend only on the models and the graph.
     """
-    if models[0].contact is None and not graph.is_weighted:
+    factors = [_infection_factors(m, graph) for m in models]
+    _, X, unit, _ = factors[0]
+    if unit:
         top = int(graph.degrees.max(initial=0))
-        A = graph.adjacency_sparse.astype(_count_dtype(top))
-        table = np.concatenate([_power_table(1.0 - m.beta, top)
-                                for m in models])
+        A = X.astype(_count_dtype(top))
+        table = np.concatenate([_power_table(1.0 - beta, top)
+                                for beta, *_ in factors])
 
         def counted(infected, point):
             counts = (A @ np.ascontiguousarray(infected.T, dtype=A.dtype)).T
@@ -292,22 +295,22 @@ def _run(models: list[ModelSpec], graph: Graph, init, t_max: int, seed: int,
     1) until the last requested snapshot.
 
     The request is validated here, before any process is forked: the models
-    must share their variant tables, so that they differ only in beta (or
-    the contact matrix), and a run over the memory budget is refused
+    must agree in every field but beta and the contact matrix, so that they
+    share their variant tables, and a run over the memory budget is refused
     (_check_memory) before its states are allocated. A run whose work bound
     R G n t_max exceeds _FORK_MIN_WORK is then split into contiguous shares
     of its rows, one per usable CPU (_split).
     """
     if not models:
         raise MonteCarloError("a grid needs at least one model")
-    variant = _VARIANTS[models[0].variant]
-    tables = variant.tables(models[0])
-    for model in models:
-        if model.variant != models[0].variant or not np.array_equal(
-                variant.tables(model), tables):
+    # describe() but beta and contact, read without copying a contact matrix
+    shared = [(m.variant, m.delta, m.gamma, m.theta) for m in models]
+    for model, fields in zip(models, shared):
+        if fields != shared[0]:
             raise MonteCarloError("the models of a grid may differ only in "
                                   "beta or the contact matrix")
         _check_contact(model, graph)
+    variant = _VARIANTS[models[0].variant]
     if t_max < 1:
         raise MonteCarloError("t_max must be >= 1")
     G = len(models)

@@ -24,7 +24,7 @@ returns a SuiteResult with enough serialized detail to replay any failure:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -64,13 +64,7 @@ class SuiteResult:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "checks": self.checks,
-            "failures": self.failures,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 class VerifyError(ValueError):
@@ -85,14 +79,12 @@ def _random_graph(rng: np.random.Generator, n_max: int, n_min: int = 2,
                   weighted_prob: float = 0.3) -> Graph:
     """Random connected graph, occasionally with random edge weights."""
     n = int(rng.integers(n_min, n_max + 1))
-    g = None
     for _ in range(30):
         p = float(rng.uniform(0.4, 0.9))
-        cand = generate("er", n=n, p=p, seed=int(rng.integers(2 ** 31)))
-        if cand.m > 0 and cand.is_connected():
-            g = cand
+        g = generate("er", n=n, p=p, seed=int(rng.integers(2 ** 31)))
+        if g.m > 0 and g.is_connected():
             break
-    if g is None:
+    else:
         g = generate("complete", n=n)
     if rng.random() < weighted_prob and g.m:
         w = tuple(float(x) for x in rng.uniform(0.2, 1.0, g.m))
@@ -421,7 +413,7 @@ def _mixing_roster() -> list[tuple[ModelSpec, Graph]]:
     p7 = generate("path", n=7)
     p10 = generate("path", n=10)
     s4 = generate("star", n=4)
-    roster: list[tuple[ModelSpec, Graph]] = [
+    return [
         (ModelSpec("sis-nia", beta=0.1, delta=0.9), p3),
         (ModelSpec("sis-nia", beta=0.05, delta=0.9), p10),
         (ModelSpec("sis-nia", beta=0.05, delta=0.7), s4),
@@ -447,7 +439,6 @@ def _mixing_roster() -> list[tuple[ModelSpec, Graph]]:
         (ModelSpec("siv-vd", beta=0.08, delta=0.5, gamma=0.4, theta=0.4),
          generate("path", n=5)),
     ]
-    return roster
 
 
 def _suite_mixing(n_max: int, trials: int, seed: int) -> SuiteResult:
@@ -559,11 +550,6 @@ def run_suites(names, n_max: int = 5, trials: int = 50,
                seed: int = 0) -> list[SuiteResult]:
     if isinstance(names, str):
         names = [names]
-    expanded: list[str] = []
-    for name in names:
-        if name == "all":
-            expanded.extend(SUITES)
-        else:
-            expanded.append(name)
     return [run_suite(name, n_max=n_max, trials=trials, seed=seed)
-            for name in expanded]
+            for item in names
+            for name in (SUITES if item == "all" else (item,))]

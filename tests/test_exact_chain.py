@@ -85,6 +85,15 @@ class TestStates:
         with pytest.raises(ExactChainError, match="invalid for k=2"):
             ChainState.from_digits(digits)
 
+    @pytest.mark.parametrize("fields", ((2.5, 3), (2.0, 3), (1, 3.0),
+                                        (1, 3, 2.0), ("1", 3)))
+    def test_fields_must_be_integers(self, fields):
+        with pytest.raises(ExactChainError, match="must be integers"):
+            ChainState(*fields)
+
+    def test_numpy_integer_fields_pass(self):
+        assert ChainState(np.int64(5), np.int32(3)) == ChainState(5, 3)
+
     def test_code_range(self):
         with pytest.raises(ExactChainError):
             ChainState(8, 3, 2)
@@ -1050,6 +1059,15 @@ class TestUBound:
     def test_range_validation(self):
         with pytest.raises(ExactChainError):
             u_vector(np.array([0.5, 1.2]))
+        with pytest.raises(ExactChainError, match="in \\[0,1\\]"):
+            u_vector(np.array([math.nan, 0.2, 0.3]))
+
+    @pytest.mark.parametrize("r", ([math.nan, 0.2, 0.3], [0.2, 0.3],
+                                   [0.1, 0.2, 0.3, 0.4], [[0.1, 0.2, 0.3]]))
+    def test_check_u_bound_validates_r(self, path3, r):
+        m = ModelSpec("sis-nia", beta=0.5, delta=0.5)
+        with pytest.raises(ExactChainError):
+            check_u_bound(build_transition_matrix(m, path3), r)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=25, deadline=None)
@@ -1624,6 +1642,12 @@ class TestOneBuildPerChain:
 # ---------------------------------------------------------------------------
 
 class TestNonAbsorption:
+    def test_numpy_integer_start(self, path3):
+        m = ModelSpec("sis-nia", beta=0.5, delta=0.5)
+        S = build_transition_matrix(m, path3)
+        assert non_absorption_check(S, np.int64(5), 4) == \
+            non_absorption_check(S, 5, 4)
+
     def test_all_susceptible_start(self, path3):
         m = ModelSpec("sis-nia", beta=0.5, delta=0.5)
         rep = non_absorption_check(build_transition_matrix(m, path3), 0, 5)
@@ -1652,9 +1676,9 @@ class TestNonAbsorption:
             non_absorption_check(build_transition_matrix(m, path3), 1, 3)
 
     @pytest.mark.parametrize("X0", [-1, 8, ChainState(1, n=2),
-                                    ChainState(5, n=3, k=3)],
+                                    ChainState(5, n=3, k=3), 2.7, 2.0],
                              ids=["negative", "past-end", "other-n",
-                                  "other-k"])
+                                  "other-k", "fraction", "float"])
     def test_start_must_be_a_state_of_S(self, path3, X0):
         m = ModelSpec("sis-nia", beta=0.5, delta=0.5)
         with pytest.raises(ExactChainError):

@@ -1066,6 +1066,86 @@ class TestStability:
             assert linear_bound_check(m, g, pt) >= -1e-12, variant
 
 
+def old_linear_bound(m, g, p):
+    """_linear_bound as it branched on the model's fields."""
+    if m.contact is not None:
+        return m.contact @ p
+    eff = m.beta * _VARIANTS[m.variant].infection(m)
+    return (1.0 - m.delta) * p + eff * (g.adjacency_sparse @ p)
+
+
+def old_linear_norm(m, g):
+    """_linear_norm as it branched on the model's fields."""
+    if m.contact is not None:
+        return float(np.linalg.norm(m.contact, 2))
+    eff = m.beta * _VARIANTS[m.variant].infection(m)
+    return (1.0 - m.delta) + eff * spectral_radius(g, 1e-12).lambda_max
+
+
+def old_mirror_contact(m, g):
+    """The mirrored chain's contact matrix before it was read from L."""
+    if m.contact is not None:
+        return np.asarray(m.contact)
+    return contact_from_rates(g, m.beta, m.delta)
+
+
+def twin(g: Graph) -> Graph:
+    """Two disjoint copies of g."""
+    shifted = tuple((i + g.n, j + g.n) for i, j in g.edges)
+    return Graph(2 * g.n, g.edges + shifted, g.weights * 2)
+
+
+class TestLinearFromTable:
+    """L = d I + e X, read from the variant table and W's factors, equals
+    the formulas that read the model's beta, delta and contact matrix, bit
+    for bit."""
+
+    @staticmethod
+    def models(rng, variant, g):
+        gamma, theta = rng.uniform(0.05, 0.95, 2)
+        rates = [tuple(rng.uniform(0.05, 0.95, 2)), (1.0, 0.0), (1.0, 1.0),
+                 (rng.uniform(0.05, 0.95), 0.0), (rng.uniform(0.05, 0.95), 1.0)]
+        if variant == "sis-general":
+            return [random_model(rng, variant, n=g.n)] + [
+                ModelSpec(variant, contact=contact_from_rates(g, b, d))
+                for b, d in rates]
+        names = _VARIANTS[variant].required
+        return [ModelSpec(variant, **{name: value for name, value in
+                                      zip(("beta", "delta", "gamma", "theta"),
+                                          (b, d, gamma, theta))
+                                      if name in names})
+                for b, d in rates]
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_bound_norm_and_mirror_bits(self, rng, variant):
+        from epinet.exact_chain import _mirror_matrix
+
+        order_preserving = _VARIANTS[variant].order_preserving
+        for _ in range(3):
+            base = random_connected_graph(rng, 4)
+            weighted = random_connected_graph(rng, 4, weighted_prob=1.0)
+            assert weighted.is_weighted
+            for g in (base, weighted, Graph(base.n), twin(base),
+                      twin(weighted)):
+                for m in self.models(rng, variant, g):
+                    for p in (rng.random(g.n), np.eye(g.n)):
+                        new = mean_field._linear_bound(m, g, p)
+                        assert new.tobytes() == \
+                            old_linear_bound(m, g, p).tobytes()
+                    assert mean_field._linear_norm(m, g) == \
+                        old_linear_norm(m, g)
+                    if not order_preserving:
+                        continue
+                    M = old_mirror_contact(m, g)
+                    assert mean_field._linear_bound(
+                        m, g, np.eye(g.n)).tobytes() == M.tobytes()
+                    mirrored = ModelSpec("sis-general", contact=M.T.copy())
+                    expected = build_transition_matrix(mirrored, g)
+                    got = _mirror_matrix(build_transition_matrix(m, g))
+                    assert got.tobytes() == \
+                        expected.entries.toarray().tobytes()
+
+
 def spectrum_contracts(m, g, x):
     return bool(np.abs(jacobian_eigenvalues(m, g, x)).max() < 1.0)
 

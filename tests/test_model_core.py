@@ -6,6 +6,7 @@ import importlib
 import inspect
 import logging
 import math
+import pkgutil
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from epinet import (
     threshold_ratio,
 )
 
+import epinet
 from epinet import model_core
 from conftest import random_connected_graph
 
@@ -633,20 +635,17 @@ class TestThresholdRatio:
 
 # Every comparison of a model's variant and every test of its contact matrix
 # against None in the modules that read the variant table, counted per
-# top-level function. The variant table and the infection matrix
-# (model_core._infection_matrix) describe the variants; what is left here:
-# sis-nia's factored map and derivative, the integer-count and log-sum paths
-# of unweighted rate models, the symmetric spectrum of unweighted SIS, the
-# linear bound L and its 2-norm (the contact matrix's by SVD), the
-# closed-form fixed-point relations, the sis-nia-only checks, the contact
-# matrix of the mirrored chain, and the Monte Carlo grid's validation.
+# top-level function. The variant table describes the variants, and W's
+# factors (model_core._infection_factors) carry the linear bound L, its
+# 2-norm, the mirrored chain's contact matrix and the unweighted-rate fast
+# paths. What is left here: sis-nia's factored map and derivative, which
+# round differently from the table's sum; the closed-form fixed-point
+# relations, an oracle independent of the table; and the sis-nia-only
+# u-bound and non-absorption proofs.
 ENGINE_FORKS = {
-    "mean_field": {"_neighbor_products": 1, "_mf_map": 1, "_derivatives": 1,
-                   "jacobian_eigenvalues": 1, "_relation_defect": 2,
-                   "_linear_bound": 1, "_linear_norm": 1},
-    "exact_chain": {"_mirror_matrix": 1, "check_u_bound": 1,
-                    "non_absorption_check": 1},
-    "monte_carlo": {"_escape_function": 1, "_run": 1},
+    "mean_field": {"_mf_map": 1, "_derivatives": 1, "_relation_defect": 2},
+    "exact_chain": {"check_u_bound": 1, "non_absorption_check": 1},
+    "monte_carlo": {},
     "verify": {},
     "cli": {},
 }
@@ -685,3 +684,18 @@ def test_engine_forks_are_listed(name):
     fails here until it is listed in ENGINE_FORKS, with its reason."""
     module = importlib.import_module(f"epinet.{name}")
     assert _forks(module) == ENGINE_FORKS[name]
+
+
+def test_model_fields_read_only_in_model_core():
+    """No module but model_core reads a model's beta or contact matrix: the
+    engines read W's factors (model_core._infection_factors) instead."""
+    found = []
+    for info in pkgutil.iter_modules(epinet.__path__):
+        if info.name == "model_core":
+            continue
+        module = importlib.import_module(f"epinet.{info.name}")
+        found += [f"{info.name}:{node.lineno}" for node in
+                  ast.walk(ast.parse(inspect.getsource(module)))
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("contact", "beta")]
+    assert found == []
